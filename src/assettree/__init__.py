@@ -14,6 +14,7 @@ from .errors import (
     DuplicateRecordError,
     FormatError,
     InsufficientDataError,
+    InvariantError,
     MissingVertexError,
     SizeLimitError,
     UnderdeterminedFitError,
@@ -34,6 +35,7 @@ from .metrics import (
     PhaseLabel,
     PowerLawFit,
     SuperhubReport,
+    TreeSummary,
     PHASE_MULTI_HUB,
     PHASE_POWER_LAW,
     PHASE_SUPERHUB,
@@ -44,6 +46,7 @@ from .metrics import (
     max_degree_vertex,
     mean_occupation_layer,
     normalized_tree_length,
+    summarize,
 )
 from .mst import Tree, UnionFind, brute_force_mst, check_tree, kruskal_mst, prim_mst
 from .rolling import (

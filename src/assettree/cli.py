@@ -6,8 +6,8 @@ Subcommands:
   synth       generate an ingestion-compatible synthetic price CSV
   export-dot  convert a saved edge-list tree to DOT
 
-Exit codes: 0 success, 2 validation error, 3 I/O error, 4 fit
-underdetermined. Every failure prints a diagnostic naming the stage.
+Exit codes: 0 success, 2 validation error, 3 I/O error. Every failure
+prints one `<stage>: <message>` line to stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from pathlib import Path
 
@@ -23,23 +24,14 @@ import numpy as np
 
 from . import exports
 from .correlation import pearson_matrix, to_distance
-from .errors import (
-    AssetTreeError,
-    ConfigurationError,
-    UnderdeterminedFitError,
-)
+from .errors import AssetTreeError, ConfigurationError
 from .ingestion import FormatSpec, align_and_filter, log_returns, parse_price_table
 from .metrics import (
     DEFAULT_GAP_RATIO,
     DEFAULT_HUB_THRESHOLD,
     DEFAULT_RESIDUAL_THRESHOLD,
-    classify_phase,
-    degree_distribution,
-    detect_superhub,
-    fit_power_law,
     max_degree_vertex,
-    mean_occupation_layer,
-    normalized_tree_length,
+    summarize,
 )
 from .mst import prim_mst
 from .rolling import WindowSpec, detect_transitions, evolve
@@ -47,6 +39,17 @@ from .synth import EPOCH, FactorModelParams, HubRegimeParams, hub_regime_returns
 
 DEFAULT_WINDOW = 250
 DEFAULT_STEP = 5
+
+
+@dataclass
+class Stage:
+    """The pipeline stage a command is in, named in its error line.
+
+    Each cmd_* function advances `name` as it goes and raises on failure;
+    `main` maps the error to the exit code.
+    """
+
+    name: str = "setup"
 
 
 def _parse_date(text: str) -> Date:
@@ -88,141 +91,111 @@ def _jf(x: float):
     return x if math.isfinite(x) else None
 
 
-def cmd_analyze(args) -> int:
-    stage = "setup"
-    try:
-        path = _resolve_input(args)
-        out = Path(args.out)
-        stage = "ingestion"
-        returns, dropped, period = _load_returns(path, args.start, args.end)
-        stage = "correlation"
-        corr = pearson_matrix(returns)
-        dist = to_distance(corr)
-        stage = "mst"
-        tree = prim_mst(dist)
-        stage = "metrics"
-        ddist = degree_distribution(tree)
-        try:
-            fit = fit_power_law(ddist, drop_threshold=args.tau)
-        except UnderdeterminedFitError:
-            fit = None
-        report = detect_superhub(ddist, fit, args.tau, args.gap)
-        label = classify_phase(ddist, fit, report, args.tau_hub)
-        center = max_degree_vertex(tree)
-        config = {
-            "input": path,
-            "start": period[0].isoformat(),
-            "end": period[1].isoformat(),
-            "tau": args.tau,
-            "gap": args.gap,
-            "tau_hub": args.tau_hub,
-        }
-        payload = {
-            "n_companies": tree.n,
-            "period": {"start": period[0].isoformat(), "end": period[1].isoformat()},
-            "dropped_companies": dropped,
+def cmd_analyze(args, stage: Stage) -> None:
+    path = _resolve_input(args)
+    out = Path(args.out)
+    stage.name = "ingestion"
+    returns, dropped, period = _load_returns(path, args.start, args.end)
+    stage.name = "correlation"
+    corr = pearson_matrix(returns)
+    dist = to_distance(corr)
+    stage.name = "mst"
+    tree = prim_mst(dist)
+    stage.name = "metrics"
+    summary = summarize(tree, args.tau, args.gap, args.tau_hub)
+    fit, report = summary.fit, summary.superhub
+    config = {
+        "input": path,
+        "start": period[0].isoformat(),
+        "end": period[1].isoformat(),
+        "tau": args.tau,
+        "gap": args.gap,
+        "tau_hub": args.tau_hub,
+    }
+    payload = {
+        "n_companies": tree.n,
+        "period": {"start": period[0].isoformat(), "end": period[1].isoformat()},
+        "dropped_companies": dropped,
+        "config_hash": exports.config_hash(config),
+        "ntl": summary.ntl,
+        "mol_dynamic": summary.mol_dynamic,
+        "dynamic_center": summary.center,
+        "degree_counts": {str(k): int(c) for k, c in summary.distribution.counts.items()},
+        "fit": None
+        if fit is None
+        else {
+            "slope": fit.slope,
+            "intercept": fit.intercept,
+            "slope_stderr": fit.slope_stderr,
+            "k_range": list(fit.k_range),
+            "residuals": {str(k): r for k, r in fit.residuals.items()},
+            "excluded_degrees": list(fit.excluded_degrees),
+        },
+        "superhub": {
+            "is_superhub": report.is_superhub,
+            "hub_ticker": report.hub_ticker,
+            "k_max": report.k_max,
+            "k_second": report.k_second,
+            "log_residual": _jf(report.log_residual),
+            "degree_gap_ratio": report.degree_gap_ratio,
+        },
+        "phase": summary.phase.phase,
+        "n_outlier_hubs": summary.phase.n_outlier_hubs,
+    }
+    stage.name = "export"
+    out.mkdir(parents=True, exist_ok=True)
+    meta = {"period": "%s..%s" % period, "config_hash": payload["config_hash"]}
+    if "edges" in args.formats:
+        exports.write_tree_edges(out / "tree.edges", tree, meta)
+    if "dot" in args.formats:
+        exports.write_dot(out / "tree.dot", tree)
+    if "csv" in args.formats:
+        exports.write_correlation_matrix(out / "corr.csv", corr)
+    with open(out / "analysis.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def cmd_evolve(args, stage: Stage) -> None:
+    path = _resolve_input(args)
+    out = Path(args.out)
+    spec = WindowSpec(args.window, args.step)
+    stage.name = "ingestion"
+    returns, dropped, period = _load_returns(path, args.start, args.end)
+    stage.name = "rolling"
+    center = args.center
+    if center is None:
+        # Data-driven default: the dominant vertex of the whole period.
+        full_tree = prim_mst(to_distance(pearson_matrix(returns)))
+        center = max_degree_vertex(full_tree)
+    series = evolve(returns, spec, center, args.tau, args.gap, args.tau_hub)
+    report = detect_transitions(series)
+    stage.name = "export"
+    config = {
+        "input": path,
+        "start": period[0].isoformat(),
+        "end": period[1].isoformat(),
+        "window": spec.width,
+        "step": spec.step,
+        "center": center,
+        "tau": args.tau,
+        "gap": args.gap,
+        "tau_hub": args.tau_hub,
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    exports.write_metric_series_csv(out / "series.csv", series)
+    exports.write_transition_report(
+        out / "transitions.json",
+        report,
+        extra={
+            "static_center": center,
             "config_hash": exports.config_hash(config),
-            "ntl": normalized_tree_length(tree),
-            "mol_dynamic": mean_occupation_layer(tree, center),
-            "dynamic_center": center,
-            "degree_counts": {str(k): int(c) for k, c in ddist.counts.items()},
-            "fit": None
-            if fit is None
-            else {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "slope_stderr": fit.slope_stderr,
-                "k_range": list(fit.k_range),
-                "residuals": {str(k): r for k, r in fit.residuals.items()},
-                "excluded_degrees": list(fit.excluded_degrees),
+            "dropped_companies": dropped,
+            "window_drops": {
+                str(i): list(t) for i, t in enumerate(series.dropped) if t
             },
-            "superhub": {
-                "is_superhub": report.is_superhub,
-                "hub_ticker": report.hub_ticker,
-                "k_max": report.k_max,
-                "k_second": report.k_second,
-                "log_residual": _jf(report.log_residual),
-                "degree_gap_ratio": report.degree_gap_ratio,
-            },
-            "phase": label.phase,
-            "n_outlier_hubs": label.n_outlier_hubs,
-        }
-        stage = "export"
-        out.mkdir(parents=True, exist_ok=True)
-        meta = {"period": "%s..%s" % period, "config_hash": payload["config_hash"]}
-        if "edges" in args.formats:
-            exports.write_tree_edges(out / "tree.edges", tree, meta)
-        if "dot" in args.formats:
-            exports.write_dot(out / "tree.dot", tree)
-        if "csv" in args.formats:
-            exports.write_correlation_matrix(out / "corr.csv", corr)
-        with open(out / "analysis.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 3
-    except UnderdeterminedFitError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 4
-    except AssetTreeError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_evolve(args) -> int:
-    stage = "setup"
-    try:
-        path = _resolve_input(args)
-        out = Path(args.out)
-        spec = WindowSpec(args.window, args.step)
-        stage = "ingestion"
-        returns, dropped, period = _load_returns(path, args.start, args.end)
-        stage = "rolling"
-        center = args.center
-        if center is None:
-            # Data-driven default: the dominant vertex of the whole period.
-            full_tree = prim_mst(to_distance(pearson_matrix(returns)))
-            center = max_degree_vertex(full_tree)
-        series = evolve(returns, spec, center, args.tau, args.gap, args.tau_hub)
-        report = detect_transitions(series)
-        stage = "export"
-        config = {
-            "input": path,
-            "start": period[0].isoformat(),
-            "end": period[1].isoformat(),
-            "window": spec.width,
-            "step": spec.step,
-            "center": center,
-            "tau": args.tau,
-            "gap": args.gap,
-            "tau_hub": args.tau_hub,
-        }
-        out.mkdir(parents=True, exist_ok=True)
-        exports.write_metric_series_csv(out / "series.csv", series)
-        exports.write_transition_report(
-            out / "transitions.json",
-            report,
-            extra={
-                "static_center": center,
-                "config_hash": exports.config_hash(config),
-                "dropped_companies": dropped,
-                "window_drops": {
-                    str(i): list(t) for i, t in enumerate(series.dropped) if t
-                },
-            },
-        )
-    except OSError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 3
-    except UnderdeterminedFitError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 4
-    except AssetTreeError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 2
-    return 0
+        },
+    )
 
 
 _PARAM_KEYS = {
@@ -293,48 +266,30 @@ def _synth_panel(params: dict):
     raise ConfigurationError("unknown kind %r" % kind)
 
 
-def cmd_synth(args) -> int:
-    stage = "setup"
-    try:
-        stage = "params"
-        params = _parse_params(args.params)
-        stage = "generate"
-        panel = _synth_panel(params)
-        prices = 100.0 * np.exp(np.cumsum(panel.returns, axis=1))
-        prices = np.hstack([np.full((prices.shape[0], 1), 100.0), prices])
-        price_dates = [panel.dates[0] - timedelta(days=1)] + list(panel.dates)
-        stage = "export"
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        text = exports.format_price_csv(panel.tickers, price_dates, prices)
-        with open(out / "prices.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 3
-    except AssetTreeError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 2
-    return 0
+def cmd_synth(args, stage: Stage) -> None:
+    stage.name = "params"
+    params = _parse_params(args.params)
+    stage.name = "generate"
+    panel = _synth_panel(params)
+    prices = 100.0 * np.exp(np.cumsum(panel.returns, axis=1))
+    prices = np.hstack([np.full((prices.shape[0], 1), 100.0), prices])
+    price_dates = [panel.dates[0] - timedelta(days=1)] + list(panel.dates)
+    stage.name = "export"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    text = exports.format_price_csv(panel.tickers, price_dates, prices)
+    with open(out / "prices.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
-def cmd_export_dot(args) -> int:
-    stage = "setup"
-    try:
-        path = _resolve_input(args)
-        stage = "read"
-        tree = exports.read_tree_edges(path)
-        stage = "export"
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        exports.write_dot(out / (Path(path).stem + ".dot"), tree)
-    except OSError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 3
-    except AssetTreeError as err:
-        print("%s: %s" % (stage, err), file=sys.stderr)
-        return 2
-    return 0
+def cmd_export_dot(args, stage: Stage) -> None:
+    path = _resolve_input(args)
+    stage.name = "read"
+    tree = exports.read_tree_edges(path)
+    stage.name = "export"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    exports.write_dot(out / (Path(path).stem + ".dot"), tree)
 
 
 def _add_common_io(sub, with_window: bool) -> None:
@@ -392,7 +347,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "formats", None) is None and args.command == "analyze":
         args.formats = ["edges", "dot"]
-    return args.func(args)
+    stage = Stage()
+    try:
+        args.func(args, stage)
+    except OSError as err:
+        print("%s: %s" % (stage.name, err), file=sys.stderr)
+        return 3
+    except AssetTreeError as err:
+        print("%s: %s" % (stage.name, err), file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InsufficientDataError
+from .errors import DegenerateSeriesError, InsufficientDataError, InvariantError
 from .ingestion import ReturnPanel
 
 # Numerical overshoot of |rho| beyond 1 tolerated before clamping.
@@ -55,7 +55,7 @@ def pearson_matrix(panel: ReturnPanel) -> CorrelationMatrix:
     rho = np.corrcoef(r)
     overshoot = np.abs(rho).max() - 1.0
     if overshoot > CLAMP_EPS:
-        raise AssertionError(
+        raise InvariantError(
             "correlation overshoot %.3e exceeds clamp tolerance" % overshoot
         )
     np.clip(rho, -1.0, 1.0, out=rho)

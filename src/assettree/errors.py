@@ -3,7 +3,7 @@
 Every error raised on purpose by this package derives from AssetTreeError,
 so callers can catch one type at the top level. The concrete subclasses
 mirror the failure vocabulary of the pipeline stages: input format,
-alignment, numerical degeneracy, and configuration.
+alignment, numerical degeneracy, configuration, and broken invariants.
 """
 
 
@@ -45,3 +45,7 @@ class SizeLimitError(AssetTreeError):
 
 class UnderdeterminedFitError(AssetTreeError):
     """Fewer than three distinct degree values; no line can be assessed."""
+
+
+class InvariantError(AssetTreeError):
+    """A structural invariant failed: not a spanning tree, |rho| beyond 1."""

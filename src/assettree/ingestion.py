@@ -1,7 +1,8 @@
 """Price table parsing, panel alignment, and log returns.
 
-Input is delimited text with a header row and one record per line:
-ISO-8601 date, ticker, close price. Records may arrive in any order;
+Input is delimited text with a header row and one record per line. The
+header names the columns `date` (ISO-8601), `ticker` and `close`, in any
+order; other columns are ignored. Records may arrive in any order;
 series are assembled per ticker and sorted by date. A company enters an
 aligned panel only if it has a price on every trading day of the
 requested period, where the trading-day axis is the union of dates
@@ -26,9 +27,12 @@ from .errors import (
 )
 
 
+COLUMNS = ("date", "ticker", "close")
+
+
 @dataclass(frozen=True)
 class FormatSpec:
-    """Shape of the delimited input: three columns, configurable delimiter."""
+    """Shape of the delimited input: configurable delimiter."""
 
     delimiter: str = ","
 
@@ -111,10 +115,12 @@ class AlignResult:
 def parse_price_table(raw_text: str | Iterable[str], fmt: FormatSpec = FormatSpec()) -> ParseResult:
     """Parse delimited price records into per-ticker series.
 
-    The header row is required and must have exactly three fields. Rows
-    with unparseable dates, unparseable or non-positive prices, or the
-    wrong field count are rejected with a diagnostic naming the line;
-    a duplicate (ticker, date) pair is an error, not a rejection.
+    The header row is required and must name the columns date, ticker
+    and close once each; they are looked up by name, and other columns
+    are ignored. Rows with unparseable dates, unparseable or non-positive
+    prices, or a field count other than the header's are rejected with a
+    diagnostic naming the line; a duplicate (ticker, date) pair is an
+    error, not a rejection.
     """
     if isinstance(raw_text, str):
         lines = io.StringIO(raw_text)
@@ -125,8 +131,11 @@ def parse_price_table(raw_text: str | Iterable[str], fmt: FormatSpec = FormatSpe
         header = next(reader)
     except StopIteration:
         raise FormatError("missing header row")
-    if len(header) != 3 or any(not h.strip() for h in header):
-        raise FormatError("malformed header: expected 3 named columns, got %r" % (header,))
+    names = [h.strip() for h in header]
+    if any(names.count(c) != 1 for c in COLUMNS):
+        raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
+    columns = [names.index(c) for c in COLUMNS]
+    width = len(header)
 
     observations: dict[str, dict[Date, float]] = {}
     order: list[str] = []
@@ -135,10 +144,11 @@ def parse_price_table(raw_text: str | Iterable[str], fmt: FormatSpec = FormatSpe
         if not row:
             continue
         raw = fmt.delimiter.join(row)
-        if len(row) != 3:
-            rejected.append(RejectedRow(line_number, "expected 3 fields, got %d" % len(row), raw))
+        if len(row) != width:
+            reason = "expected %d fields, got %d" % (width, len(row))
+            rejected.append(RejectedRow(line_number, reason, raw))
             continue
-        date_text, ticker, price_text = (cell.strip() for cell in row)
+        date_text, ticker, price_text = (row[c].strip() for c in columns)
         try:
             day = Date.fromisoformat(date_text)
         except ValueError:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingVertexError, UnderdeterminedFitError
+from .errors import InvariantError, MissingVertexError, UnderdeterminedFitError
 from .mst import Tree
 
 DEFAULT_RESIDUAL_THRESHOLD = 0.8  # decades above the line for a superhub
@@ -77,16 +77,38 @@ class PhaseLabel:
     n_outlier_hubs: int
 
 
+@dataclass
+class TreeSummary:
+    """What one tree reports; center is its maximal-degree vertex."""
+
+    distribution: DegreeDistribution
+    fit: PowerLawFit | None
+    superhub: SuperhubReport
+    phase: PhaseLabel
+    center: str
+    ntl: float
+    mol_dynamic: float
+
+
+def _top_vertex(tickers: list[str], deg: np.ndarray) -> str:
+    """Ticker of a maximal-degree vertex, lexicographically smallest on ties."""
+    top = int(deg.max())
+    return min(tickers[v] for v in np.flatnonzero(deg == top))
+
+
 def degree_distribution(tree: Tree) -> DegreeDistribution:
     deg = tree.degrees()
     n = tree.n
-    assert int(deg.sum()) == 2 * (n - 1), "handshake identity violated"
+    if int(deg.sum()) != 2 * (n - 1):
+        raise InvariantError(
+            "handshake identity violated: %d edges on %d vertices" % (len(tree.edges), n)
+        )
     counts: dict[int, float] = {}
     for k in deg:
         counts[int(k)] = counts.get(int(k), 0) + 1
     counts = dict(sorted(counts.items()))
     f = {k: c / n for k, c in counts.items()}
-    return DegreeDistribution(n, counts, f, hub_ticker=max_degree_vertex(tree))
+    return DegreeDistribution(n, counts, f, hub_ticker=_top_vertex(tree.tickers, deg))
 
 
 def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -183,9 +205,7 @@ def mean_occupation_layer(tree: Tree, central: str) -> float:
 
 def max_degree_vertex(tree: Tree) -> str:
     """Ticker of a maximal-degree vertex, lexicographically smallest on ties."""
-    deg = tree.degrees()
-    top = int(deg.max())
-    return min(tree.tickers[v] for v in np.flatnonzero(deg == top))
+    return _top_vertex(tree.tickers, tree.degrees())
 
 
 def detect_superhub(
@@ -241,3 +261,28 @@ def classify_phase(
     if n_hubs >= 2:
         return PhaseLabel(PHASE_MULTI_HUB, n_hubs)
     return PhaseLabel(PHASE_POWER_LAW, n_hubs)
+
+
+def summarize(
+    tree: Tree,
+    residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD,
+    gap_ratio: float = DEFAULT_GAP_RATIO,
+    hub_threshold: float = DEFAULT_HUB_THRESHOLD,
+) -> TreeSummary:
+    """Degrees, fit (None if underdetermined), superhub, phase, NTL, MOL."""
+    dist = degree_distribution(tree)
+    try:
+        fit = fit_power_law(dist, drop_threshold=residual_threshold)
+    except UnderdeterminedFitError:
+        fit = None
+    report = detect_superhub(dist, fit, residual_threshold, gap_ratio)
+    label = classify_phase(dist, fit, report, hub_threshold)
+    return TreeSummary(
+        distribution=dist,
+        fit=fit,
+        superhub=report,
+        phase=label,
+        center=dist.hub_ticker,
+        ntl=normalized_tree_length(tree),
+        mol_dynamic=mean_occupation_layer(tree, dist.hub_ticker),
+    )

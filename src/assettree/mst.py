@@ -4,19 +4,21 @@ Two production algorithms (Prim on a dense matrix, Kruskal over sorted
 edges) plus an exhaustive oracle for small N. All three resolve ties the
 same way: edges are ordered by (weight, ticker pair), where the ticker
 pair is compared lexicographically with the smaller ticker first. That
-refinement makes the minimum tree unique, so Prim and Kruskal return
-identical edge sets even when many weights coincide.
+refinement makes the minimum tree unique, so all three return identical
+edge sets even when many weights coincide: the oracle is exact under
+ties, not just minimal in total weight.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlation import DistanceMatrix
-from .errors import InsufficientDataError, SizeLimitError
+from .errors import InsufficientDataError, InvariantError, SizeLimitError
 
 BRUTE_FORCE_MAX_N = 8
 
@@ -88,6 +90,16 @@ def _ticker_ranks(tickers: list[str]) -> np.ndarray:
     return rank
 
 
+def _edge_order(dist: DistanceMatrix):
+    """Edges i < j with weights w, and their (weight, ticker pair) sort order."""
+    rank = _ticker_ranks(dist.tickers)
+    iu, ju = np.triu_indices(len(dist.tickers), 1)
+    w = dist.d[iu, ju]
+    lo = np.minimum(rank[iu], rank[ju])
+    hi = np.maximum(rank[iu], rank[ju])
+    return iu, ju, w, np.lexsort((hi, lo, w))
+
+
 def _finish(tickers: list[str], raw_edges) -> Tree:
     edges = sorted(
         (min(i, j), max(i, j), float(w)) for i, j, w in raw_edges
@@ -144,12 +156,7 @@ def kruskal_mst(dist: DistanceMatrix) -> Tree:
     n = len(dist.tickers)
     if n < 2:
         raise InsufficientDataError("spanning tree needs at least 2 vertices")
-    rank = _ticker_ranks(dist.tickers)
-    iu, ju = np.triu_indices(n, 1)
-    w = dist.d[iu, ju]
-    lo = np.minimum(rank[iu], rank[ju])
-    hi = np.maximum(rank[iu], rank[ju])
-    order = np.lexsort((hi, lo, w))
+    iu, ju, w, order = _edge_order(dist)
 
     uf = UnionFind(n)
     raw_edges = []
@@ -162,24 +169,14 @@ def kruskal_mst(dist: DistanceMatrix) -> Tree:
     return _finish(dist.tickers, raw_edges)
 
 
-def brute_force_mst(dist: DistanceMatrix) -> Tree:
-    """Exhaustive minimum over all N^(N-2) labeled trees (N <= 8).
+@functools.lru_cache(maxsize=None)
+def _prufer_trees(n: int) -> np.ndarray:
+    """Edge table (n^(n-2), n-1, 2) of every labeled tree on n >= 3 vertices.
 
-    Every labeled tree corresponds to one Prufer sequence; all sequences
-    are decoded in parallel as one batch of array operations, so even the
-    N=8 case (262144 trees) stays well under a second.
+    Row r is the tree of the r-th Prufer sequence; all sequences are
+    decoded in parallel as one batch of array operations. The table
+    depends only on n, so it is built once and shared read-only.
     """
-    n = len(dist.tickers)
-    if n < 2:
-        raise InsufficientDataError("spanning tree needs at least 2 vertices")
-    if n > BRUTE_FORCE_MAX_N:
-        raise SizeLimitError(
-            "exhaustive search capped at N=%d, got N=%d" % (BRUTE_FORCE_MAX_N, n)
-        )
-    d = dist.d
-    if n == 2:
-        return _finish(dist.tickers, [(0, 1, d[0, 1])])
-
     m = n ** (n - 2)
     seqs = np.indices((n,) * (n - 2)).reshape(n - 2, m).T
     rows = np.arange(m)
@@ -202,9 +199,36 @@ def brute_force_mst(dist: DistanceMatrix) -> Tree:
     second = np.argmax(avail, axis=1)
     edges[:, n - 2, 0] = first
     edges[:, n - 2, 1] = second
+    edges.flags.writeable = False
+    return edges
 
-    totals = d[edges[..., 0], edges[..., 1]].sum(axis=1)
-    best = edges[int(np.argmin(totals))]
+
+def brute_force_mst(dist: DistanceMatrix) -> Tree:
+    """Exhaustive minimum over all N^(N-2) labeled trees (N <= 8).
+
+    Edge e gets the bit 2^rank(e), its rank under the (weight, ticker
+    pair) order, and each tree scores the sum of its edge bits. A tree
+    beats another exactly when the highest-ranked edge they do not share
+    belongs to the other, so the unique minimum score is the minimum
+    spanning tree under that order, ties in weight included.
+    """
+    n = len(dist.tickers)
+    if n < 2:
+        raise InsufficientDataError("spanning tree needs at least 2 vertices")
+    if n > BRUTE_FORCE_MAX_N:
+        raise SizeLimitError(
+            "exhaustive search capped at N=%d, got N=%d" % (BRUTE_FORCE_MAX_N, n)
+        )
+    d = dist.d
+    if n == 2:
+        return _finish(dist.tickers, [(0, 1, d[0, 1])])
+
+    iu, ju, _, order = _edge_order(dist)
+    bits = np.zeros((n, n), dtype=np.int64)
+    bits[iu[order], ju[order]] = np.left_shift(1, np.arange(order.size, dtype=np.int64))
+    bits += bits.T
+    trees = _prufer_trees(n)
+    best = trees[int(np.argmin(bits[trees[..., 0], trees[..., 1]].sum(axis=1)))]
     return _finish(dist.tickers, [(int(i), int(j), d[i, j]) for i, j in best])
 
 
@@ -212,12 +236,12 @@ def check_tree(tree: Tree) -> None:
     """Raise if the edge list is not a spanning tree on its tickers."""
     n = tree.n
     if len(tree.edges) != n - 1:
-        raise AssertionError("expected %d edges, got %d" % (n - 1, len(tree.edges)))
+        raise InvariantError("expected %d edges, got %d" % (n - 1, len(tree.edges)))
     uf = UnionFind(n)
     for i, j, w in tree.edges:
         if not (0 <= i < j < n):
-            raise AssertionError("bad edge endpoints (%d, %d)" % (i, j))
+            raise InvariantError("bad edge endpoints (%d, %d)" % (i, j))
         if w < 0:
-            raise AssertionError("negative edge weight %r" % w)
+            raise InvariantError("negative edge weight %r" % w)
         if not uf.union(i, j):
-            raise AssertionError("cycle through edge (%d, %d)" % (i, j))
+            raise InvariantError("cycle through edge (%d, %d)" % (i, j))

@@ -21,7 +21,6 @@ from .errors import (
     DegenerateSeriesError,
     InsufficientDataError,
     MissingVertexError,
-    UnderdeterminedFitError,
 )
 from .ingestion import ReturnPanel
 from .metrics import (
@@ -29,13 +28,8 @@ from .metrics import (
     DEFAULT_HUB_THRESHOLD,
     DEFAULT_RESIDUAL_THRESHOLD,
     PHASE_SUPERHUB,
-    classify_phase,
-    degree_distribution,
-    detect_superhub,
-    fit_power_law,
-    max_degree_vertex,
     mean_occupation_layer,
-    normalized_tree_length,
+    summarize,
 )
 from .mst import prim_mst
 
@@ -139,23 +133,16 @@ def evolve(
             corr = pearson_matrix(sub)
         dist = to_distance(corr)
         tree = prim_mst(dist)
-        ddist = degree_distribution(tree)
-        try:
-            fit = fit_power_law(ddist, drop_threshold=residual_threshold)
-        except UnderdeterminedFitError:
-            fit = None
-        report = detect_superhub(ddist, fit, residual_threshold, gap_ratio)
-        label = classify_phase(ddist, fit, report, hub_threshold)
-        center = max_degree_vertex(tree)
+        summary = summarize(tree, residual_threshold, gap_ratio, hub_threshold)
 
         series.window_starts.append(start)
         series.window_end_dates.append(panel.dates[end - 1])
-        series.ntl.append(normalized_tree_length(tree))
+        series.ntl.append(summary.ntl)
         series.mol_static.append(mean_occupation_layer(tree, static_center))
-        series.mol_dynamic.append(mean_occupation_layer(tree, center))
-        series.k_max.append(int(tree.degrees().max()))
-        series.phase.append(label.phase)
-        series.dynamic_center.append(center)
+        series.mol_dynamic.append(summary.mol_dynamic)
+        series.k_max.append(summary.superhub.k_max)
+        series.phase.append(summary.phase.phase)
+        series.dynamic_center.append(summary.center)
         series.dropped.append(dropped)
     return series
 

@@ -49,8 +49,8 @@ def test_mst_algorithms_agree_with_exhaustive_oracle():
             brute = brute_force_mst(dist)
             assert prim.edges == kruskal.edges == brute.edges
             checked += 1
-    # Tied weights: edge sets may legitimately differ across algorithms,
-    # but every minimum tree carries the same weight multiset.
+    # Tied weights: the (weight, ticker pair) order still picks one tree,
+    # and the oracle follows that order exactly.
     levels = np.array([0.25, 0.5, 0.75, 1.0])
     for _ in range(150):
         n = int(rng.integers(3, 9))
@@ -61,8 +61,7 @@ def test_mst_algorithms_agree_with_exhaustive_oracle():
         prim = prim_mst(dist)
         kruskal = kruskal_mst(dist)
         brute = brute_force_mst(dist)
-        assert prim.edges == kruskal.edges
-        assert prim.total_weight == kruskal.total_weight == brute.total_weight
+        assert prim.edges == kruskal.edges == brute.edges
         checked += 1
     elapsed = time.monotonic() - started
     assert checked >= 1000

@@ -230,3 +230,39 @@ def test_input_can_be_flag_or_positional(star_prices, tmp_path):
     assert main(["analyze", "--input", str(star_prices), "--out", str(out1)]) == 0
     assert main(["analyze", str(star_prices), "--out", str(out2)]) == 0
     assert main(["analyze", "--out", str(tmp_path / "o3")]) == 2
+
+
+FLAT_PRICES = "date,ticker,close\n" + "".join(
+    "2005-01-%02d,AA,%s\n2005-01-%02d,BB,%s\n2005-01-%02d,FLAT,5.0\n" % (d, pa, d, pb, d)
+    for d, pa, pb in [(3, 10.0, 20.0), (4, 10.5, 19.0), (5, 10.2, 21.0), (6, 10.8, 20.5)]
+)
+
+# (arguments, with {tmp} for the test's directory; exit code; stderr stage)
+CLI_FAILURES = [
+    (["analyze", "--out", "{tmp}/out"], 2, "setup"),
+    (["analyze", "{tmp}/empty.csv", "--out", "{tmp}/out"], 2, "ingestion"),
+    (["analyze", "{tmp}/flat.csv", "--out", "{tmp}/out"], 2, "correlation"),
+    (["analyze", "{tmp}/two.csv", "--out", "{tmp}/empty.csv"], 3, "export"),
+    (["evolve", "{tmp}/absent.csv", "--out", "{tmp}/out"], 3, "ingestion"),
+    (["evolve", "{tmp}/flat.csv", "--center", "ZZZ", "--out", "{tmp}/out"], 2, "rolling"),
+    (["synth", "{tmp}/bogus.txt", "--out", "{tmp}/out"], 2, "params"),
+    (["synth", "{tmp}/short.txt", "--out", "{tmp}/out"], 2, "generate"),
+    (["export-dot", "{tmp}/absent.edges", "--out", "{tmp}/out"], 3, "read"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stage", CLI_FAILURES, ids=["%s-%s" % (a[0], s) for a, _, s in CLI_FAILURES]
+)
+def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stage):
+    (tmp_path / "empty.csv").write_text("date,ticker,close\n")
+    (tmp_path / "flat.csv").write_text(FLAT_PRICES)
+    (tmp_path / "two.csv").write_text(
+        "\n".join(line for line in FLAT_PRICES.splitlines() if ",FLAT," not in line) + "\n"
+    )
+    (tmp_path / "bogus.txt").write_text("n_companies = 5\nn_days = 40\nbogus = 1\n")
+    (tmp_path / "short.txt").write_text("n_companies = 5\n")
+    capsys.readouterr()
+    assert main([a.format(tmp=tmp_path) for a in argv]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(stage + ": "), lines

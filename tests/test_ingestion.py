@@ -92,6 +92,26 @@ def test_parse_custom_delimiter():
     assert result.series[0].observations == [(date(2005, 1, 3), 31.5)]
 
 
+def test_parse_reads_columns_by_header_name():
+    text = "ticker,close,date\nKGHM,31.5,2005-01-03\nKGHM,32.0,2005-01-04\n"
+    result = parse_price_table(text)
+    assert result.rejected == []
+    assert result.series[0].ticker == "KGHM"
+    assert result.series[0].observations == [(date(2005, 1, 3), 31.5), (date(2005, 1, 4), 32.0)]
+
+
+def test_parse_ignores_extra_columns_and_checks_the_header_width():
+    text = (
+        " date , ticker ,volume, close\n"
+        "2005-01-03,KGHM,1200,31.5\n"
+        "2005-01-04,KGHM,32.0\n"
+        "2005-01-05,KGHM,900,33.0\n"
+    )
+    result = parse_price_table(text)
+    assert result.series[0].observations == [(date(2005, 1, 3), 31.5), (date(2005, 1, 5), 33.0)]
+    assert [(r.line_number, r.reason) for r in result.rejected] == [(3, "expected 4 fields, got 3")]
+
+
 def _series(ticker, days, price=10.0):
     return PriceSeries(ticker, [(d, price) for d in days])
 

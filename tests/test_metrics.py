@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from assettree.errors import MissingVertexError, UnderdeterminedFitError
+from assettree.errors import InvariantError, MissingVertexError, UnderdeterminedFitError
 from assettree.metrics import (
     DegreeDistribution,
     PHASE_MULTI_HUB,
@@ -16,6 +16,7 @@ from assettree.metrics import (
     max_degree_vertex,
     mean_occupation_layer,
     normalized_tree_length,
+    summarize,
 )
 from assettree.mst import Tree
 from assettree.synth import preferential_attachment_tree
@@ -62,6 +63,12 @@ def test_handshake_identity_on_generated_trees():
         dist = degree_distribution(tree)
         assert sum(k * c for k, c in dist.counts.items()) == 2 * (tree.n - 1)
         assert sum(dist.counts.values()) == tree.n
+
+
+def test_degree_distribution_rejects_wrong_edge_count():
+    tree = Tree(tickers_for(4), [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(InvariantError, match="handshake"):
+        degree_distribution(tree)
 
 
 def exact_power_counts(exponent: float, ks, scale: float = 1000.0) -> dict:
@@ -230,3 +237,23 @@ def test_superhub_decision_invariant_under_relabeling():
     assert r1.is_superhub == r2.is_superhub
     assert r1.degree_gap_ratio == r2.degree_gap_ratio
     assert f1.slope == pytest.approx(f2.slope, abs=1e-12)
+
+
+@pytest.mark.parametrize("tree", [star_tree(20), preferential_attachment_tree(150, 7)])
+def test_summarize_matches_the_chain_step_by_step(tree):
+    summary = summarize(tree)
+    dist = degree_distribution(tree)
+    try:
+        fit = fit_power_law(dist)
+    except UnderdeterminedFitError:
+        fit = None
+    report = detect_superhub(dist, fit)
+    center = max_degree_vertex(tree)
+    assert summary.distribution == dist
+    assert summary.fit == fit
+    assert repr(summary.superhub) == repr(report)  # log_residual is NaN without a fit
+    assert summary.phase == classify_phase(dist, fit, report)
+    assert summary.center == center
+    assert summary.superhub.k_max == int(tree.degrees().max())
+    assert summary.ntl == normalized_tree_length(tree)
+    assert summary.mol_dynamic == mean_occupation_layer(tree, center)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from assettree.errors import SizeLimitError
+from assettree.errors import InvariantError, SizeLimitError
 from assettree.mst import (
     Tree,
     UnionFind,
@@ -56,7 +56,8 @@ def test_equal_weights_resolve_to_star_on_lexicographically_first_ticker():
     tickers = ["D", "A", "C", "B", "E"]
     prim = prim_mst(dist_from_array(d, tickers))
     kruskal = kruskal_mst(dist_from_array(d, tickers))
-    assert prim.edges == kruskal.edges
+    brute = brute_force_mst(dist_from_array(d, tickers))
+    assert prim.edges == kruskal.edges == brute.edges
     a = tickers.index("A")
     assert all(a in (i, j) for i, j, _ in prim.edges)
 
@@ -141,3 +142,10 @@ def test_union_find_detects_cycles():
     assert uf.union(1, 2)
     assert not uf.union(0, 3)
     assert uf.find(0) == uf.find(3)
+
+
+def test_check_tree_rejects_a_cycle():
+    # Right edge count, but vertex 3 is cut off and 0-1-2 closes a cycle.
+    tree = Tree(tickers_for(4), [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+    with pytest.raises(InvariantError, match="cycle"):
+        check_tree(tree)
