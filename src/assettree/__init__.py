@@ -24,7 +24,6 @@ from .ingestion import (
     FormatSpec,
     ParseResult,
     PricePanel,
-    PriceSeries,
     ReturnPanel,
     align_and_filter,
     log_returns,

@@ -25,7 +25,7 @@ import numpy as np
 from . import exports
 from .correlation import pearson_matrix, to_distance
 from .errors import AssetTreeError, ConfigurationError
-from .ingestion import FormatSpec, align_and_filter, log_returns, parse_price_table
+from .ingestion import FormatSpec, align_and_filter, log_returns, parse_iso_date, parse_price_table
 from .metrics import (
     DEFAULT_GAP_RATIO,
     DEFAULT_HUB_THRESHOLD,
@@ -54,7 +54,7 @@ class Stage:
 
 def _parse_date(text: str) -> Date:
     try:
-        return Date.fromisoformat(text)
+        return parse_iso_date(text)
     except ValueError:
         raise ConfigurationError("bad date %r, expected YYYY-MM-DD" % text) from None
 
@@ -67,22 +67,21 @@ def _resolve_input(args) -> str:
 
 
 def _load_returns(path: str, start: str | None, end: str | None):
-    """File text to ReturnPanel; returns (panel, dropped, period)."""
-    text = Path(path).read_text(encoding="utf-8")
-    parsed = parse_price_table(text, FormatSpec())
+    """Price file to ReturnPanel; returns (panel, dropped, period)."""
+    with open(path, encoding="utf-8") as lines:
+        parsed = parse_price_table(lines, FormatSpec())
     for reject in parsed.rejected:
         print(
             "ingestion: line %d rejected (%s)" % (reject.line_number, reject.reason),
             file=sys.stderr,
         )
-    observed = [day for s in parsed.series for day, _ in s.observations]
-    if not observed:
+    if not parsed.dates:
         raise ConfigurationError("no parseable records in %s" % path)
     period = (
-        _parse_date(start) if start else min(observed),
-        _parse_date(end) if end else max(observed),
+        _parse_date(start) if start else parsed.dates[0],
+        _parse_date(end) if end else parsed.dates[-1],
     )
-    aligned = align_and_filter(parsed.series, period)
+    aligned = align_and_filter(parsed, period)
     return log_returns(aligned.panel), aligned.dropped, period
 
 

@@ -1,12 +1,12 @@
 """Price table parsing, panel alignment, and log returns.
 
 Input is delimited text with a header row and one record per line. The
-header names the columns `date` (ISO-8601), `ticker` and `close`, in any
-order; other columns are ignored. Records may arrive in any order;
-series are assembled per ticker and sorted by date. A company enters an
-aligned panel only if it has a price on every trading day of the
-requested period, where the trading-day axis is the union of dates
-observed in that period across all series.
+header names the columns `date` (YYYY-MM-DD), `ticker` and `close`, in
+any order; other columns are ignored. Records may arrive in any order;
+they are read line by line into one ticker x date grid of prices, NaN
+where a ticker has no record. A company enters an aligned panel only if
+it has a price on every trading day of the requested period, where the
+trading-day axis is the set of dates observed in that period.
 """
 
 from __future__ import annotations
@@ -14,20 +14,22 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    DuplicateRecordError,
-    FormatError,
-    InsufficientDataError,
-)
+from .errors import DuplicateRecordError, FormatError, InsufficientDataError
 
 
 COLUMNS = ("date", "ticker", "close")
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True)
@@ -35,26 +37,6 @@ class FormatSpec:
     """Shape of the delimited input: configurable delimiter."""
 
     delimiter: str = ","
-
-
-@dataclass
-class PriceSeries:
-    """Closing prices of one company, strictly increasing in date."""
-
-    ticker: str
-    observations: list[tuple[Date, float]]
-
-    def __post_init__(self):
-        if not self.ticker:
-            raise FormatError("empty ticker")
-        for k in range(1, len(self.observations)):
-            if self.observations[k][0] <= self.observations[k - 1][0]:
-                raise FormatError(
-                    "dates not strictly increasing for %s" % self.ticker
-                )
-        for _, price in self.observations:
-            if not (price > 0):
-                raise FormatError("non-positive price for %s" % self.ticker)
 
 
 @dataclass
@@ -102,7 +84,14 @@ class RejectedRow:
 
 @dataclass
 class ParseResult:
-    series: list[PriceSeries]
+    """Accepted records as a grid: prices[i, j] is tickers[i] on dates[j], NaN if none.
+
+    Tickers are in first-seen order; dates are sorted, each held by an accepted record.
+    """
+
+    tickers: list[str]
+    dates: list[Date]
+    prices: np.ndarray
     rejected: list[RejectedRow] = field(default_factory=list)
 
 
@@ -112,20 +101,24 @@ class AlignResult:
     dropped: list[str] = field(default_factory=list)
 
 
+def parse_iso_date(text: str) -> Date:
+    """Exactly YYYY-MM-DD in ASCII digits, a valid calendar date; else ValueError."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError("not YYYY-MM-DD: %r" % text)
+    return Date(int(text[:4]), int(text[5:7]), int(text[8:]))
+
+
 def parse_price_table(raw_text: str | Iterable[str], fmt: FormatSpec = FormatSpec()) -> ParseResult:
-    """Parse delimited price records into per-ticker series.
+    """Parse delimited price records, a string or an iterable of lines, into a grid.
 
     The header row is required and must name the columns date, ticker
     and close once each; they are looked up by name, and other columns
     are ignored. Rows with unparseable dates, unparseable or non-positive
     prices, or a field count other than the header's are rejected with a
     diagnostic naming the line; a duplicate (ticker, date) pair is an
-    error, not a rejection.
+    error, not a rejection, naming the first line that repeats one.
     """
-    if isinstance(raw_text, str):
-        lines = io.StringIO(raw_text)
-    else:
-        lines = iter(raw_text)
+    lines = io.StringIO(raw_text) if isinstance(raw_text, str) else raw_text
     reader = csv.reader(lines, delimiter=fmt.delimiter)
     try:
         header = next(reader)
@@ -134,89 +127,90 @@ def parse_price_table(raw_text: str | Iterable[str], fmt: FormatSpec = FormatSpe
     names = [h.strip() for h in header]
     if any(names.count(c) != 1 for c in COLUMNS):
         raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
-    columns = [names.index(c) for c in COLUMNS]
+    pick = itemgetter(*(names.index(c) for c in COLUMNS))
     width = len(header)
 
-    observations: dict[str, dict[Date, float]] = {}
-    order: list[str] = []
+    code_of_ticker: dict[str, int] = {}  # in first-seen order
+    ordinal_of_text: dict[str, int] = {}  # each distinct date text parsed once; 0 if unparseable
+    ticker_codes, ordinals, line_numbers, values = array("q"), array("q"), array("q"), array("d")
     rejected: list[RejectedRow] = []
+
+    def reject(line_number: int, reason: str, row: list[str]) -> None:
+        rejected.append(RejectedRow(line_number, reason, fmt.delimiter.join(row)))
+
     for line_number, row in enumerate(reader, start=2):
         if not row:
             continue
-        raw = fmt.delimiter.join(row)
         if len(row) != width:
-            reason = "expected %d fields, got %d" % (width, len(row))
-            rejected.append(RejectedRow(line_number, reason, raw))
+            reject(line_number, "expected %d fields, got %d" % (width, len(row)), row)
             continue
-        date_text, ticker, price_text = (row[c].strip() for c in columns)
-        try:
-            day = Date.fromisoformat(date_text)
-        except ValueError:
-            rejected.append(RejectedRow(line_number, "unparseable date %r" % date_text, raw))
+        date_text, ticker, price_text = map(str.strip, pick(row))
+        ordinal = ordinal_of_text.get(date_text)
+        if ordinal is None:
+            try:
+                ordinal = parse_iso_date(date_text).toordinal()
+            except ValueError:
+                ordinal = 0
+            ordinal_of_text[date_text] = ordinal
+        if not ordinal:
+            reject(line_number, "unparseable date %r" % date_text, row)
             continue
         if not ticker:
-            rejected.append(RejectedRow(line_number, "empty ticker", raw))
+            reject(line_number, "empty ticker", row)
             continue
         try:
             price = float(price_text)
         except ValueError:
-            rejected.append(RejectedRow(line_number, "unparseable price %r" % price_text, raw))
+            reject(line_number, "unparseable price %r" % price_text, row)
             continue
         if not (price > 0 and math.isfinite(price)):
-            rejected.append(RejectedRow(line_number, "non-positive price %s" % price_text, raw))
+            reject(line_number, "non-positive price %s" % price_text, row)
             continue
-        per_ticker = observations.setdefault(ticker, {})
-        if day in per_ticker:
-            raise DuplicateRecordError(
-                "duplicate record for (%s, %s) at line %d" % (ticker, day, line_number)
-            )
-        if not per_ticker:
-            order.append(ticker)
-        per_ticker[day] = price
+        ticker_codes.append(code_of_ticker.setdefault(ticker, len(code_of_ticker)))
+        ordinals.append(ordinal)
+        line_numbers.append(line_number)
+        values.append(price)
 
-    series = [
-        PriceSeries(ticker, sorted(observations[ticker].items()))
-        for ticker in order
-    ]
-    return ParseResult(series, rejected)
+    tickers = list(code_of_ticker)
+    axis, column = np.unique(np.asarray(ordinals), return_inverse=True)
+    dates = [Date.fromordinal(day) for day in axis.tolist()]
+    cell = np.asarray(ticker_codes) * len(dates) + column
+    _, first = np.unique(cell, return_index=True)
+    if len(first) < len(cell):
+        repeat = np.ones(len(cell), dtype=bool)
+        repeat[first] = False
+        k = int(np.argmax(repeat))
+        raise DuplicateRecordError(
+            "duplicate record for (%s, %s) at line %d"
+            % (tickers[ticker_codes[k]], dates[column[k]], line_numbers[k])
+        )
+    prices = np.full((len(tickers), len(dates)), np.nan)
+    prices.reshape(-1)[cell] = values
+    return ParseResult(tickers, dates, prices, rejected)
 
 
-def align_and_filter(series: list[PriceSeries], period: tuple[Date, Date]) -> AlignResult:
+def align_and_filter(parsed: ParseResult, period: tuple[Date, Date]) -> AlignResult:
     """Build an aligned panel of companies complete over the period.
 
-    The trading-day axis is the union of dates observed inside the
-    inclusive period across all series. Companies missing any axis date
-    are dropped and reported in the result.
+    The trading-day axis is the parsed dates inside the inclusive period.
+    Companies missing any axis date are dropped and reported in the result.
     """
     start, end = period
     if end < start:
         raise InsufficientDataError("period end %s before start %s" % (end, start))
-    axis_set: set[Date] = set()
-    for s in series:
-        for day, _ in s.observations:
-            if start <= day <= end:
-                axis_set.add(day)
-    if not axis_set:
+    lo, hi = bisect_left(parsed.dates, start), bisect_right(parsed.dates, end)
+    if lo == hi:
         raise InsufficientDataError("no observed trading days in period %s..%s" % (start, end))
-    axis = sorted(axis_set)
-
-    kept: list[PriceSeries] = []
-    dropped: list[str] = []
-    for s in series:
-        in_period = {day: price for day, price in s.observations if start <= day <= end}
-        if all(day in in_period for day in axis):
-            kept.append(PriceSeries(s.ticker, [(day, in_period[day]) for day in axis]))
-        else:
-            dropped.append(s.ticker)
+    block = parsed.prices[:, lo:hi]
+    complete = ~np.isnan(block).any(axis=1)
+    kept = [t for t, ok in zip(parsed.tickers, complete) if ok]
     if len(kept) < 2:
         raise InsufficientDataError(
             "only %d of %d companies complete over %s..%s"
-            % (len(kept), len(series), start, end)
+            % (len(kept), len(parsed.tickers), start, end)
         )
-
-    prices = np.array([[price for _, price in s.observations] for s in kept], dtype=float)
-    panel = PricePanel([s.ticker for s in kept], axis, prices)
-    return AlignResult(panel, dropped)
+    dropped = [t for t, ok in zip(parsed.tickers, complete) if not ok]
+    return AlignResult(PricePanel(kept, parsed.dates[lo:hi], block[complete]), dropped)
 
 
 def log_returns(panel: PricePanel) -> ReturnPanel:

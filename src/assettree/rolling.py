@@ -138,7 +138,10 @@ def evolve(
         series.window_starts.append(start)
         series.window_end_dates.append(panel.dates[end - 1])
         series.ntl.append(summary.ntl)
-        series.mol_static.append(mean_occupation_layer(tree, static_center))
+        if summary.center == static_center:  # the BFS summarize already ran
+            series.mol_static.append(summary.mol_dynamic)
+        else:
+            series.mol_static.append(mean_occupation_layer(tree, static_center))
         series.mol_dynamic.append(summary.mol_dynamic)
         series.k_max.append(summary.superhub.k_max)
         series.phase.append(summary.phase.phase)

@@ -78,9 +78,9 @@ def test_synth_gamma_zero_matches_one_factor_file(tmp_path):
 def test_synth_round_trips_through_ingestion(tmp_path):
     params = write_params(tmp_path / "p.txt", n_companies=5, n_days=40, regime_end=39)
     assert main(["synth", str(params), "--out", str(tmp_path)]) == 0
-    parsed = parse_price_table((tmp_path / "prices.csv").read_text())
-    observed = [d for s in parsed.series for d, _ in s.observations]
-    aligned = align_and_filter(parsed.series, (min(observed), max(observed)))
+    with open(tmp_path / "prices.csv", encoding="utf-8") as lines:
+        parsed = parse_price_table(lines)
+    aligned = align_and_filter(parsed, (parsed.dates[0], parsed.dates[-1]))
     recovered = log_returns(aligned.panel)
 
     base = FactorModelParams(5, 39, (0.0,) * 5, 1.0, 7)
@@ -266,3 +266,32 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(stage + ": "), lines
+
+
+@pytest.mark.parametrize("bound", ["20050103", "2005-W01-1", "2005-1-03"])
+def test_period_bounds_must_be_yyyy_mm_dd(tmp_path, capsys, bound):
+    (tmp_path / "two.csv").write_text(
+        "\n".join(line for line in FLAT_PRICES.splitlines() if ",FLAT," not in line) + "\n"
+    )
+    capsys.readouterr()
+    argv = ["analyze", str(tmp_path / "two.csv"), "--start", bound, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "ingestion: bad date %r, expected YYYY-MM-DD" % bound
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_crlf_price_file_reads_like_lf(tmp_path, capsys):
+    text = "".join(line + "\n" for line in FLAT_PRICES.splitlines() if ",FLAT," not in line)
+    text += "2005-01-07,AA,-1.0\n"
+    results = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        (tmp_path / (name + ".csv")).write_bytes(text.replace("\n", newline).encode())
+        capsys.readouterr()
+        assert main(["analyze", str(tmp_path / (name + ".csv")), "--out", str(tmp_path / name)]) == 0
+        analysis = json.loads((tmp_path / name / "analysis.json").read_text())
+        del analysis["config_hash"]  # hashes the input path
+        results.append((capsys.readouterr().err, analysis))
+    assert results[0] == results[1]
+    assert results[0][0] == "ingestion: line 10 rejected (non-positive price -1.0)\n"

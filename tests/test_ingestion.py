@@ -8,7 +8,6 @@ from assettree.errors import DuplicateRecordError, FormatError, InsufficientData
 from assettree.ingestion import (
     FormatSpec,
     PricePanel,
-    PriceSeries,
     align_and_filter,
     log_returns,
     parse_price_table,
@@ -24,23 +23,27 @@ def test_parse_groups_rows_into_series():
         "2005-01-03,PKN,40.1\n"
     )
     result = parse_price_table(text)
-    assert [s.ticker for s in result.series] == ["KGHM", "PKN"]
-    assert [len(s.observations) for s in result.series] == [2, 1]
-    assert result.series[0].observations[0] == (date(2005, 1, 3), 31.5)
+    assert result.tickers == ["KGHM", "PKN"]
+    assert result.dates == [date(2005, 1, 3), date(2005, 1, 4)]
+    assert result.prices[0].tolist() == [31.5, 32.0]
+    assert result.prices[1, 0] == 40.1 and math.isnan(result.prices[1, 1])
     assert result.rejected == []
 
 
 def test_parse_empty_body_gives_empty_list():
     result = parse_price_table(HEADER)
-    assert result.series == []
+    assert result.tickers == []
+    assert result.dates == []
+    assert result.prices.shape == (0, 0)
     assert result.rejected == []
 
 
 def test_parse_rejects_nonpositive_price_with_row_diagnostic():
     text = HEADER + "2005-01-03,KGHM,-1.0\n2005-01-04,KGHM,30.0\n"
     result = parse_price_table(text)
-    assert len(result.series) == 1
-    assert len(result.series[0].observations) == 1
+    assert result.tickers == ["KGHM"]
+    assert result.dates == [date(2005, 1, 4)]  # a date only a rejected row carried stays out
+    assert result.prices.tolist() == [[30.0]]
     assert len(result.rejected) == 1
     assert result.rejected[0].line_number == 2
     assert "non-positive" in result.rejected[0].reason
@@ -53,10 +56,23 @@ def test_parse_rejects_bad_date_and_field_count():
         "2005-01-04,KGHM,31.5\n"
     )
     result = parse_price_table(text)
-    assert len(result.series[0].observations) == 1
-    reasons = [r.reason for r in result.rejected]
-    assert any("date" in r for r in reasons)
-    assert any("fields" in r for r in reasons)
+    assert result.dates == [date(2005, 1, 4)]
+    assert result.prices.tolist() == [[31.5]]
+    assert [(r.line_number, r.reason, r.raw) for r in result.rejected] == [
+        (2, "unparseable date 'not-a-date'", "not-a-date,KGHM,31.5"),
+        (3, "expected 3 fields, got 2", "2005-01-03,KGHM"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text", ["20050103", "2005-W01-1", "2005-001", "2005-1-03", "\uff12005-01-03", "2005-02-30"]
+)
+def test_parse_accepts_only_yyyy_mm_dd_dates(text):
+    result = parse_price_table(HEADER + "%s,KGHM,31.5\n2005-01-04,KGHM,32.0\n" % text)
+    assert result.dates == [date(2005, 1, 4)]
+    assert [(r.line_number, r.reason) for r in result.rejected] == [
+        (2, "unparseable date %r" % text)
+    ]
 
 
 def test_parse_sorts_out_of_order_dates():
@@ -65,12 +81,9 @@ def test_parse_sorts_out_of_order_dates():
         "2005-01-03,KGHM,31.5\n"
         "2005-01-04,KGHM,32.0\n"
     )
-    series = parse_price_table(text).series[0]
-    assert [day for day, _ in series.observations] == [
-        date(2005, 1, 3),
-        date(2005, 1, 4),
-        date(2005, 1, 5),
-    ]
+    result = parse_price_table(text)
+    assert result.dates == [date(2005, 1, 3), date(2005, 1, 4), date(2005, 1, 5)]
+    assert result.prices.tolist() == [[31.5, 32.0, 33.0]]
 
 
 def test_parse_malformed_header_raises():
@@ -82,22 +95,38 @@ def test_parse_malformed_header_raises():
 
 def test_parse_duplicate_record_raises():
     text = HEADER + "2005-01-03,KGHM,31.5\n2005-01-03,KGHM,31.6\n"
-    with pytest.raises(DuplicateRecordError):
+    with pytest.raises(DuplicateRecordError, match=r"^duplicate record for \(KGHM, 2005-01-03\) at line 3$"):
+        parse_price_table(text)
+
+
+def test_parse_duplicate_names_the_earliest_repeating_line():
+    text = HEADER + (
+        "2005-01-03,A,1.0\n"
+        "2005-01-03,B,1.0\n"
+        "2005-01-04,A,1.0\n"
+        "2005-01-04,B,2.0\n"
+        "2005-01-03,B,3.0\n"  # line 6 repeats line 3
+        "2005-01-03,A,3.0\n"  # line 7 repeats line 2, a cell that sorts first
+    )
+    with pytest.raises(DuplicateRecordError, match=r"^duplicate record for \(B, 2005-01-03\) at line 6$"):
         parse_price_table(text)
 
 
 def test_parse_custom_delimiter():
     text = "date;ticker;close\n2005-01-03;KGHM;31.5\n"
     result = parse_price_table(text, FormatSpec(delimiter=";"))
-    assert result.series[0].observations == [(date(2005, 1, 3), 31.5)]
+    assert result.tickers == ["KGHM"]
+    assert result.dates == [date(2005, 1, 3)]
+    assert result.prices.tolist() == [[31.5]]
 
 
 def test_parse_reads_columns_by_header_name():
     text = "ticker,close,date\nKGHM,31.5,2005-01-03\nKGHM,32.0,2005-01-04\n"
     result = parse_price_table(text)
     assert result.rejected == []
-    assert result.series[0].ticker == "KGHM"
-    assert result.series[0].observations == [(date(2005, 1, 3), 31.5), (date(2005, 1, 4), 32.0)]
+    assert result.tickers == ["KGHM"]
+    assert result.dates == [date(2005, 1, 3), date(2005, 1, 4)]
+    assert result.prices.tolist() == [[31.5, 32.0]]
 
 
 def test_parse_ignores_extra_columns_and_checks_the_header_width():
@@ -108,63 +137,90 @@ def test_parse_ignores_extra_columns_and_checks_the_header_width():
         "2005-01-05,KGHM,900,33.0\n"
     )
     result = parse_price_table(text)
-    assert result.series[0].observations == [(date(2005, 1, 3), 31.5), (date(2005, 1, 5), 33.0)]
+    assert result.dates == [date(2005, 1, 3), date(2005, 1, 5)]
+    assert result.prices.tolist() == [[31.5, 33.0]]
     assert [(r.line_number, r.reason) for r in result.rejected] == [(3, "expected 4 fields, got 3")]
 
 
-def _series(ticker, days, price=10.0):
-    return PriceSeries(ticker, [(d, price) for d in days])
+def _csv(quotes):
+    """Price CSV text from {ticker: [days]}, one 10.0 close per quoted day."""
+    return HEADER + "".join(
+        "%s,%s,10.0\n" % (day.isoformat(), ticker)
+        for ticker, days in quotes.items()
+        for day in days
+    )
+
+
+def _parsed(quotes):
+    return parse_price_table(_csv(quotes))
 
 
 DAYS = [date(2005, 1, d) for d in (3, 4, 5, 6)]
+GAPPY = [DAYS[0], DAYS[1], DAYS[3]]
+
+
+def test_parse_grid_holds_nan_exactly_at_the_missing_date():
+    result = _parsed({"A": DAYS, "C": GAPPY, "B": DAYS})
+    assert result.tickers == ["A", "C", "B"]
+    assert result.dates == DAYS
+    assert np.argwhere(np.isnan(result.prices)).tolist() == [[1, 2]]
+    assert np.all(result.prices[~np.isnan(result.prices)] == 10.0)
+
+
+def test_parse_grid_matches_a_per_record_reference():
+    rng = np.random.default_rng(5)
+    records = [
+        (date(2005, 1, 3 + d).isoformat(), "T%d" % t, "%.4f" % rng.uniform(1, 100))
+        for t in range(6)
+        for d in range(20)
+        if rng.random() > 0.1
+    ]
+    records = [records[i] for i in rng.permutation(len(records))]
+    result = parse_price_table(HEADER + "".join("%s,%s,%s\n" % r for r in records))
+    reference: dict[str, dict[date, float]] = {}
+    for day, ticker, price in records:
+        reference.setdefault(ticker, {})[date.fromisoformat(day)] = float(price)
+    assert result.tickers == list(reference)
+    assert result.dates == sorted({d for quotes in reference.values() for d in quotes})
+    for ticker, row in zip(result.tickers, result.prices):
+        for day, price in zip(result.dates, row.tolist()):
+            expected = reference[ticker].get(day)
+            assert math.isnan(price) if expected is None else price == expected
 
 
 def test_align_drops_company_missing_a_mid_period_day():
-    full = DAYS
-    gappy = [DAYS[0], DAYS[1], DAYS[3]]
-    result = align_and_filter(
-        [_series("A", full), _series("B", full), _series("C", gappy)],
-        (DAYS[0], DAYS[-1]),
-    )
+    result = align_and_filter(_parsed({"A": DAYS, "B": DAYS, "C": GAPPY}), (DAYS[0], DAYS[-1]))
     assert result.panel.tickers == ["A", "B"]
     assert result.dropped == ["C"]
-    assert result.panel.dates == full
+    assert result.panel.dates == DAYS
 
 
 def test_align_keeps_all_complete_companies():
-    result = align_and_filter(
-        [_series(t, DAYS) for t in ("A", "B", "C")], (DAYS[0], DAYS[-1])
-    )
+    result = align_and_filter(_parsed({t: DAYS for t in ("A", "B", "C")}), (DAYS[0], DAYS[-1]))
     assert result.panel.tickers == ["A", "B", "C"]
     assert result.dropped == []
 
 
 def test_align_empty_period_raises():
     with pytest.raises(InsufficientDataError):
-        align_and_filter(
-            [_series("A", DAYS)], (date(2010, 1, 1), date(2010, 2, 1))
-        )
+        align_and_filter(_parsed({"A": DAYS}), (date(2010, 1, 1), date(2010, 2, 1)))
 
 
 def test_align_fewer_than_two_survivors_raises():
     gappy = [DAYS[0], DAYS[2], DAYS[3]]
     with pytest.raises(InsufficientDataError):
-        align_and_filter(
-            [_series("A", DAYS), _series("B", gappy)], (DAYS[0], DAYS[-1])
-        )
+        align_and_filter(_parsed({"A": DAYS, "B": gappy}), (DAYS[0], DAYS[-1]))
 
 
 def test_align_is_idempotent():
-    gappy = [DAYS[0], DAYS[1], DAYS[3]]
     period = (DAYS[0], DAYS[-1])
-    first = align_and_filter(
-        [_series("A", DAYS), _series("B", DAYS), _series("C", gappy)], period
+    first = align_and_filter(_parsed({"A": DAYS, "B": DAYS, "C": GAPPY}), period)
+    back = HEADER + "".join(
+        "%s,%s,%r\n" % (day.isoformat(), ticker, float(price))
+        for ticker, row in zip(first.panel.tickers, first.panel.prices)
+        for day, price in zip(first.panel.dates, row)
     )
-    back = [
-        PriceSeries(t, list(zip(first.panel.dates, row)))
-        for t, row in zip(first.panel.tickers, first.panel.prices)
-    ]
-    second = align_and_filter(back, period)
+    second = align_and_filter(parse_price_table(back), period)
     assert second.panel.tickers == first.panel.tickers
     assert second.panel.dates == first.panel.dates
     assert np.array_equal(second.panel.prices, first.panel.prices)
@@ -172,11 +228,7 @@ def test_align_is_idempotent():
 
 
 def test_align_output_has_full_observation_count():
-    gappy = [DAYS[0], DAYS[1], DAYS[3]]
-    result = align_and_filter(
-        [_series("A", DAYS), _series("B", DAYS), _series("C", gappy)],
-        (DAYS[0], DAYS[-1]),
-    )
+    result = align_and_filter(_parsed({"A": DAYS, "B": DAYS, "C": GAPPY}), (DAYS[0], DAYS[-1]))
     assert result.panel.prices.shape == (2, len(DAYS))
 
 

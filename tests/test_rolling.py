@@ -105,6 +105,23 @@ def test_static_equals_dynamic_when_centers_coincide():
         assert s == d
 
 
+def test_static_mol_reuses_the_dynamic_bfs_only_when_centers_coincide(monkeypatch):
+    import assettree.rolling as rolling
+
+    panel = regime_panel(seed=2, days=200, interval=(0, 100))
+    calls = []
+
+    def counted(tree, center):
+        calls.append(center)
+        return mean_occupation_layer(tree, center)
+
+    monkeypatch.setattr(rolling, "mean_occupation_layer", counted)
+    series = evolve(panel, WindowSpec(50, 25), "V0005")
+    shared = sum(c == "V0005" for c in series.dynamic_center)
+    assert 0 < shared < len(series)
+    assert len(calls) == len(series) - shared
+
+
 def test_degenerate_window_drops_company_and_records_it():
     rng = np.random.default_rng(8)
     returns = rng.standard_normal((4, 120))
