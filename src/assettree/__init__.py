@@ -21,7 +21,6 @@ from .errors import (
 )
 from .ingestion import (
     AlignResult,
-    FormatSpec,
     ParseResult,
     PricePanel,
     ReturnPanel,
@@ -42,7 +41,6 @@ from .metrics import (
     degree_distribution,
     detect_superhub,
     fit_power_law,
-    max_degree_vertex,
     mean_occupation_layer,
     normalized_tree_length,
     summarize,

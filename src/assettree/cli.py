@@ -25,12 +25,11 @@ import numpy as np
 from . import exports
 from .correlation import pearson_matrix, to_distance
 from .errors import AssetTreeError, ConfigurationError
-from .ingestion import FormatSpec, align_and_filter, log_returns, parse_iso_date, parse_price_table
+from .ingestion import align_and_filter, log_returns, parse_iso_date, parse_price_table
 from .metrics import (
     DEFAULT_GAP_RATIO,
     DEFAULT_HUB_THRESHOLD,
     DEFAULT_RESIDUAL_THRESHOLD,
-    max_degree_vertex,
     summarize,
 )
 from .mst import prim_mst
@@ -69,7 +68,7 @@ def _resolve_input(args) -> str:
 def _load_returns(path: str, start: str | None, end: str | None):
     """Price file to ReturnPanel; returns (panel, dropped, period)."""
     with open(path, encoding="utf-8") as lines:
-        parsed = parse_price_table(lines, FormatSpec())
+        parsed = parse_price_table(lines)
     for reject in parsed.rejected:
         print(
             "ingestion: line %d rejected (%s)" % (reject.line_number, reject.reason),
@@ -166,7 +165,7 @@ def cmd_evolve(args, stage: Stage) -> None:
     if center is None:
         # Data-driven default: the dominant vertex of the whole period.
         full_tree = prim_mst(to_distance(pearson_matrix(returns)))
-        center = max_degree_vertex(full_tree)
+        center = summarize(full_tree).center
     series = evolve(returns, spec, center, args.tau, args.gap, args.tau_hub)
     report = detect_transitions(series)
     stage.name = "export"
@@ -232,37 +231,32 @@ def _parse_params(path: str) -> dict:
 
 def _synth_panel(params: dict):
     """Build the return panel described by a params mapping."""
+    kind = params.get("kind", "hub_regime" if "gamma" in params else "one_factor")
+    if kind not in ("one_factor", "hub_regime"):
+        raise ConfigurationError("unknown kind %r" % kind)
     try:
         n_companies = int(params["n_companies"])
         n_price_days = int(params["n_days"])
         sigma = float(params.get("noise_sigma", "1.0"))
         seed = int(params.get("seed", "0"))
+        if "betas" in params:
+            betas = tuple(float(b) for b in params["betas"].split(","))
+        else:
+            betas = (float(params.get("beta", "1.0")),) * n_companies
+        if kind == "hub_regime":
+            hub_index = int(params["hub_index"])
+            gamma = float(params["gamma"])
+            interval = (int(params["regime_start"]), int(params["regime_end"]))
     except KeyError as err:
         raise ConfigurationError("missing parameter %s" % err) from None
     except ValueError as err:
         raise ConfigurationError(str(err)) from None
     if n_price_days < 2:
         raise ConfigurationError("n_days must be at least 2 price days")
-    n_return_days = n_price_days - 1
-    if "betas" in params:
-        betas = tuple(float(b) for b in params["betas"].split(","))
-    else:
-        betas = (float(params.get("beta", "1.0")),) * n_companies
-    base = FactorModelParams(n_companies, n_return_days, betas, sigma, seed)
-    kind = params.get("kind", "hub_regime" if "gamma" in params else "one_factor")
+    base = FactorModelParams(n_companies, n_price_days - 1, betas, sigma, seed)
     if kind == "one_factor":
         return one_factor_returns(base)
-    if kind == "hub_regime":
-        try:
-            hub_index = int(params["hub_index"])
-            gamma = float(params["gamma"])
-            interval = (int(params["regime_start"]), int(params["regime_end"]))
-        except KeyError as err:
-            raise ConfigurationError("missing parameter %s" % err) from None
-        except ValueError as err:
-            raise ConfigurationError(str(err)) from None
-        return hub_regime_returns(HubRegimeParams(base, hub_index, gamma, interval))
-    raise ConfigurationError("unknown kind %r" % kind)
+    return hub_regime_returns(HubRegimeParams(base, hub_index, gamma, interval))
 
 
 def cmd_synth(args, stage: Stage) -> None:

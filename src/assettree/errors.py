@@ -16,7 +16,7 @@ class ConfigurationError(AssetTreeError):
 
 
 class FormatError(AssetTreeError):
-    """Input text does not match the declared delimited format."""
+    """Input text does not match its expected format."""
 
 
 class DuplicateRecordError(FormatError):

@@ -15,7 +15,7 @@ from datetime import date as Date
 
 from .correlation import CorrelationMatrix
 from .errors import FormatError
-from .mst import Tree
+from .mst import Tree, check_tree
 from .rolling import MetricSeries, TransitionReport
 
 SERIES_COLUMNS = [
@@ -47,13 +47,18 @@ def write_tree_edges(path, tree: Tree, meta: dict | None = None) -> None:
         fh.write("# n_vertices: %d\n" % tree.n)
         for key in sorted(meta or {}):
             fh.write("# %s: %s\n" % (key, (meta or {})[key]))
-        for i, j, w in tree.edges:
+        for i, j, w in zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()):
             fh.write("%s,%s,%s\n" % (tree.tickers[i], tree.tickers[j], fmt_float(w)))
 
 
 def read_tree_edges(path) -> Tree:
-    """Rebuild a Tree from an edge-list file written by write_tree_edges."""
-    pairs: list[tuple[str, str, float]] = []
+    """Rebuild a Tree from an edge-list file written by write_tree_edges.
+
+    Raises FormatError on a malformed line or weight, and InvariantError
+    if the edges do not form a spanning tree on the tickers they name.
+    """
+    names: list[str] = []
+    weights: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -62,13 +67,19 @@ def read_tree_edges(path) -> Tree:
             parts = line.split(",")
             if len(parts) != 3:
                 raise FormatError("bad edge line %r" % line)
-            pairs.append((parts[0], parts[1], float(parts[2])))
-    tickers = sorted({t for a, b, _ in pairs for t in (a, b)})
-    index = {t: i for i, t in enumerate(tickers)}
-    edges = sorted(
-        (min(index[a], index[b]), max(index[a], index[b]), w) for a, b, w in pairs
-    )
-    return Tree(tickers, edges)
+            try:
+                weights.append(float(parts[2]))
+            except ValueError:
+                raise FormatError("bad edge weight in %r" % line) from None
+            names += parts[:2]
+    if not weights:
+        raise FormatError("no edge lines")
+    tickers = sorted(set(names))
+    index = {t: k for k, t in enumerate(tickers)}
+    codes = [index[t] for t in names]
+    tree = Tree.from_edges(tickers, codes[0::2], codes[1::2], weights)
+    check_tree(tree)
+    return tree
 
 
 def write_dot(path, tree: Tree, name: str = "assettree") -> None:
@@ -77,7 +88,7 @@ def write_dot(path, tree: Tree, name: str = "assettree") -> None:
         fh.write("graph %s {\n" % name)
         for ticker in tree.tickers:
             fh.write('  "%s";\n' % ticker)
-        for i, j, w in tree.edges:
+        for i, j, w in zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()):
             fh.write(
                 '  "%s" -- "%s" [weight=%s];\n'
                 % (tree.tickers[i], tree.tickers[j], fmt_float(w))

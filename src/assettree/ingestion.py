@@ -1,6 +1,6 @@
 """Price table parsing, panel alignment, and log returns.
 
-Input is delimited text with a header row and one record per line. The
+Input is CSV text with a header row and one record per line. The
 header names the columns `date` (YYYY-MM-DD), `ticker` and `close`, in
 any order; other columns are ignored. Records may arrive in any order;
 they are read line by line into one ticker x date grid of prices, NaN
@@ -30,13 +30,6 @@ from .errors import DuplicateRecordError, FormatError, InsufficientDataError
 COLUMNS = ("date", "ticker", "close")
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-@dataclass(frozen=True)
-class FormatSpec:
-    """Shape of the delimited input: configurable delimiter."""
-
-    delimiter: str = ","
 
 
 @dataclass
@@ -108,8 +101,8 @@ def parse_iso_date(text: str) -> Date:
     return Date(int(text[:4]), int(text[5:7]), int(text[8:]))
 
 
-def parse_price_table(raw_text: str | Iterable[str], fmt: FormatSpec = FormatSpec()) -> ParseResult:
-    """Parse delimited price records, a string or an iterable of lines, into a grid.
+def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
+    """Parse CSV price records, a string or an iterable of lines, into a grid.
 
     The header row is required and must name the columns date, ticker
     and close once each; they are looked up by name, and other columns
@@ -119,7 +112,7 @@ def parse_price_table(raw_text: str | Iterable[str], fmt: FormatSpec = FormatSpe
     error, not a rejection, naming the first line that repeats one.
     """
     lines = io.StringIO(raw_text) if isinstance(raw_text, str) else raw_text
-    reader = csv.reader(lines, delimiter=fmt.delimiter)
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -136,7 +129,7 @@ def parse_price_table(raw_text: str | Iterable[str], fmt: FormatSpec = FormatSpe
     rejected: list[RejectedRow] = []
 
     def reject(line_number: int, reason: str, row: list[str]) -> None:
-        rejected.append(RejectedRow(line_number, reason, fmt.delimiter.join(row)))
+        rejected.append(RejectedRow(line_number, reason, ",".join(row)))
 
     for line_number, row in enumerate(reader, start=2):
         if not row:

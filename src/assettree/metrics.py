@@ -38,7 +38,7 @@ PHASE_MULTI_HUB = "MultiHubDecorated"
 
 @dataclass
 class DegreeDistribution:
-    """Histogram of vertex degrees, normalized by the vertex count.
+    """Histogram of vertex degrees: counts[k] of the n_vertices have degree k.
 
     hub_ticker names a vertex of maximal degree (ties broken by the
     lexicographically smallest ticker) so downstream reports can name
@@ -47,7 +47,6 @@ class DegreeDistribution:
 
     n_vertices: int
     counts: dict[int, float]
-    f: dict[int, float]
     hub_ticker: str | None = None
 
 
@@ -90,25 +89,16 @@ class TreeSummary:
     mol_dynamic: float
 
 
-def _top_vertex(tickers: list[str], deg: np.ndarray) -> str:
-    """Ticker of a maximal-degree vertex, lexicographically smallest on ties."""
-    top = int(deg.max())
-    return min(tickers[v] for v in np.flatnonzero(deg == top))
-
-
 def degree_distribution(tree: Tree) -> DegreeDistribution:
     deg = tree.degrees()
     n = tree.n
     if int(deg.sum()) != 2 * (n - 1):
         raise InvariantError(
-            "handshake identity violated: %d edges on %d vertices" % (len(tree.edges), n)
+            "handshake identity violated: %d edges on %d vertices" % (len(tree.i), n)
         )
-    counts: dict[int, float] = {}
-    for k in deg:
-        counts[int(k)] = counts.get(int(k), 0) + 1
-    counts = dict(sorted(counts.items()))
-    f = {k: c / n for k, c in counts.items()}
-    return DegreeDistribution(n, counts, f, hub_ticker=_top_vertex(tree.tickers, deg))
+    ks, counts = np.unique(deg, return_counts=True)
+    hub = min(tree.tickers[v] for v in np.flatnonzero(deg == ks[-1]).tolist())
+    return DegreeDistribution(n, dict(zip(ks.tolist(), counts.tolist())), hub)
 
 
 def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -179,7 +169,7 @@ def fit_power_law(
 
 def normalized_tree_length(tree: Tree) -> float:
     """Mean edge weight: total tree length over N-1 edges."""
-    return math.fsum(w for _, _, w in tree.edges) / (tree.n - 1)
+    return tree.total_weight / (tree.n - 1)
 
 
 def mean_occupation_layer(tree: Tree, central: str) -> float:
@@ -188,7 +178,10 @@ def mean_occupation_layer(tree: Tree, central: str) -> float:
         root = tree.tickers.index(central)
     except ValueError:
         raise MissingVertexError("no vertex %r in tree" % central) from None
-    adj = tree.adjacency()
+    adj: list[list[int]] = [[] for _ in range(tree.n)]
+    for i, j in zip(tree.i.tolist(), tree.j.tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
     level = [-1] * tree.n
     level[root] = 0
     frontier = [root]
@@ -201,11 +194,6 @@ def mean_occupation_layer(tree: Tree, central: str) -> float:
                     nxt.append(v)
         frontier = nxt
     return sum(level) / tree.n
-
-
-def max_degree_vertex(tree: Tree) -> str:
-    """Ticker of a maximal-degree vertex, lexicographically smallest on ties."""
-    return _top_vertex(tree.tickers, tree.degrees())
 
 
 def detect_superhub(

@@ -25,10 +25,27 @@ BRUTE_FORCE_MAX_N = 8
 
 @dataclass
 class Tree:
-    """Spanning tree: N tickers and N-1 weighted edges with i < j."""
+    """Spanning tree: N tickers and N-1 weighted edges as columns.
+
+    Edge e joins vertices i[e] < j[e] with weight w[e]; edges are sorted
+    by (i, j). `from_edges` is the one constructor that puts edge arrays
+    in that form.
+    """
 
     tickers: list[str]
-    edges: list[tuple[int, int, float]]
+    i: np.ndarray  # int64
+    j: np.ndarray  # int64
+    w: np.ndarray  # float64
+
+    @classmethod
+    def from_edges(cls, tickers, a, b, w) -> Tree:
+        """Tree on `tickers` with edges (a[e], b[e]) of weight w[e], any order."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        w = np.asarray(w, dtype=np.float64)
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((j, i))
+        return cls(list(tickers), i[order], j[order], w[order])
 
     @property
     def n(self) -> int:
@@ -38,21 +55,10 @@ class Tree:
     def total_weight(self) -> float:
         # fsum is exactly rounded, so the total does not depend on edge
         # order and coincides across algorithms returning the same multiset.
-        return math.fsum(w for _, _, w in self.edges)
+        return math.fsum(self.w.tolist())
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+        return np.bincount(np.concatenate((self.i, self.j)), minlength=self.n)
 
 
 class UnionFind:
@@ -90,21 +96,19 @@ def _ticker_ranks(tickers: list[str]) -> np.ndarray:
     return rank
 
 
+def _pair_key(rank: np.ndarray, a, b):
+    """Ticker pair of edges (a, b) as one integer, ordered lexicographically."""
+    lo = np.minimum(rank[a], rank[b])
+    hi = np.maximum(rank[a], rank[b])
+    return lo * len(rank) + hi
+
+
 def _edge_order(dist: DistanceMatrix):
     """Edges i < j with weights w, and their (weight, ticker pair) sort order."""
     rank = _ticker_ranks(dist.tickers)
     iu, ju = np.triu_indices(len(dist.tickers), 1)
     w = dist.d[iu, ju]
-    lo = np.minimum(rank[iu], rank[ju])
-    hi = np.maximum(rank[iu], rank[ju])
-    return iu, ju, w, np.lexsort((hi, lo, w))
-
-
-def _finish(tickers: list[str], raw_edges) -> Tree:
-    edges = sorted(
-        (min(i, j), max(i, j), float(w)) for i, j, w in raw_edges
-    )
-    return Tree(list(tickers), edges)
+    return iu, ju, w, np.lexsort((_pair_key(rank, iu, ju), w))
 
 
 def prim_mst(dist: DistanceMatrix) -> Tree:
@@ -120,19 +124,17 @@ def prim_mst(dist: DistanceMatrix) -> Tree:
     in_tree[start] = True
     best_w = d[start].copy()
     best_from = np.full(n, start, dtype=np.int64)
-    raw_edges = []
-    for _ in range(n - 1):
+    src = np.empty(n - 1, dtype=np.int64)
+    dst = np.empty(n - 1, dtype=np.int64)
+    for step in range(n - 1):
         w = np.where(in_tree, np.inf, best_w)
         cand = np.flatnonzero(w == w.min())
         if cand.size > 1:
-            # Equal-weight frontier edges: take the lexicographically
-            # smallest (ticker, ticker) pair, packed as one integer key.
-            lo = np.minimum(rank[best_from[cand]], rank[cand])
-            hi = np.maximum(rank[best_from[cand]], rank[cand])
-            v = int(cand[np.argmin(lo * n + hi)])
+            # Equal-weight frontier edges: take the smallest ticker pair.
+            v = int(cand[np.argmin(_pair_key(rank, best_from[cand], cand))])
         else:
             v = int(cand[0])
-        raw_edges.append((int(best_from[v]), v, d[best_from[v], v]))
+        src[step], dst[step] = best_from[v], v
         in_tree[v] = True
 
         dv = d[v]
@@ -140,15 +142,11 @@ def prim_mst(dist: DistanceMatrix) -> Tree:
         better = out & (dv < best_w)
         ties = np.flatnonzero(out & (dv == best_w))
         if ties.size:
-            lo_new = np.minimum(rank[v], rank[ties])
-            hi_new = np.maximum(rank[v], rank[ties])
-            lo_old = np.minimum(rank[best_from[ties]], rank[ties])
-            hi_old = np.maximum(rank[best_from[ties]], rank[ties])
-            upgrade = lo_new * n + hi_new < lo_old * n + hi_old
+            upgrade = _pair_key(rank, v, ties) < _pair_key(rank, best_from[ties], ties)
             better[ties[upgrade]] = True
         best_from[better] = v
         best_w[better] = dv[better]
-    return _finish(dist.tickers, raw_edges)
+    return Tree.from_edges(dist.tickers, src, dst, d[src, dst])
 
 
 def kruskal_mst(dist: DistanceMatrix) -> Tree:
@@ -159,19 +157,18 @@ def kruskal_mst(dist: DistanceMatrix) -> Tree:
     iu, ju, w, order = _edge_order(dist)
 
     uf = UnionFind(n)
-    raw_edges = []
-    for e in order:
-        a, b = int(iu[e]), int(ju[e])
-        if uf.union(a, b):
-            raw_edges.append((a, b, w[e]))
-            if len(raw_edges) == n - 1:
+    kept = []
+    for e in order.tolist():
+        if uf.union(int(iu[e]), int(ju[e])):
+            kept.append(e)
+            if len(kept) == n - 1:
                 break
-    return _finish(dist.tickers, raw_edges)
+    return Tree.from_edges(dist.tickers, iu[kept], ju[kept], w[kept])
 
 
 @functools.lru_cache(maxsize=None)
 def _prufer_trees(n: int) -> np.ndarray:
-    """Edge table (n^(n-2), n-1, 2) of every labeled tree on n >= 3 vertices.
+    """Edge table (n^(n-2), n-1, 2) of every labeled tree on n >= 2 vertices.
 
     Row r is the tree of the r-th Prufer sequence; all sequences are
     decoded in parallel as one batch of array operations. The table
@@ -219,26 +216,23 @@ def brute_force_mst(dist: DistanceMatrix) -> Tree:
         raise SizeLimitError(
             "exhaustive search capped at N=%d, got N=%d" % (BRUTE_FORCE_MAX_N, n)
         )
-    d = dist.d
-    if n == 2:
-        return _finish(dist.tickers, [(0, 1, d[0, 1])])
-
     iu, ju, _, order = _edge_order(dist)
     bits = np.zeros((n, n), dtype=np.int64)
     bits[iu[order], ju[order]] = np.left_shift(1, np.arange(order.size, dtype=np.int64))
     bits += bits.T
     trees = _prufer_trees(n)
     best = trees[int(np.argmin(bits[trees[..., 0], trees[..., 1]].sum(axis=1)))]
-    return _finish(dist.tickers, [(int(i), int(j), d[i, j]) for i, j in best])
+    a, b = best[:, 0], best[:, 1]
+    return Tree.from_edges(dist.tickers, a, b, dist.d[a, b])
 
 
 def check_tree(tree: Tree) -> None:
-    """Raise if the edge list is not a spanning tree on its tickers."""
+    """Raise if the edges do not form a spanning tree on its tickers."""
     n = tree.n
-    if len(tree.edges) != n - 1:
-        raise InvariantError("expected %d edges, got %d" % (n - 1, len(tree.edges)))
+    if len(tree.i) != n - 1:
+        raise InvariantError("expected %d edges, got %d" % (n - 1, len(tree.i)))
     uf = UnionFind(n)
-    for i, j, w in tree.edges:
+    for i, j, w in zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()):
         if not (0 <= i < j < n):
             raise InvariantError("bad edge endpoints (%d, %d)" % (i, j))
         if w < 0:

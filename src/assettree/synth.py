@@ -109,11 +109,10 @@ def preferential_attachment_tree(n: int, seed: int) -> Tree:
     if n < 2:
         raise ConfigurationError("tree needs at least 2 vertices")
     rng = np.random.default_rng(seed)
-    edges = [(0, 1, 1.0)]
+    targets = np.zeros(n - 1, dtype=np.int64)  # vertex v attaches to targets[v - 1]
     endpoints = [0, 1]
     for v in range(2, n):
-        target = int(endpoints[rng.integers(len(endpoints))])
-        edges.append((target, v, 1.0))
-        endpoints.append(target)
-        endpoints.append(v)
-    return Tree(_tickers(n), sorted(edges))
+        target = endpoints[rng.integers(len(endpoints))]
+        targets[v - 1] = target
+        endpoints += (target, v)
+    return Tree.from_edges(_tickers(n), targets, np.arange(1, n), np.ones(n - 1))

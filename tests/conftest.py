@@ -26,14 +26,19 @@ def random_dist(rng: np.random.Generator, n: int) -> DistanceMatrix:
     return dist_from_array(d)
 
 
+def edge_list(tree: Tree) -> list[tuple[int, int, float]]:
+    """The tree's edges as (i, j, w) tuples, for readable assertions."""
+    return list(zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()))
+
+
 def star_tree(n: int, weight: float = 1.0) -> Tree:
-    return Tree(tickers_for(n), [(0, v, weight) for v in range(1, n)])
+    return Tree.from_edges(tickers_for(n), [0] * (n - 1), range(1, n), [weight] * (n - 1))
 
 
 def path_max_weights(tree: Tree, source: int) -> dict[int, float]:
     """Largest edge weight on the tree path from source to every vertex."""
     adj: dict[int, list[tuple[int, float]]] = {v: [] for v in range(tree.n)}
-    for i, j, w in tree.edges:
+    for i, j, w in edge_list(tree):
         adj[i].append((j, w))
         adj[j].append((i, w))
     best = {source: 0.0}
@@ -50,7 +55,7 @@ def path_max_weights(tree: Tree, source: int) -> dict[int, float]:
 
 
 def chain_tree(n: int, weight: float = 1.0) -> Tree:
-    return Tree(tickers_for(n), [(v, v + 1, weight) for v in range(n - 1)])
+    return Tree.from_edges(tickers_for(n), range(n - 1), range(1, n), [weight] * (n - 1))
 
 
 @pytest.fixture

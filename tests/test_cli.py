@@ -125,8 +125,8 @@ def test_analyze_two_company_panel(tmp_path):
     assert main(["analyze", str(src), "--out", str(out)]) == 0
     report = json.loads((out / "analysis.json").read_text())
     tree = read_tree_edges(out / "tree.edges")
-    assert len(tree.edges) == 1
-    assert report["ntl"] == tree.edges[0][2]
+    assert len(tree.i) == 1
+    assert report["ntl"] == tree.w[0]
     assert report["fit"] is None
     assert report["phase"] == "PowerLaw"
 
@@ -157,9 +157,9 @@ def test_dot_export_is_a_valid_graph(star_prices, tmp_path):
     nodes = re.findall(r'^  "([^"]+)";$', dot, flags=re.M)
     edges = re.findall(r'^  "([^"]+)" -- "([^"]+)" \[weight=([^\]]+)\];$', dot, flags=re.M)
     assert sorted(nodes) == sorted(tree.tickers)
-    assert len(edges) == len(tree.edges)
+    assert len(edges) == len(tree.i)
     weights = sorted(float(w) for _, _, w in edges)
-    assert weights == sorted(w for _, _, w in tree.edges)
+    assert weights == sorted(tree.w.tolist())
 
 
 def test_export_dot_subcommand_round_trip(star_prices, tmp_path):
@@ -168,7 +168,7 @@ def test_export_dot_subcommand_round_trip(star_prices, tmp_path):
     conv = tmp_path / "conv"
     assert main(["export-dot", str(run / "tree.edges"), "--out", str(conv)]) == 0
     dot = (conv / "tree.dot").read_text()
-    assert dot.count(" -- ") == len(read_tree_edges(run / "tree.edges").edges)
+    assert dot.count(" -- ") == len(read_tree_edges(run / "tree.edges").i)
 
 
 def test_evolve_outputs_and_reread_argmin_consistency(star_prices, tmp_path):
@@ -239,21 +239,26 @@ FLAT_PRICES = "date,ticker,close\n" + "".join(
 
 # (arguments, with {tmp} for the test's directory; exit code; stderr stage)
 CLI_FAILURES = [
-    (["analyze", "--out", "{tmp}/out"], 2, "setup"),
-    (["analyze", "{tmp}/empty.csv", "--out", "{tmp}/out"], 2, "ingestion"),
-    (["analyze", "{tmp}/flat.csv", "--out", "{tmp}/out"], 2, "correlation"),
-    (["analyze", "{tmp}/two.csv", "--out", "{tmp}/empty.csv"], 3, "export"),
-    (["evolve", "{tmp}/absent.csv", "--out", "{tmp}/out"], 3, "ingestion"),
-    (["evolve", "{tmp}/flat.csv", "--center", "ZZZ", "--out", "{tmp}/out"], 2, "rolling"),
-    (["synth", "{tmp}/bogus.txt", "--out", "{tmp}/out"], 2, "params"),
-    (["synth", "{tmp}/short.txt", "--out", "{tmp}/out"], 2, "generate"),
-    (["export-dot", "{tmp}/absent.edges", "--out", "{tmp}/out"], 3, "read"),
+    pytest.param(["analyze", "--out", "{tmp}/out"], 2, "setup", id="analyze-setup"),
+    pytest.param(["analyze", "{tmp}/empty.csv", "--out", "{tmp}/out"], 2, "ingestion", id="analyze-ingestion"),
+    pytest.param(["analyze", "{tmp}/flat.csv", "--out", "{tmp}/out"], 2, "correlation", id="analyze-correlation"),
+    pytest.param(["analyze", "{tmp}/two.csv", "--out", "{tmp}/empty.csv"], 3, "export", id="analyze-export"),
+    pytest.param(["evolve", "{tmp}/absent.csv", "--out", "{tmp}/out"], 3, "ingestion", id="evolve-ingestion"),
+    pytest.param(
+        ["evolve", "{tmp}/flat.csv", "--center", "ZZZ", "--out", "{tmp}/out"], 2, "rolling", id="evolve-rolling"
+    ),
+    pytest.param(["synth", "{tmp}/bogus.txt", "--out", "{tmp}/out"], 2, "params", id="synth-params"),
+    pytest.param(["synth", "{tmp}/short.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate"),
+    pytest.param(["synth", "{tmp}/beta.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-beta"),
+    pytest.param(["synth", "{tmp}/betas.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-betas"),
+    pytest.param(["export-dot", "{tmp}/absent.edges", "--out", "{tmp}/out"], 3, "read", id="export-dot-read"),
+    pytest.param(["export-dot", "{tmp}/weight.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-weight"),
+    pytest.param(["export-dot", "{tmp}/cycle.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-not-a-tree"),
+    pytest.param(["export-dot", "{tmp}/empty.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-no-edges"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, code, stage", CLI_FAILURES, ids=["%s-%s" % (a[0], s) for a, _, s in CLI_FAILURES]
-)
+@pytest.mark.parametrize("argv, code, stage", CLI_FAILURES)
 def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stage):
     (tmp_path / "empty.csv").write_text("date,ticker,close\n")
     (tmp_path / "flat.csv").write_text(FLAT_PRICES)
@@ -262,6 +267,11 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     )
     (tmp_path / "bogus.txt").write_text("n_companies = 5\nn_days = 40\nbogus = 1\n")
     (tmp_path / "short.txt").write_text("n_companies = 5\n")
+    (tmp_path / "beta.txt").write_text("n_companies = 5\nn_days = 40\nbeta = x\n")
+    (tmp_path / "betas.txt").write_text("n_companies = 2\nn_days = 40\nbetas = 1,a\n")
+    (tmp_path / "weight.edges").write_text("# n_vertices: 2\nA,B,abc\n")
+    (tmp_path / "cycle.edges").write_text("# n_vertices: 2\nA,B,0.5\nB,A,0.25\n")
+    (tmp_path / "empty.edges").write_text("# n_vertices: 0\n")
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()

@@ -6,7 +6,6 @@ import pytest
 
 from assettree.errors import DuplicateRecordError, FormatError, InsufficientDataError
 from assettree.ingestion import (
-    FormatSpec,
     PricePanel,
     align_and_filter,
     log_returns,
@@ -110,14 +109,6 @@ def test_parse_duplicate_names_the_earliest_repeating_line():
     )
     with pytest.raises(DuplicateRecordError, match=r"^duplicate record for \(B, 2005-01-03\) at line 6$"):
         parse_price_table(text)
-
-
-def test_parse_custom_delimiter():
-    text = "date;ticker;close\n2005-01-03;KGHM;31.5\n"
-    result = parse_price_table(text, FormatSpec(delimiter=";"))
-    assert result.tickers == ["KGHM"]
-    assert result.dates == [date(2005, 1, 3)]
-    assert result.prices.tolist() == [[31.5]]
 
 
 def test_parse_reads_columns_by_header_name():

@@ -13,7 +13,6 @@ from assettree.metrics import (
     degree_distribution,
     detect_superhub,
     fit_power_law,
-    max_degree_vertex,
     mean_occupation_layer,
     normalized_tree_length,
     summarize,
@@ -27,7 +26,7 @@ from conftest import chain_tree, star_tree, tickers_for
 def dist_of(counts: dict, hub: str | None = "HUB") -> DegreeDistribution:
     n = sum(counts.values())
     counts = dict(sorted(counts.items()))
-    return DegreeDistribution(n, counts, {k: c / n for k, c in counts.items()}, hub)
+    return DegreeDistribution(n, counts, hub)
 
 
 # Degree histograms shaped like the two market regimes the detector must
@@ -40,21 +39,18 @@ SIX_HUBS = {1: 210, 2: 35, 3: 12, 4: 6, 5: 3, 6: 2, 18: 1, 20: 1, 23: 1, 25: 1, 
 def test_degree_distribution_of_path():
     dist = degree_distribution(chain_tree(4))
     assert dist.counts == {1: 2, 2: 2}
-    assert dist.f == {1: 0.5, 2: 0.5}
 
 
 def test_degree_distribution_of_large_star():
     dist = degree_distribution(star_tree(142))
     assert dist.counts == {1: 141, 141: 1}
-    assert dist.f[141] == pytest.approx(1 / 142)
     assert dist.hub_ticker == "T00"
 
 
 def test_lone_hub_frequency_normalization():
     dist = dist_of(LONE_HUB)
     assert dist.n_vertices == 142
-    assert dist.f[53] == pytest.approx(1 / 142)
-    assert dist.f[53] == pytest.approx(0.007, abs=5e-4)
+    assert dist.counts[53] / dist.n_vertices == pytest.approx(0.007, abs=5e-4)
 
 
 def test_handshake_identity_on_generated_trees():
@@ -66,7 +62,7 @@ def test_handshake_identity_on_generated_trees():
 
 
 def test_degree_distribution_rejects_wrong_edge_count():
-    tree = Tree(tickers_for(4), [(0, 1, 1.0), (1, 2, 1.0)])
+    tree = Tree.from_edges(tickers_for(4), [0, 1], [1, 2], [1.0, 1.0])
     with pytest.raises(InvariantError, match="handshake"):
         degree_distribution(tree)
 
@@ -121,13 +117,13 @@ def test_ntl_constant_weights():
 
 
 def test_ntl_mean_of_two_edges():
-    tree = Tree(tickers_for(3), [(0, 1, 0.4), (1, 2, 0.8)])
+    tree = Tree.from_edges(tickers_for(3), [0, 1], [1, 2], [0.4, 0.8])
     assert normalized_tree_length(tree) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_ntl_vanishes_as_correlation_saturates():
     w = math.sqrt(2.0 * (1.0 - 0.999999))
-    tree = Tree(tickers_for(4), [(0, v, w) for v in range(1, 4)])
+    tree = Tree.from_edges(tickers_for(4), [0, 0, 0], [1, 2, 3], [w, w, w])
     assert normalized_tree_length(tree) < 0.002
 
 
@@ -156,20 +152,20 @@ def test_mol_unknown_vertex_raises():
         mean_occupation_layer(chain_tree(3), "NOPE")
 
 
-def test_max_degree_vertex_of_star_is_center():
-    assert max_degree_vertex(star_tree(6)) == "T00"
+def test_center_of_star_is_its_hub():
+    assert summarize(star_tree(6)).center == "T00"
 
 
-def test_max_degree_vertex_breaks_ties_lexicographically():
-    tree = Tree(["A", "B", "C", "D"], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    assert max_degree_vertex(tree) == "B"
+def test_center_breaks_degree_ties_lexicographically():
+    tree = Tree.from_edges(["C", "B", "A", "D"], [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0])
+    assert summarize(tree).center == "A"
 
 
 def test_mol_at_dynamic_center_is_bounded_below_by_best_vertex():
     for seed in range(5):
         tree = preferential_attachment_tree(60, seed)
         best = min(mean_occupation_layer(tree, t) for t in tree.tickers)
-        dynamic = mean_occupation_layer(tree, max_degree_vertex(tree))
+        dynamic = mean_occupation_layer(tree, summarize(tree).center)
         assert best <= dynamic
 
 
@@ -229,7 +225,7 @@ def test_exact_power_law_classifies_as_power_law():
 
 def test_superhub_decision_invariant_under_relabeling():
     tree = preferential_attachment_tree(150, 7)
-    renamed = Tree(["Z%03d" % (149 - i) for i in range(150)], list(tree.edges))
+    renamed = Tree.from_edges(["Z%03d" % (149 - i) for i in range(150)], tree.i, tree.j, tree.w)
     d1, d2 = degree_distribution(tree), degree_distribution(renamed)
     f1, f2 = fit_power_law(d1), fit_power_law(d2)
     r1, r2 = detect_superhub(d1, f1), detect_superhub(d2, f2)
@@ -248,7 +244,8 @@ def test_summarize_matches_the_chain_step_by_step(tree):
     except UnderdeterminedFitError:
         fit = None
     report = detect_superhub(dist, fit)
-    center = max_degree_vertex(tree)
+    deg = tree.degrees()
+    center = min(t for t, k in zip(tree.tickers, deg) if k == deg.max())
     assert summary.distribution == dist
     assert summary.fit == fit
     assert repr(summary.superhub) == repr(report)  # log_residual is NaN without a fit

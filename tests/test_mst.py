@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from assettree.errors import InvariantError, SizeLimitError
+from assettree.exports import read_tree_edges, write_tree_edges
 from assettree.mst import (
     Tree,
     UnionFind,
@@ -10,8 +11,9 @@ from assettree.mst import (
     kruskal_mst,
     prim_mst,
 )
+from assettree.synth import preferential_attachment_tree
 
-from conftest import dist_from_array, path_max_weights, random_dist, tickers_for
+from conftest import dist_from_array, edge_list, path_max_weights, random_dist, tickers_for
 
 ALGORITHMS = [prim_mst, kruskal_mst, brute_force_mst]
 
@@ -24,7 +26,7 @@ def triangle():
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_three_node_example(algorithm):
     tree = algorithm(triangle())
-    assert [(i, j) for i, j, _ in tree.edges] == [(0, 1), (1, 2)]
+    assert [(i, j) for i, j, _ in edge_list(tree)] == [(0, 1), (1, 2)]
     assert tree.total_weight == pytest.approx(1.2, abs=1e-12)
     check_tree(tree)
 
@@ -33,7 +35,7 @@ def test_three_node_example(algorithm):
 def test_two_node_tree_is_the_single_edge(algorithm):
     d = dist_from_array(np.array([[0.0, 0.3], [0.3, 0.0]]), ["X", "Y"])
     tree = algorithm(d)
-    assert tree.edges == [(0, 1, 0.3)]
+    assert edge_list(tree) == [(0, 1, 0.3)]
     assert tree.total_weight == 0.3
 
 
@@ -57,9 +59,24 @@ def test_equal_weights_resolve_to_star_on_lexicographically_first_ticker():
     prim = prim_mst(dist_from_array(d, tickers))
     kruskal = kruskal_mst(dist_from_array(d, tickers))
     brute = brute_force_mst(dist_from_array(d, tickers))
-    assert prim.edges == kruskal.edges == brute.edges
+    assert edge_list(prim) == edge_list(kruskal) == edge_list(brute)
     a = tickers.index("A")
-    assert all(a in (i, j) for i, j, _ in prim.edges)
+    assert all(a in (i, j) for i, j, _ in edge_list(prim))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_tied_cycle_drops_its_lexicographically_last_pair(algorithm):
+    # The cycle A-E-B-C-D-A ties at 0.5. Its last pair is (C, D) in
+    # lexicographic order but (B, E) if the larger ticker compared first.
+    tickers = ["D", "B", "E", "A", "C"]
+    at = tickers.index
+    d = np.ones((5, 5))
+    np.fill_diagonal(d, 0.0)
+    for a, b in ["AE", "BE", "BC", "CD", "AD"]:
+        d[at(a), at(b)] = d[at(b), at(a)] = 0.5
+    tree = algorithm(dist_from_array(d, tickers))
+    pairs = {"".join(sorted(tickers[i] + tickers[j])) for i, j, _ in edge_list(tree)}
+    assert pairs == {"AE", "BE", "BC", "AD"}
 
 
 def test_star_structured_distances_recover_the_star():
@@ -72,8 +89,8 @@ def test_star_structured_distances_recover_the_star():
     dist = dist_from_array(d)
     for algorithm in ALGORITHMS:
         tree = algorithm(dist)
-        assert all(hub in (i, j) for i, j, _ in tree.edges)
-    assert prim_mst(dist).edges == brute_force_mst(dist).edges
+        assert all(hub in (i, j) for i, j, _ in edge_list(tree))
+    assert edge_list(prim_mst(dist)) == edge_list(brute_force_mst(dist))
 
 
 def test_distinct_weights_give_identical_edge_sets(rng):
@@ -82,13 +99,13 @@ def test_distinct_weights_give_identical_edge_sets(rng):
         prim = prim_mst(dist)
         kruskal = kruskal_mst(dist)
         brute = brute_force_mst(dist)
-        assert prim.edges == kruskal.edges == brute.edges
+        assert edge_list(prim) == edge_list(kruskal) == edge_list(brute)
         assert prim.total_weight == kruskal.total_weight == brute.total_weight
 
 
 def test_edge_weights_are_matrix_entries(rng):
     dist = random_dist(rng, 8)
-    for i, j, w in prim_mst(dist).edges:
+    for i, j, w in edge_list(prim_mst(dist)):
         assert w == dist.d[i, j]
 
 
@@ -99,10 +116,10 @@ def test_cut_property(rng):
         tree = prim_mst(dist)
         for skip in range(n - 1):
             uf = UnionFind(n)
-            for e, (i, j, _) in enumerate(tree.edges):
+            for e, (i, j, _) in enumerate(edge_list(tree)):
                 if e != skip:
                     uf.union(i, j)
-            i0, j0, w0 = tree.edges[skip]
+            i0, j0, w0 = edge_list(tree)[skip]
             side = uf.find(i0)
             left = [v for v in range(n) if uf.find(v) == side]
             right = [v for v in range(n) if uf.find(v) != side]
@@ -126,7 +143,7 @@ def test_trees_are_connected_and_acyclic(rng):
         n = int(rng.integers(2, 12))
         tree = prim_mst(random_dist(rng, n))
         check_tree(tree)
-        assert len(tree.edges) == n - 1
+        assert len(tree.i) == n - 1
 
 
 def test_brute_force_size_cap():
@@ -146,6 +163,31 @@ def test_union_find_detects_cycles():
 
 def test_check_tree_rejects_a_cycle():
     # Right edge count, but vertex 3 is cut off and 0-1-2 closes a cycle.
-    tree = Tree(tickers_for(4), [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+    tree = Tree.from_edges(tickers_for(4), [0, 1, 0], [1, 2, 2], [0.5, 0.5, 0.5])
     with pytest.raises(InvariantError, match="cycle"):
         check_tree(tree)
+
+
+def test_every_builder_returns_canonical_edge_columns(rng, tmp_path):
+    # Unsorted tickers, so vertex order and ticker order disagree.
+    shuffled = dist_from_array(random_dist(rng, 7).d, ["G", "C", "A", "F", "B", "E", "D"])
+    dist = random_dist(rng, 7)
+    write_tree_edges(tmp_path / "tree.edges", prim_mst(dist))
+    trees = [
+        prim_mst(shuffled),
+        kruskal_mst(shuffled),
+        brute_force_mst(shuffled),
+        preferential_attachment_tree(40, 3),
+        read_tree_edges(tmp_path / "tree.edges"),
+    ]
+    for tree in trees:
+        assert tree.i.dtype == tree.j.dtype == np.int64
+        assert tree.w.dtype == np.float64
+        assert np.all(tree.i < tree.j)
+        assert np.all(np.diff(tree.i * tree.n + tree.j) > 0)  # sorted by (i, j)
+        check_tree(tree)
+    original, reread = prim_mst(dist), trees[-1]
+    assert reread.tickers == original.tickers
+    assert np.array_equal(reread.i, original.i)
+    assert np.array_equal(reread.j, original.j)
+    assert reread.w.tobytes() == original.w.tobytes()

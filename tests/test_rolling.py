@@ -14,9 +14,9 @@ from assettree.metrics import (
     PHASE_MULTI_HUB,
     PHASE_POWER_LAW,
     PHASE_SUPERHUB,
-    max_degree_vertex,
     mean_occupation_layer,
     normalized_tree_length,
+    summarize,
 )
 from assettree.mst import prim_mst
 from assettree.rolling import (
@@ -86,8 +86,9 @@ def test_full_width_window_matches_one_shot_pipeline():
     assert len(series) == 1
     assert series.ntl[0] == normalized_tree_length(tree)
     assert series.mol_static[0] == mean_occupation_layer(tree, center)
-    assert series.dynamic_center[0] == max_degree_vertex(tree)
-    assert series.mol_dynamic[0] == mean_occupation_layer(tree, max_degree_vertex(tree))
+    center = summarize(tree).center
+    assert series.dynamic_center[0] == center
+    assert series.mol_dynamic[0] == mean_occupation_layer(tree, center)
     assert series.k_max[0] == int(tree.degrees().max())
 
 

@@ -13,6 +13,8 @@ from assettree.synth import (
     preferential_attachment_tree,
 )
 
+from conftest import edge_list
+
 
 def factor_params(n=10, days=200, beta=1.0, sigma=1.0, seed=0):
     return FactorModelParams(n, days, (beta,) * n, sigma, seed)
@@ -119,13 +121,13 @@ def test_ntl_drops_inside_the_coupled_interval():
 
 def test_pa_tree_smallest_case_is_single_edge():
     tree = preferential_attachment_tree(2, 0)
-    assert tree.edges == [(0, 1, 1.0)]
+    assert edge_list(tree) == [(0, 1, 1.0)]
 
 
 def test_pa_tree_is_deterministic_and_valid():
     a = preferential_attachment_tree(500, 9)
     b = preferential_attachment_tree(500, 9)
-    assert a.edges == b.edges
+    assert edge_list(a) == edge_list(b)
     check_tree(a)
 
 
