@@ -52,6 +52,7 @@ from .rolling import (
     WindowSpec,
     detect_transitions,
     evolve,
+    window_trees,
     windows,
 )
 from .synth import (

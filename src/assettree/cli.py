@@ -13,7 +13,6 @@ prints one `<stage>: <message>` line to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -67,7 +66,7 @@ def _resolve_input(args) -> str:
 
 def _load_returns(path: str, start: str | None, end: str | None):
     """Price file to ReturnPanel; returns (panel, dropped, period)."""
-    with open(path, encoding="utf-8") as lines:
+    with open(path, encoding="utf-8-sig") as lines:  # Excel writes a byte-order mark
         parsed = parse_price_table(lines)
     for reject in parsed.rejected:
         print(
@@ -149,9 +148,7 @@ def cmd_analyze(args, stage: Stage) -> None:
         exports.write_dot(out / "tree.dot", tree)
     if "csv" in args.formats:
         exports.write_correlation_matrix(out / "corr.csv", corr)
-    with open(out / "analysis.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    exports.write_json(out / "analysis.json", payload)
 
 
 def cmd_evolve(args, stage: Stage) -> None:
@@ -196,18 +193,15 @@ def cmd_evolve(args, stage: Stage) -> None:
     )
 
 
+_HUB_KEYS = ("hub_index", "gamma", "regime_start", "regime_end")
 _PARAM_KEYS = {
-    "kind",
     "n_companies",
     "n_days",
     "beta",
     "betas",
     "noise_sigma",
     "seed",
-    "hub_index",
-    "gamma",
-    "regime_start",
-    "regime_end",
+    *_HUB_KEYS,
 }
 
 
@@ -231,9 +225,8 @@ def _parse_params(path: str) -> dict:
 
 def _synth_panel(params: dict):
     """Build the return panel described by a params mapping."""
-    kind = params.get("kind", "hub_regime" if "gamma" in params else "one_factor")
-    if kind not in ("one_factor", "hub_regime"):
-        raise ConfigurationError("unknown kind %r" % kind)
+    # Any hub key selects the hub-regime generator, which then needs all four.
+    hub_regime = any(key in params for key in _HUB_KEYS)
     try:
         n_companies = int(params["n_companies"])
         n_price_days = int(params["n_days"])
@@ -243,7 +236,7 @@ def _synth_panel(params: dict):
             betas = tuple(float(b) for b in params["betas"].split(","))
         else:
             betas = (float(params.get("beta", "1.0")),) * n_companies
-        if kind == "hub_regime":
+        if hub_regime:
             hub_index = int(params["hub_index"])
             gamma = float(params["gamma"])
             interval = (int(params["regime_start"]), int(params["regime_end"]))
@@ -254,7 +247,7 @@ def _synth_panel(params: dict):
     if n_price_days < 2:
         raise ConfigurationError("n_days must be at least 2 price days")
     base = FactorModelParams(n_companies, n_price_days - 1, betas, sigma, seed)
-    if kind == "one_factor":
+    if not hub_regime:
         return one_factor_returns(base)
     return hub_regime_returns(HubRegimeParams(base, hub_index, gamma, interval))
 
@@ -270,9 +263,7 @@ def cmd_synth(args, stage: Stage) -> None:
     stage.name = "export"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    text = exports.format_price_csv(panel.tickers, price_dates, prices)
-    with open(out / "prices.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    exports.write_price_csv(out / "prices.csv", panel.tickers, price_dates, prices)
 
 
 def cmd_export_dot(args, stage: Stage) -> None:

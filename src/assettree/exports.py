@@ -1,4 +1,4 @@
-"""File formats: edge lists, DOT graphs, metric CSVs, JSON reports.
+"""File formats: edge lists, DOT graphs, price and metric CSVs, JSON reports.
 
 Everything is plain UTF-8 text with explicit "\n" newlines, floats at 17
 significant digits (round-trip exact), and deterministic ordering, so
@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from datetime import date as Date
+
+import numpy as np
 
 from .correlation import CorrelationMatrix
 from .errors import FormatError
@@ -54,14 +55,19 @@ def write_tree_edges(path, tree: Tree, meta: dict | None = None) -> None:
 def read_tree_edges(path) -> Tree:
     """Rebuild a Tree from an edge-list file written by write_tree_edges.
 
-    Raises FormatError on a malformed line or weight, and InvariantError
-    if the edges do not form a spanning tree on the tickers they name.
+    Raises FormatError on a malformed line or weight, or when a
+    `# n_vertices:` header disagrees with the tickers the edges name, and
+    InvariantError if the edges do not form a spanning tree on those
+    tickers. A file without the header is accepted.
     """
     names: list[str] = []
     weights: list[float] = []
+    declared = None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
+            if line.startswith("# n_vertices:"):
+                declared = line.split(":", 1)[1].strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
@@ -75,6 +81,10 @@ def read_tree_edges(path) -> Tree:
     if not weights:
         raise FormatError("no edge lines")
     tickers = sorted(set(names))
+    if declared is not None and declared != str(len(tickers)):
+        raise FormatError(
+            "n_vertices header %r, but the edges name %d tickers" % (declared, len(tickers))
+        )
     index = {t: k for k, t in enumerate(tickers)}
     codes = [index[t] for t in names]
     tree = Tree.from_edges(tickers, codes[0::2], codes[1::2], weights)
@@ -153,6 +163,11 @@ def write_transition_report(path, report: TransitionReport, extra: dict | None =
         ],
     }
     payload.update(extra or {})
+    write_json(path, payload)
+
+
+def write_json(path, payload: dict) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -166,11 +181,11 @@ def write_correlation_matrix(path, corr: CorrelationMatrix) -> None:
             fh.write(",".join(fmt_float(v) for v in row) + "\n")
 
 
-def format_price_csv(tickers: list[str], dates: list[Date], prices) -> str:
-    """Ingestion-compatible price table, rows ordered by date then ticker."""
-    out = io.StringIO()
-    out.write("date,ticker,close\n")
-    for t, day in enumerate(dates):
-        for i, ticker in enumerate(tickers):
-            out.write("%s,%s,%s\n" % (day.isoformat(), ticker, fmt_float(prices[i][t])))
-    return out.getvalue()
+def write_price_csv(path, tickers: list[str], dates: list[Date], prices: np.ndarray) -> None:
+    """Ingestion-compatible price table, written one date at a time, tickers in order."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("date,ticker,close\n")
+        for t, day in enumerate(dates):
+            stamp = day.isoformat()
+            for ticker, price in zip(tickers, prices[:, t].tolist()):
+                fh.write("%s,%s,%s\n" % (stamp, ticker, fmt_float(price)))

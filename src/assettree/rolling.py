@@ -1,17 +1,21 @@
 """Sliding-window pipeline: per-window trees, metrics, and transitions.
 
-Each window of the return panel runs the full chain (correlation,
-distance, Prim tree, metrics, phase label). Two occupation-layer series
-come out: one measured from a fixed static center, one from each
-window's own maximal-degree vertex. The transition report then locates
-the global minima of tree length and dynamic occupation layer, lists
-every phase change, and extracts maximal runs of the superhub phase.
+`window_trees` turns each window of the return panel into a tree
+(correlation, distance, Prim); `evolve` summarizes each tree into one
+series row (metrics, phase label). Two occupation-layer series come
+out: one measured from a fixed static center, one from each window's
+own maximal-degree vertex. The transition report then locates the
+global minima of tree length and dynamic occupation layer, lists every
+phase change, and extracts maximal runs of the superhub phase.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date as Date
+from itertools import groupby
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .metrics import (
     mean_occupation_layer,
     summarize,
 )
-from .mst import prim_mst
+from .mst import Tree, prim_mst
 
 MIN_WINDOW_WIDTH = 30
 
@@ -84,10 +88,31 @@ def windows(panel: ReturnPanel, spec: WindowSpec) -> list[tuple[int, int]]:
     return [(s, s + spec.width) for s in range(0, t - spec.width + 1, spec.step)]
 
 
-def _window_panel(panel: ReturnPanel, start: int, end: int) -> ReturnPanel:
-    return ReturnPanel(
-        list(panel.tickers), list(panel.dates[start:end]), panel.returns[:, start:end]
-    )
+def window_trees(
+    panel: ReturnPanel, spec: WindowSpec
+) -> Iterator[tuple[int, int, Tree, tuple[str, ...]]]:
+    """Yield (start, end, tree, dropped) per window, holding one tree at a time.
+
+    This is the only place a window becomes a tree: slice, Pearson,
+    distance, Prim. A company whose returns have zero variance in a
+    window is left out of that window's tree and named in `dropped`.
+    """
+    for start, end in windows(panel, spec):
+        returns = panel.returns[:, start:end]
+        dates = panel.dates[start:end]
+        dropped: tuple[str, ...] = ()
+        try:
+            corr = pearson_matrix(ReturnPanel(panel.tickers, dates, returns))
+        except DegenerateSeriesError as err:
+            keep = [k for k, t in enumerate(panel.tickers) if t not in err.tickers]
+            if len(keep) < 2:
+                raise InsufficientDataError(
+                    "window [%d, %d) has fewer than 2 usable companies" % (start, end)
+                ) from err
+            dropped = err.tickers
+            kept = ReturnPanel([panel.tickers[k] for k in keep], dates, returns[keep, :])
+            corr = pearson_matrix(kept)
+        yield start, end, prim_mst(to_distance(corr)), dropped
 
 
 def evolve(
@@ -98,50 +123,25 @@ def evolve(
     gap_ratio: float = DEFAULT_GAP_RATIO,
     hub_threshold: float = DEFAULT_HUB_THRESHOLD,
 ) -> MetricSeries:
-    """Run the full pipeline over every window of the panel.
+    """Summarize every window tree of the panel into one series row.
 
-    A window where some company's returns have zero variance drops that
-    company for that window only and records the drop. If the static
-    center itself degenerates the window cannot honor the static series
-    and a MissingVertexError is raised instead of silently moving on.
+    A window that drops the static center cannot honor the static
+    series, so it raises MissingVertexError instead of silently moving on.
     """
     if static_center not in panel.tickers:
         raise MissingVertexError("static center %r not in panel" % static_center)
     series = MetricSeries([], [], [], [], [], [], [])
-    for start, end in windows(panel, spec):
-        sub = _window_panel(panel, start, end)
-        dropped: tuple[str, ...] = ()
-        try:
-            corr = pearson_matrix(sub)
-        except DegenerateSeriesError as err:
-            if static_center in err.tickers:
-                raise MissingVertexError(
-                    "static center %r has zero variance in window [%d, %d)"
-                    % (static_center, start, end)
-                ) from err
-            keep = [i for i, t in enumerate(sub.tickers) if t not in err.tickers]
-            if len(keep) < 2:
-                raise InsufficientDataError(
-                    "window [%d, %d) has fewer than 2 usable companies" % (start, end)
-                ) from err
-            dropped = err.tickers
-            sub = ReturnPanel(
-                [sub.tickers[i] for i in keep],
-                list(sub.dates),
-                sub.returns[keep, :],
+    for start, end, tree, dropped in window_trees(panel, spec):
+        if static_center in dropped:
+            raise MissingVertexError(
+                "static center %r has zero variance in window [%d, %d)"
+                % (static_center, start, end)
             )
-            corr = pearson_matrix(sub)
-        dist = to_distance(corr)
-        tree = prim_mst(dist)
         summary = summarize(tree, residual_threshold, gap_ratio, hub_threshold)
-
         series.window_starts.append(start)
         series.window_end_dates.append(panel.dates[end - 1])
         series.ntl.append(summary.ntl)
-        if summary.center == static_center:  # the BFS summarize already ran
-            series.mol_static.append(summary.mol_dynamic)
-        else:
-            series.mol_static.append(mean_occupation_layer(tree, static_center))
+        series.mol_static.append(mean_occupation_layer(tree, static_center))
         series.mol_dynamic.append(summary.mol_dynamic)
         series.k_max.append(summary.superhub.k_max)
         series.phase.append(summary.phase.phase)
@@ -167,20 +167,12 @@ def detect_transitions(series: MetricSeries) -> TransitionReport:
         for i in range(1, len(series))
         if series.phase[i] != series.phase[i - 1]
     ]
-    intervals: list[tuple[int, int, str]] = []
-    run_start = None
-    for i in range(len(series) + 1):
-        in_run = i < len(series) and series.phase[i] == PHASE_SUPERHUB
-        if in_run and run_start is None:
-            run_start = i
-        elif not in_run and run_start is not None:
-            centers = series.dynamic_center[run_start:i]
-            tally: dict[str, int] = {}
-            for c in centers:
-                tally[c] = tally.get(c, 0) + 1
-            hub = max(tally, key=lambda c: (tally[c], -centers.index(c)))
-            intervals.append((run_start, i - 1, hub))
-            run_start = None
+    intervals = []
+    for phase, run in groupby(range(len(series)), key=series.phase.__getitem__):
+        if phase == PHASE_SUPERHUB:
+            run = list(run)
+            centers = Counter(series.dynamic_center[i] for i in run)
+            intervals.append((run[0], run[-1], centers.most_common(1)[0][0]))
     return TransitionReport(
         ntl_argmin=(i_ntl, series.window_end_dates[i_ntl]),
         mol_argmin=(i_mol, series.window_end_dates[i_mol]),

@@ -63,7 +63,7 @@ def test_synth_is_byte_deterministic(tmp_path):
 
 def test_synth_gamma_zero_matches_one_factor_file(tmp_path):
     shared = dict(n_companies=4, n_days=50, beta=0.8, seed=3)
-    write_params(tmp_path / "one.txt", kind="one_factor",
+    write_params(tmp_path / "one.txt",
                  hub_index=None, gamma=None, regime_start=None, regime_end=None,
                  **shared)
     write_params(tmp_path / "hub.txt", hub_index=1, gamma=0.0,
@@ -248,13 +248,18 @@ CLI_FAILURES = [
         ["evolve", "{tmp}/flat.csv", "--center", "ZZZ", "--out", "{tmp}/out"], 2, "rolling", id="evolve-rolling"
     ),
     pytest.param(["synth", "{tmp}/bogus.txt", "--out", "{tmp}/out"], 2, "params", id="synth-params"),
+    pytest.param(["synth", "{tmp}/kind.txt", "--out", "{tmp}/out"], 2, "params", id="synth-params-kind"),
     pytest.param(["synth", "{tmp}/short.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate"),
     pytest.param(["synth", "{tmp}/beta.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-beta"),
     pytest.param(["synth", "{tmp}/betas.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-betas"),
+    pytest.param(["synth", "{tmp}/hub.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-partial-hub"),
     pytest.param(["export-dot", "{tmp}/absent.edges", "--out", "{tmp}/out"], 3, "read", id="export-dot-read"),
     pytest.param(["export-dot", "{tmp}/weight.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-weight"),
     pytest.param(["export-dot", "{tmp}/cycle.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-not-a-tree"),
     pytest.param(["export-dot", "{tmp}/empty.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-no-edges"),
+    pytest.param(
+        ["export-dot", "{tmp}/count.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-vertex-count"
+    ),
 ]
 
 
@@ -269,9 +274,12 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     (tmp_path / "short.txt").write_text("n_companies = 5\n")
     (tmp_path / "beta.txt").write_text("n_companies = 5\nn_days = 40\nbeta = x\n")
     (tmp_path / "betas.txt").write_text("n_companies = 2\nn_days = 40\nbetas = 1,a\n")
+    (tmp_path / "kind.txt").write_text("n_companies = 5\nn_days = 40\nkind = one_factor\n")
+    (tmp_path / "hub.txt").write_text("n_companies = 5\nn_days = 40\nhub_index = 1\n")
     (tmp_path / "weight.edges").write_text("# n_vertices: 2\nA,B,abc\n")
     (tmp_path / "cycle.edges").write_text("# n_vertices: 2\nA,B,0.5\nB,A,0.25\n")
     (tmp_path / "empty.edges").write_text("# n_vertices: 0\n")
+    (tmp_path / "count.edges").write_text("# n_vertices: 5\nA,B,0.5\n")
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()
@@ -296,12 +304,12 @@ def test_crlf_price_file_reads_like_lf(tmp_path, capsys):
     text = "".join(line + "\n" for line in FLAT_PRICES.splitlines() if ",FLAT," not in line)
     text += "2005-01-07,AA,-1.0\n"
     results = []
-    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
-        (tmp_path / (name + ".csv")).write_bytes(text.replace("\n", newline).encode())
+    for name, bom, newline in (("lf", b"", "\n"), ("crlf", b"", "\r\n"), ("bom", b"\xef\xbb\xbf", "\n")):
+        (tmp_path / (name + ".csv")).write_bytes(bom + text.replace("\n", newline).encode())
         capsys.readouterr()
         assert main(["analyze", str(tmp_path / (name + ".csv")), "--out", str(tmp_path / name)]) == 0
         analysis = json.loads((tmp_path / name / "analysis.json").read_text())
         del analysis["config_hash"]  # hashes the input path
         results.append((capsys.readouterr().err, analysis))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     assert results[0][0] == "ingestion: line 10 rejected (non-positive price -1.0)\n"

@@ -1,4 +1,5 @@
 from datetime import date, timedelta
+from types import GeneratorType
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from assettree.rolling import (
     WindowSpec,
     detect_transitions,
     evolve,
+    window_trees,
     windows,
 )
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
@@ -36,6 +38,15 @@ def flat_panel(n=5, days=120, seed=0, beta=0.6):
 def regime_panel(seed=0, n=20, days=300, interval=(100, 200), gamma=0.9, hub=5):
     base = FactorModelParams(n, days, (0.0,) * n, 1.0, seed)
     return hub_regime_returns(HubRegimeParams(base, hub, gamma, interval))
+
+
+def one_flat_window_panel():
+    """Four companies over 120 days; C is flat over the first 40 only."""
+    rng = np.random.default_rng(8)
+    returns = rng.standard_normal((4, 120))
+    returns[2, :40] = 0.25
+    days = [date(2005, 1, 4) + timedelta(days=t) for t in range(120)]
+    return ReturnPanel(["A", "B", "C", "D"], days, returns)
 
 
 def test_window_arithmetic():
@@ -106,40 +117,37 @@ def test_static_equals_dynamic_when_centers_coincide():
         assert s == d
 
 
-def test_static_mol_reuses_the_dynamic_bfs_only_when_centers_coincide(monkeypatch):
-    import assettree.rolling as rolling
-
-    panel = regime_panel(seed=2, days=200, interval=(0, 100))
-    calls = []
-
-    def counted(tree, center):
-        calls.append(center)
-        return mean_occupation_layer(tree, center)
-
-    monkeypatch.setattr(rolling, "mean_occupation_layer", counted)
-    series = evolve(panel, WindowSpec(50, 25), "V0005")
-    shared = sum(c == "V0005" for c in series.dynamic_center)
-    assert 0 < shared < len(series)
-    assert len(calls) == len(series) - shared
-
-
 def test_degenerate_window_drops_company_and_records_it():
-    rng = np.random.default_rng(8)
-    returns = rng.standard_normal((4, 120))
-    returns[2, :40] = 0.25  # flat over the first window only
-    days = [date(2005, 1, 4) + timedelta(days=t) for t in range(120)]
-    panel = ReturnPanel(["A", "B", "C", "D"], days, returns)
+    panel = one_flat_window_panel()
     series = evolve(panel, WindowSpec(40, 40), "A")
     assert series.dropped == [("C",), (), ()]
     assert series.k_max[0] <= 2  # only three vertices survive window 0
 
 
+def test_window_trees_match_the_per_window_pipeline():
+    panel = one_flat_window_panel()
+    spec = WindowSpec(40, 40)
+    trees = window_trees(panel, spec)
+    assert isinstance(trees, GeneratorType)
+    yielded = list(trees)
+    assert [(s, e) for s, e, _, _ in yielded] == windows(panel, spec)
+    assert [d for _, _, _, d in yielded] == [("C",), (), ()]
+    for start, end, tree, dropped in yielded:
+        keep = [k for k, t in enumerate(panel.tickers) if t not in dropped]
+        sub = ReturnPanel(
+            [panel.tickers[k] for k in keep],
+            panel.dates[start:end],
+            panel.returns[keep, start:end],
+        )
+        expected = prim_mst(to_distance(pearson_matrix(sub)))
+        assert tree.tickers == expected.tickers
+        assert np.array_equal(tree.i, expected.i)
+        assert np.array_equal(tree.j, expected.j)
+        assert tree.w.tobytes() == expected.w.tobytes()
+
+
 def test_degenerate_static_center_raises():
-    rng = np.random.default_rng(8)
-    returns = rng.standard_normal((4, 120))
-    returns[2, :40] = 0.25
-    days = [date(2005, 1, 4) + timedelta(days=t) for t in range(120)]
-    panel = ReturnPanel(["A", "B", "C", "D"], days, returns)
+    panel = one_flat_window_panel()
     with pytest.raises(MissingVertexError):
         evolve(panel, WindowSpec(40, 40), "C")
 
@@ -150,8 +158,9 @@ def test_window_with_one_usable_company_raises():
     returns[1, :] = 1.0
     days = [date(2005, 1, 4) + timedelta(days=t) for t in range(60)]
     panel = ReturnPanel(["A", "B"], days, returns)
-    with pytest.raises(InsufficientDataError):
-        evolve(panel, WindowSpec(60, 10), "A")
+    for center in ("A", "B"):  # a flat center too: too few companies is reported first
+        with pytest.raises(InsufficientDataError):
+            evolve(panel, WindowSpec(60, 10), center)
 
 
 def test_trailing_columns_only_affect_the_last_window():
