@@ -32,14 +32,12 @@ from .metrics import (
     DegreeDistribution,
     PhaseLabel,
     PowerLawFit,
-    SuperhubReport,
     TreeSummary,
     PHASE_MULTI_HUB,
     PHASE_POWER_LAW,
     PHASE_SUPERHUB,
     classify_phase,
     degree_distribution,
-    detect_superhub,
     fit_power_law,
     mean_occupation_layer,
     normalized_tree_length,
@@ -52,6 +50,7 @@ from .rolling import (
     WindowSpec,
     detect_transitions,
     evolve,
+    window_tree,
     window_trees,
     windows,
 )

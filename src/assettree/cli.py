@@ -32,7 +32,7 @@ from .metrics import (
     summarize,
 )
 from .mst import prim_mst
-from .rolling import WindowSpec, detect_transitions, evolve
+from .rolling import WindowSpec, detect_transitions, evolve, window_tree
 from .synth import EPOCH, FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
 DEFAULT_WINDOW = 250
@@ -100,7 +100,7 @@ def cmd_analyze(args, stage: Stage) -> None:
     tree = prim_mst(dist)
     stage.name = "metrics"
     summary = summarize(tree, args.tau, args.gap, args.tau_hub)
-    fit, report = summary.fit, summary.superhub
+    fit, label = summary.fit, summary.phase
     config = {
         "input": path,
         "start": period[0].isoformat(),
@@ -129,15 +129,15 @@ def cmd_analyze(args, stage: Stage) -> None:
             "excluded_degrees": list(fit.excluded_degrees),
         },
         "superhub": {
-            "is_superhub": report.is_superhub,
-            "hub_ticker": report.hub_ticker,
-            "k_max": report.k_max,
-            "k_second": report.k_second,
-            "log_residual": _jf(report.log_residual),
-            "degree_gap_ratio": report.degree_gap_ratio,
+            "is_superhub": label.is_superhub,
+            "hub_ticker": summary.center,
+            "k_max": label.k_max,
+            "k_second": label.k_second,
+            "log_residual": _jf(label.log_residual),
+            "degree_gap_ratio": label.degree_gap_ratio,
         },
-        "phase": summary.phase.phase,
-        "n_outlier_hubs": summary.phase.n_outlier_hubs,
+        "phase": label.phase,
+        "n_outlier_hubs": label.n_outlier_hubs,
     }
     stage.name = "export"
     out.mkdir(parents=True, exist_ok=True)
@@ -161,8 +161,7 @@ def cmd_evolve(args, stage: Stage) -> None:
     center = args.center
     if center is None:
         # Data-driven default: the dominant vertex of the whole period.
-        full_tree = prim_mst(to_distance(pearson_matrix(returns)))
-        center = summarize(full_tree).center
+        center = summarize(window_tree(returns, 0, len(returns.dates))[0]).center
     series = evolve(returns, spec, center, args.tau, args.gap, args.tau_hub)
     report = detect_transitions(series)
     stage.name = "export"

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InsufficientDataError, InvariantError
+from .errors import DegenerateSeriesError, InsufficientDataError
 from .ingestion import ReturnPanel
-
-# Numerical overshoot of |rho| beyond 1 tolerated before clamping.
-CLAMP_EPS = 1e-12
 
 
 @dataclass
@@ -52,13 +49,7 @@ def pearson_matrix(panel: ReturnPanel) -> CorrelationMatrix:
     if flat.size:
         raise DegenerateSeriesError([panel.tickers[i] for i in flat])
 
-    rho = np.corrcoef(r)
-    overshoot = np.abs(rho).max() - 1.0
-    if overshoot > CLAMP_EPS:
-        raise InvariantError(
-            "correlation overshoot %.3e exceeds clamp tolerance" % overshoot
-        )
-    np.clip(rho, -1.0, 1.0, out=rho)
+    rho = np.corrcoef(r)  # already clipped to [-1, 1] by numpy
     # Exact symmetry and an exact unit diagonal, independent of BLAS details.
     upper = np.triu(rho, 1)
     rho = upper + upper.T

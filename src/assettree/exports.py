@@ -92,10 +92,10 @@ def read_tree_edges(path) -> Tree:
     return tree
 
 
-def write_dot(path, tree: Tree, name: str = "assettree") -> None:
+def write_dot(path, tree: Tree) -> None:
     """Undirected DOT graph with weight attributes at full precision."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("graph %s {\n" % name)
+        fh.write("graph assettree {\n")
         for ticker in tree.tickers:
             fh.write('  "%s";\n' % ticker)
         for i, j, w in zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()):

@@ -152,6 +152,9 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
             reject(line_number, "empty ticker", row)
             continue
         try:
+            # float() alone would also take "1_000" and non-ASCII digits.
+            if "_" in price_text or not price_text.isascii():
+                raise ValueError
             price = float(price_text)
         except ValueError:
             reject(line_number, "unparseable price %r" % price_text, row)

@@ -61,19 +61,16 @@ class PowerLawFit:
 
 
 @dataclass
-class SuperhubReport:
+class PhaseLabel:
+    """One tree's phase and every number that decided it."""
+
+    phase: str
+    n_outlier_hubs: int
     is_superhub: bool
-    hub_ticker: str | None
     k_max: int
     k_second: int
     log_residual: float
     degree_gap_ratio: float
-
-
-@dataclass
-class PhaseLabel:
-    phase: str
-    n_outlier_hubs: int
 
 
 @dataclass
@@ -82,7 +79,6 @@ class TreeSummary:
 
     distribution: DegreeDistribution
     fit: PowerLawFit | None
-    superhub: SuperhubReport
     phase: PhaseLabel
     center: str
     ntl: float
@@ -196,19 +192,21 @@ def mean_occupation_layer(tree: Tree, central: str) -> float:
     return sum(level) / tree.n
 
 
-def detect_superhub(
+def classify_phase(
     dist: DegreeDistribution,
     fit: PowerLawFit | None,
     residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD,
     gap_ratio: float = DEFAULT_GAP_RATIO,
-) -> SuperhubReport:
-    """Decide whether the maximal degree is a lone extreme outlier.
+    hub_threshold: float = DEFAULT_HUB_THRESHOLD,
+) -> PhaseLabel:
+    """Label the tree topology for one window.
 
     A superhub must both sit `residual_threshold` decades above the
     fitted line and lead the runner-up degree by `gap_ratio`. When no
     fit exists (fewer than 3 distinct degrees, e.g. a pure star) the
     residual test is replaced by requiring k_max to be large in
-    absolute terms: at least 4 and at least a quarter of N-1.
+    absolute terms: at least 4 and at least a quarter of N-1, and no
+    degree counts as an outlier hub.
     """
     ks = sorted(dist.counts)
     k_max = ks[-1]
@@ -220,35 +218,18 @@ def detect_superhub(
     if fit is not None:
         log_residual = fit.residuals[k_max]
         is_superhub = log_residual >= residual_threshold and ratio >= gap_ratio
+        n_hubs = sum(1 for r in fit.residuals.values() if r >= hub_threshold)
     else:
         log_residual = float("nan")
         is_superhub = ratio >= gap_ratio and k_max >= max(4, 0.25 * (dist.n_vertices - 1))
-    return SuperhubReport(
-        is_superhub=is_superhub,
-        hub_ticker=dist.hub_ticker,
-        k_max=k_max,
-        k_second=k_second,
-        log_residual=log_residual,
-        degree_gap_ratio=ratio,
-    )
-
-
-def classify_phase(
-    dist: DegreeDistribution,
-    fit: PowerLawFit | None,
-    report: SuperhubReport,
-    hub_threshold: float = DEFAULT_HUB_THRESHOLD,
-) -> PhaseLabel:
-    """Label the tree topology for one window."""
-    if fit is None:
         n_hubs = 0
+    if is_superhub:
+        phase = PHASE_SUPERHUB
+    elif n_hubs >= 2:
+        phase = PHASE_MULTI_HUB
     else:
-        n_hubs = sum(1 for r in fit.residuals.values() if r >= hub_threshold)
-    if report.is_superhub:
-        return PhaseLabel(PHASE_SUPERHUB, n_hubs)
-    if n_hubs >= 2:
-        return PhaseLabel(PHASE_MULTI_HUB, n_hubs)
-    return PhaseLabel(PHASE_POWER_LAW, n_hubs)
+        phase = PHASE_POWER_LAW
+    return PhaseLabel(phase, n_hubs, is_superhub, k_max, k_second, log_residual, ratio)
 
 
 def summarize(
@@ -257,19 +238,16 @@ def summarize(
     gap_ratio: float = DEFAULT_GAP_RATIO,
     hub_threshold: float = DEFAULT_HUB_THRESHOLD,
 ) -> TreeSummary:
-    """Degrees, fit (None if underdetermined), superhub, phase, NTL, MOL."""
+    """Degrees, fit (None if underdetermined), phase, center, NTL, MOL."""
     dist = degree_distribution(tree)
     try:
         fit = fit_power_law(dist, drop_threshold=residual_threshold)
     except UnderdeterminedFitError:
         fit = None
-    report = detect_superhub(dist, fit, residual_threshold, gap_ratio)
-    label = classify_phase(dist, fit, report, hub_threshold)
     return TreeSummary(
         distribution=dist,
         fit=fit,
-        superhub=report,
-        phase=label,
+        phase=classify_phase(dist, fit, residual_threshold, gap_ratio, hub_threshold),
         center=dist.hub_ticker,
         ntl=normalized_tree_length(tree),
         mol_dynamic=mean_occupation_layer(tree, dist.hub_ticker),

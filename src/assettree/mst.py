@@ -235,7 +235,7 @@ def check_tree(tree: Tree) -> None:
     for i, j, w in zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()):
         if not (0 <= i < j < n):
             raise InvariantError("bad edge endpoints (%d, %d)" % (i, j))
-        if w < 0:
-            raise InvariantError("negative edge weight %r" % w)
+        if not 0 <= w < math.inf:
+            raise InvariantError("edge weight %r outside [0, inf)" % w)
         if not uf.union(i, j):
             raise InvariantError("cycle through edge (%d, %d)" % (i, j))

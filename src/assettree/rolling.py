@@ -1,12 +1,13 @@
 """Sliding-window pipeline: per-window trees, metrics, and transitions.
 
-`window_trees` turns each window of the return panel into a tree
-(correlation, distance, Prim); `evolve` summarizes each tree into one
-series row (metrics, phase label). Two occupation-layer series come
-out: one measured from a fixed static center, one from each window's
-own maximal-degree vertex. The transition report then locates the
-global minima of tree length and dynamic occupation layer, lists every
-phase change, and extracts maximal runs of the superhub phase.
+`window_tree` turns one window of the return panel into a tree
+(correlation, distance, Prim) and `window_trees` yields one per window;
+`evolve` summarizes each tree into one series row (metrics, phase
+label). Two occupation-layer series come out: one measured from a fixed
+static center, one from each window's own maximal-degree vertex. The
+transition report then locates the global minima of tree length and
+dynamic occupation layer, lists every phase change, and extracts
+maximal runs of the superhub phase.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class MetricSeries:
     k_max: list[int]
     phase: list[str]
     dynamic_center: list[str]
-    window_starts: list[int] = field(default_factory=list)
     dropped: list[tuple[str, ...]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -88,31 +88,38 @@ def windows(panel: ReturnPanel, spec: WindowSpec) -> list[tuple[int, int]]:
     return [(s, s + spec.width) for s in range(0, t - spec.width + 1, spec.step)]
 
 
+def window_tree(
+    panel: ReturnPanel, start: int, end: int
+) -> tuple[Tree, tuple[str, ...]]:
+    """The tree of columns [start, end) and the companies it leaves out.
+
+    This is the only place a window becomes a tree: slice, Pearson,
+    distance, Prim. A company whose returns have zero variance in the
+    window is left out of its tree and named in `dropped`.
+    """
+    returns = panel.returns[:, start:end]
+    dates = panel.dates[start:end]
+    dropped: tuple[str, ...] = ()
+    try:
+        corr = pearson_matrix(ReturnPanel(panel.tickers, dates, returns))
+    except DegenerateSeriesError as err:
+        keep = [k for k, t in enumerate(panel.tickers) if t not in err.tickers]
+        if len(keep) < 2:
+            raise InsufficientDataError(
+                "window [%d, %d) has fewer than 2 usable companies" % (start, end)
+            ) from err
+        dropped = err.tickers
+        kept = ReturnPanel([panel.tickers[k] for k in keep], dates, returns[keep, :])
+        corr = pearson_matrix(kept)
+    return prim_mst(to_distance(corr)), dropped
+
+
 def window_trees(
     panel: ReturnPanel, spec: WindowSpec
 ) -> Iterator[tuple[int, int, Tree, tuple[str, ...]]]:
-    """Yield (start, end, tree, dropped) per window, holding one tree at a time.
-
-    This is the only place a window becomes a tree: slice, Pearson,
-    distance, Prim. A company whose returns have zero variance in a
-    window is left out of that window's tree and named in `dropped`.
-    """
+    """Yield (start, end, tree, dropped) per window, holding one tree at a time."""
     for start, end in windows(panel, spec):
-        returns = panel.returns[:, start:end]
-        dates = panel.dates[start:end]
-        dropped: tuple[str, ...] = ()
-        try:
-            corr = pearson_matrix(ReturnPanel(panel.tickers, dates, returns))
-        except DegenerateSeriesError as err:
-            keep = [k for k, t in enumerate(panel.tickers) if t not in err.tickers]
-            if len(keep) < 2:
-                raise InsufficientDataError(
-                    "window [%d, %d) has fewer than 2 usable companies" % (start, end)
-                ) from err
-            dropped = err.tickers
-            kept = ReturnPanel([panel.tickers[k] for k in keep], dates, returns[keep, :])
-            corr = pearson_matrix(kept)
-        yield start, end, prim_mst(to_distance(corr)), dropped
+        yield (start, end, *window_tree(panel, start, end))
 
 
 def evolve(
@@ -138,12 +145,11 @@ def evolve(
                 % (static_center, start, end)
             )
         summary = summarize(tree, residual_threshold, gap_ratio, hub_threshold)
-        series.window_starts.append(start)
         series.window_end_dates.append(panel.dates[end - 1])
         series.ntl.append(summary.ntl)
         series.mol_static.append(mean_occupation_layer(tree, static_center))
         series.mol_dynamic.append(summary.mol_dynamic)
-        series.k_max.append(summary.superhub.k_max)
+        series.k_max.append(summary.phase.k_max)
         series.phase.append(summary.phase.phase)
         series.dynamic_center.append(summary.center)
         series.dropped.append(dropped)

@@ -20,13 +20,12 @@ from assettree.metrics import (
     PHASE_SUPERHUB,
     classify_phase,
     degree_distribution,
-    detect_superhub,
     fit_power_law,
     mean_occupation_layer,
     normalized_tree_length,
 )
 from assettree.mst import brute_force_mst, kruskal_mst, prim_mst
-from assettree.rolling import WindowSpec, detect_transitions, evolve
+from assettree.rolling import WindowSpec, detect_transitions, evolve, windows
 from assettree.synth import (
     FactorModelParams,
     HubRegimeParams,
@@ -124,17 +123,16 @@ def test_superhub_detector_splits_market_shaped_histograms():
     lone = dist_of({1: 109, 2: 18, 3: 6, 4: 3, 5: 2, 6: 1, 7: 1, 8: 1, 53: 1})
     assert lone.n_vertices == 142
     fit = fit_power_law(lone)
-    report = detect_superhub(lone, fit)
-    assert report.is_superhub
+    assert classify_phase(lone, fit).is_superhub
 
     spread = dist_of(
         {1: 210, 2: 35, 3: 12, 4: 6, 5: 3, 6: 2, 18: 1, 20: 1, 23: 1, 25: 1, 27: 1, 30: 1}
     )
     assert spread.n_vertices == 274
     fit = fit_power_law(spread)
-    report = detect_superhub(spread, fit)
-    assert not report.is_superhub
-    assert classify_phase(spread, fit, report).phase == PHASE_MULTI_HUB
+    label = classify_phase(spread, fit)
+    assert not label.is_superhub
+    assert label.phase == PHASE_MULTI_HUB
 
 
 REGIME = (250, 500)
@@ -144,7 +142,8 @@ E2E_WIDTH = 125
 def _crash_series(seed):
     base = FactorModelParams(50, 750, (0.0,) * 50, 1.0, seed)
     panel = hub_regime_returns(HubRegimeParams(base, 7, 0.9, REGIME))
-    return evolve(panel, WindowSpec(E2E_WIDTH, 25), "V0007")
+    spec = WindowSpec(E2E_WIDTH, 25)
+    return evolve(panel, spec, "V0007"), [start for start, _ in windows(panel, spec)]
 
 
 def _overlaps(start):
@@ -156,9 +155,8 @@ def test_end_to_end_crash_detection_over_twenty_seeds():
     overlap_hits = ntl_hits = mol_hits = 0
     center_hits = in_regime_windows = 0
     for seed in range(20):
-        series = _crash_series(seed)
+        series, starts = _crash_series(seed)
         report = detect_transitions(series)
-        starts = series.window_starts
         if any(
             _overlaps(starts[a]) or _overlaps(starts[b])
             for a, b, _ in report.superhub_intervals

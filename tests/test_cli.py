@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -211,6 +212,30 @@ def test_evolve_rejects_bad_window(star_prices, tmp_path):
     ) == 2
 
 
+def test_evolve_default_center_leaves_out_a_company_flat_all_period(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((6, 200)), axis=1))
+    prices[3] = 50.0
+    days = [date(2005, 1, 3) + timedelta(days=t) for t in range(200)]
+    path = tmp_path / "prices.csv"
+    path.write_text(
+        "date,ticker,close\n"
+        + "".join("%s,T%d,%r\n" % (d, k, p) for k, row in enumerate(prices.tolist()) for d, p in zip(days, row))
+    )
+    spec = ["--window", "60", "--step", "20"]
+    assert main(["evolve", str(path), *spec, "--out", str(tmp_path / "auto")]) == 0
+    report = json.loads((tmp_path / "auto" / "transitions.json").read_text())
+    center = report["static_center"]
+    assert center != "T3"
+    assert report["window_drops"] == {str(k): ["T3"] for k in range(7)}
+    assert main(["evolve", str(path), *spec, "--center", center, "--out", str(tmp_path / "fixed")]) == 0
+    for name in ("series.csv", "transitions.json"):
+        assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "fixed" / name).read_bytes()
+    capsys.readouterr()
+    assert main(["analyze", str(path), "--out", str(tmp_path / "one")]) == 2
+    assert capsys.readouterr().err.startswith("correlation: ")
+
+
 def test_evolve_is_byte_deterministic(star_prices, tmp_path):
     outs = []
     for sub in ("r1", "r2"):
@@ -260,6 +285,9 @@ CLI_FAILURES = [
     pytest.param(
         ["export-dot", "{tmp}/count.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-vertex-count"
     ),
+    pytest.param(
+        ["export-dot", "{tmp}/nan.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-nan-weight"
+    ),
 ]
 
 
@@ -280,6 +308,7 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     (tmp_path / "cycle.edges").write_text("# n_vertices: 2\nA,B,0.5\nB,A,0.25\n")
     (tmp_path / "empty.edges").write_text("# n_vertices: 0\n")
     (tmp_path / "count.edges").write_text("# n_vertices: 5\nA,B,0.5\n")
+    (tmp_path / "nan.edges").write_text("# n_vertices: 3\nA,B,nan\nB,C,inf\n")
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()

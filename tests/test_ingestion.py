@@ -74,6 +74,22 @@ def test_parse_accepts_only_yyyy_mm_dd_dates(text):
     ]
 
 
+@pytest.mark.parametrize("text", ["1_000", "1_0.5", "\u0661\u0662\u0663", "\uff15", "5\u00b2"])
+def test_parse_accepts_only_ascii_decimal_prices(text):
+    result = parse_price_table(HEADER + "2005-01-03,KGHM,%s\n2005-01-04,KGHM,32.0\n" % text)
+    assert result.dates == [date(2005, 1, 4)]
+    assert [(r.line_number, r.reason) for r in result.rejected] == [
+        (2, "unparseable price %r" % text)
+    ]
+
+
+@pytest.mark.parametrize("text, value", [("1e+20", 1e20), ("+5", 5.0), (".5", 0.5), ("2E-3", 0.002)])
+def test_parse_keeps_signs_and_exponents_in_prices(text, value):
+    result = parse_price_table(HEADER + "2005-01-03,KGHM,%s\n" % text)
+    assert result.prices.tolist() == [[value]]
+    assert result.rejected == []
+
+
 def test_parse_sorts_out_of_order_dates():
     text = HEADER + (
         "2005-01-05,KGHM,33.0\n"

@@ -11,7 +11,6 @@ from assettree.metrics import (
     PHASE_SUPERHUB,
     classify_phase,
     degree_distribution,
-    detect_superhub,
     fit_power_law,
     mean_occupation_layer,
     normalized_tree_length,
@@ -172,34 +171,32 @@ def test_mol_at_dynamic_center_is_bounded_below_by_best_vertex():
 def test_lone_dominant_hub_is_a_superhub():
     dist = dist_of(LONE_HUB)
     fit = fit_power_law(dist)
-    report = detect_superhub(dist, fit)
+    report = classify_phase(dist, fit)
     assert report.is_superhub
     assert report.k_max == 53
     assert report.k_second == 8
     assert report.degree_gap_ratio == pytest.approx(53 / 8)
     assert report.log_residual >= 0.8
-    assert report.hub_ticker == "HUB"
-    assert classify_phase(dist, fit, report).phase == PHASE_SUPERHUB
+    assert report.phase == PHASE_SUPERHUB
 
 
 def test_six_near_hubs_are_not_a_superhub():
     dist = dist_of(SIX_HUBS)
     fit = fit_power_law(dist)
-    report = detect_superhub(dist, fit)
-    assert not report.is_superhub
-    assert report.k_max == 30
-    assert report.k_second == 27
-    assert report.degree_gap_ratio < 1.6
-    label = classify_phase(dist, fit, report)
+    label = classify_phase(dist, fit)
+    assert not label.is_superhub
+    assert label.k_max == 30
+    assert label.k_second == 27
+    assert label.degree_gap_ratio < 1.6
     assert label.phase == PHASE_MULTI_HUB
     assert label.n_outlier_hubs == 6
 
 
 def test_path_graph_is_never_a_superhub():
     dist = degree_distribution(chain_tree(40))
-    report = detect_superhub(dist, None)
+    report = classify_phase(dist, None)
     assert not report.is_superhub
-    assert classify_phase(dist, None, report).phase == PHASE_POWER_LAW
+    assert report.phase == PHASE_POWER_LAW
 
 
 def test_pure_star_classifies_as_superhub_without_a_fit():
@@ -208,17 +205,16 @@ def test_pure_star_classifies_as_superhub_without_a_fit():
         dist = degree_distribution(tree)
         with pytest.raises(UnderdeterminedFitError):
             fit_power_law(dist)
-        report = detect_superhub(dist, None)
+        report = classify_phase(dist, None)
         assert report.is_superhub
-        assert classify_phase(dist, None, report).phase == PHASE_SUPERHUB
+        assert report.phase == PHASE_SUPERHUB
 
 
 def test_exact_power_law_classifies_as_power_law():
     dist = dist_of(exact_power_counts(-2.62, range(1, 16)), hub=None)
     fit = fit_power_law(dist)
-    report = detect_superhub(dist, fit)
-    assert not report.is_superhub
-    label = classify_phase(dist, fit, report)
+    label = classify_phase(dist, fit)
+    assert not label.is_superhub
     assert label.phase == PHASE_POWER_LAW
     assert label.n_outlier_hubs == 0
 
@@ -228,7 +224,7 @@ def test_superhub_decision_invariant_under_relabeling():
     renamed = Tree.from_edges(["Z%03d" % (149 - i) for i in range(150)], tree.i, tree.j, tree.w)
     d1, d2 = degree_distribution(tree), degree_distribution(renamed)
     f1, f2 = fit_power_law(d1), fit_power_law(d2)
-    r1, r2 = detect_superhub(d1, f1), detect_superhub(d2, f2)
+    r1, r2 = classify_phase(d1, f1), classify_phase(d2, f2)
     assert d1.counts == d2.counts
     assert r1.is_superhub == r2.is_superhub
     assert r1.degree_gap_ratio == r2.degree_gap_ratio
@@ -243,14 +239,13 @@ def test_summarize_matches_the_chain_step_by_step(tree):
         fit = fit_power_law(dist)
     except UnderdeterminedFitError:
         fit = None
-    report = detect_superhub(dist, fit)
+    label = classify_phase(dist, fit)
     deg = tree.degrees()
     center = min(t for t, k in zip(tree.tickers, deg) if k == deg.max())
     assert summary.distribution == dist
     assert summary.fit == fit
-    assert repr(summary.superhub) == repr(report)  # log_residual is NaN without a fit
-    assert summary.phase == classify_phase(dist, fit, report)
+    assert repr(summary.phase) == repr(label)  # log_residual is NaN without a fit
     assert summary.center == center
-    assert summary.superhub.k_max == int(tree.degrees().max())
+    assert summary.phase.k_max == int(tree.degrees().max())
     assert summary.ntl == normalized_tree_length(tree)
     assert summary.mol_dynamic == mean_occupation_layer(tree, center)

@@ -168,6 +168,13 @@ def test_check_tree_rejects_a_cycle():
         check_tree(tree)
 
 
+@pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf")])
+def test_check_tree_rejects_a_weight_outside_zero_to_infinity(weight):
+    tree = Tree.from_edges(tickers_for(3), [0, 1], [1, 2], [0.5, weight])
+    with pytest.raises(InvariantError, match="edge weight %r" % weight):
+        check_tree(tree)
+
+
 def test_every_builder_returns_canonical_edge_columns(rng, tmp_path):
     # Unsorted tickers, so vertex order and ticker order disagree.
     shuffled = dist_from_array(random_dist(rng, 7).d, ["G", "C", "A", "F", "B", "E", "D"])
