@@ -43,7 +43,15 @@ from .metrics import (
     normalized_tree_length,
     summarize,
 )
-from .mst import Tree, UnionFind, brute_force_mst, check_tree, kruskal_mst, prim_mst
+from .mst import (
+    Tree,
+    UnionFind,
+    brute_force_mst,
+    check_tree,
+    kruskal_mst,
+    prim_batch,
+    prim_mst,
+)
 from .rolling import (
     MetricSeries,
     TransitionReport,

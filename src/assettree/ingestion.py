@@ -2,7 +2,8 @@
 
 Input is CSV text with a header row and one record per line. The
 header names the columns `date` (YYYY-MM-DD), `ticker` and `close`, in
-any order; other columns are ignored. Records may arrive in any order;
+any order; other columns are ignored. Fields and header names are
+stripped of ASCII whitespace only. Records may arrive in any order;
 they are read line by line into one ticker x date grid of prices, NaN
 where a ticker has no record. A company enters an aligned panel only if
 it has a price on every trading day of the requested period, where the
@@ -30,6 +31,10 @@ from .errors import DuplicateRecordError, FormatError, InsufficientDataError
 COLUMNS = ("date", "ticker", "close")
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+# Stripped from each field and header name. ASCII only, like the date and
+# price grammar: a non-ASCII space stays in the field and fails it.
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 @dataclass
@@ -117,7 +122,7 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
         header = next(reader)
     except StopIteration:
         raise FormatError("missing header row")
-    names = [h.strip() for h in header]
+    names = [h.strip(_ASCII_WHITESPACE) for h in header]
     if any(names.count(c) != 1 for c in COLUMNS):
         raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
     pick = itemgetter(*(names.index(c) for c in COLUMNS))
@@ -137,7 +142,10 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
         if len(row) != width:
             reject(line_number, "expected %d fields, got %d" % (width, len(row)), row)
             continue
-        date_text, ticker, price_text = map(str.strip, pick(row))
+        date_text, ticker, price_text = pick(row)
+        date_text = date_text.strip(_ASCII_WHITESPACE)
+        ticker = ticker.strip(_ASCII_WHITESPACE)
+        price_text = price_text.strip(_ASCII_WHITESPACE)
         ordinal = ordinal_of_text.get(date_text)
         if ordinal is None:
             try:

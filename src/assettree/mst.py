@@ -1,9 +1,11 @@
 """Minimal spanning tree construction over complete distance graphs.
 
-Two production algorithms (Prim on a dense matrix, Kruskal over sorted
-edges) plus an exhaustive oracle for small N. All three resolve ties the
-same way: edges are ordered by (weight, ticker pair), where the ticker
-pair is compared lexicographically with the smaller ticker first. That
+One Prim kernel, `prim_batch`, builds the trees of a stack of B dense
+distance matrices in one call; `prim_mst` is its B = 1 call. Two
+independent references check it: Kruskal over sorted edges and an
+exhaustive oracle for small N. All three resolve ties the same way:
+edges are ordered by (weight, ticker pair), where the ticker pair is
+compared lexicographically with the smaller ticker first. That
 refinement makes the minimum tree unique, so all three return identical
 edge sets even when many weights coincide: the oracle is exact under
 ties, not just minimal in total weight.
@@ -111,42 +113,56 @@ def _edge_order(dist: DistanceMatrix):
     return iu, ju, w, np.lexsort((_pair_key(rank, iu, ju), w))
 
 
-def prim_mst(dist: DistanceMatrix) -> Tree:
-    """Dense O(N^2) Prim starting from the lexicographically first ticker."""
-    n = len(dist.tickers)
+def prim_batch(
+    d: np.ndarray, rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense O(N^2) Prim on a stack of B distance matrices at once.
+
+    `d` has shape (B, N, N); all B graphs share the vertex ranks `rank`
+    (see `_ticker_ranks`), so each tree starts from the lexicographically
+    first ticker and breaks ties by (weight, ticker pair). Returns
+    (src, dst, w), each of shape (B, N-1): edge e of tree b joins
+    src[b, e] and dst[b, e] with weight w[b, e] = d[b, src[b, e], dst[b, e]].
+    """
+    nb, n, _ = d.shape
     if n < 2:
         raise InsufficientDataError("spanning tree needs at least 2 vertices")
-    d = dist.d
-    rank = _ticker_ranks(dist.tickers)
+    rows = np.arange(nb)
     start = int(np.argmin(rank))
-
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[start] = True
-    best_w = d[start].copy()
-    best_from = np.full(n, start, dtype=np.int64)
-    src = np.empty(n - 1, dtype=np.int64)
-    dst = np.empty(n - 1, dtype=np.int64)
+    # Cheapest known edge into the tree per vertex, NaN once the vertex is
+    # in it: NaN never compares true, and fmin skips it.
+    best_w = d[:, start].astype(np.float64)
+    best_w[:, start] = np.nan
+    best_from = np.full((nb, n), start, dtype=np.int64)
+    src = np.empty((nb, n - 1), dtype=np.int64)
+    dst = np.empty((nb, n - 1), dtype=np.int64)
     for step in range(n - 1):
-        w = np.where(in_tree, np.inf, best_w)
-        cand = np.flatnonzero(w == w.min())
-        if cand.size > 1:
+        cand = best_w == np.fmin.reduce(best_w, axis=1, keepdims=True)
+        if np.count_nonzero(cand) > nb:
             # Equal-weight frontier edges: take the smallest ticker pair.
-            v = int(cand[np.argmin(_pair_key(rank, best_from[cand], cand))])
+            key = _pair_key(rank, best_from, np.arange(n))
+            v = np.where(cand, key, np.iinfo(np.int64).max).argmin(axis=1)
         else:
-            v = int(cand[0])
-        src[step], dst[step] = best_from[v], v
-        in_tree[v] = True
+            v = cand.argmax(axis=1)
+        src[:, step] = best_from[rows, v]
+        dst[:, step] = v
+        best_w[rows, v] = np.nan
 
-        dv = d[v]
-        out = ~in_tree
-        better = out & (dv < best_w)
-        ties = np.flatnonzero(out & (dv == best_w))
-        if ties.size:
-            upgrade = _pair_key(rank, v, ties) < _pair_key(rank, best_from[ties], ties)
-            better[ties[upgrade]] = True
-        best_from[better] = v
-        best_w[better] = dv[better]
-    return Tree.from_edges(dist.tickers, src, dst, d[src, dst])
+        dv = d[rows, v]
+        better = dv < best_w
+        ties = dv == best_w
+        if ties.any():
+            tb, tu = np.nonzero(ties)
+            better[tb, tu] = _pair_key(rank, v[tb], tu) < _pair_key(rank, best_from[tb, tu], tu)
+        np.copyto(best_w, dv, where=better)
+        np.copyto(best_from, v[:, None], where=better)
+    return src, dst, d[rows[:, None], src, dst]
+
+
+def prim_mst(dist: DistanceMatrix) -> Tree:
+    """Prim on one distance matrix: the B = 1 call of `prim_batch`."""
+    src, dst, w = prim_batch(dist.d[None], _ticker_ranks(dist.tickers))
+    return Tree.from_edges(dist.tickers, src[0], dst[0], w[0])
 
 
 def kruskal_mst(dist: DistanceMatrix) -> Tree:

@@ -1,7 +1,8 @@
 """Sliding-window pipeline: per-window trees, metrics, and transitions.
 
 `window_tree` turns one window of the return panel into a tree
-(correlation, distance, Prim) and `window_trees` yields one per window;
+(correlation, distance, Prim). `window_trees` yields one per window; it
+builds the trees of a chunk of windows with one batched Prim call.
 `evolve` summarizes each tree into one series row (metrics, phase
 label). Two occupation-layer series come out: one measured from a fixed
 static center, one from each window's own maximal-degree vertex. The
@@ -20,7 +21,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .correlation import pearson_matrix, to_distance
+from .correlation import DistanceMatrix, pearson_matrix, to_distance
 from .errors import (
     ConfigurationError,
     DegenerateSeriesError,
@@ -36,7 +37,7 @@ from .metrics import (
     mean_occupation_layer,
     summarize,
 )
-from .mst import Tree, prim_mst
+from .mst import Tree, _ticker_ranks, prim_batch, prim_mst
 
 MIN_WINDOW_WIDTH = 30
 
@@ -88,14 +89,13 @@ def windows(panel: ReturnPanel, spec: WindowSpec) -> list[tuple[int, int]]:
     return [(s, s + spec.width) for s in range(0, t - spec.width + 1, spec.step)]
 
 
-def window_tree(
+def _window_distances(
     panel: ReturnPanel, start: int, end: int
-) -> tuple[Tree, tuple[str, ...]]:
-    """The tree of columns [start, end) and the companies it leaves out.
+) -> tuple[DistanceMatrix, tuple[str, ...]]:
+    """Distances of columns [start, end) and the companies they leave out.
 
-    This is the only place a window becomes a tree: slice, Pearson,
-    distance, Prim. A company whose returns have zero variance in the
-    window is left out of its tree and named in `dropped`.
+    A company whose returns have zero variance in the window is left out
+    and named in `dropped`; fewer than 2 companies left is an error.
     """
     returns = panel.returns[:, start:end]
     dates = panel.dates[start:end]
@@ -111,15 +111,62 @@ def window_tree(
         dropped = err.tickers
         kept = ReturnPanel([panel.tickers[k] for k in keep], dates, returns[keep, :])
         corr = pearson_matrix(kept)
-    return prim_mst(to_distance(corr)), dropped
+    return to_distance(corr), dropped
+
+
+def window_tree(
+    panel: ReturnPanel, start: int, end: int
+) -> tuple[Tree, tuple[str, ...]]:
+    """The tree of columns [start, end) and the companies it leaves out.
+
+    Slice, Pearson, distance, Prim. A company whose returns have zero
+    variance in the window is left out of its tree and named in `dropped`.
+    """
+    dist, dropped = _window_distances(panel, start, end)
+    return prim_mst(dist), dropped
 
 
 def window_trees(
     panel: ReturnPanel, spec: WindowSpec
 ) -> Iterator[tuple[int, int, Tree, tuple[str, ...]]]:
-    """Yield (start, end, tree, dropped) per window, holding one tree at a time."""
-    for start, end in windows(panel, spec):
-        yield (start, end, *window_tree(panel, start, end))
+    """Yield (start, end, tree, dropped) per window, in window order.
+
+    This is the only place the windows of a panel become trees. They are
+    taken in chunks of B = max(1, 2T // N) for N companies and T return
+    columns, so the chunk's (B, N, N) distance stack holds no more values
+    than twice the returns. One `prim_batch` call builds the trees of a
+    chunk's full windows. A window that leaves a company out has fewer
+    vertices and goes through `prim_mst` on its own. A window that fails
+    raises only after every window before it has been yielded.
+    """
+    spans = windows(panel, spec)
+    n, t = panel.returns.shape
+    size = max(1, 2 * t // n)
+    rank = _ticker_ranks(panel.tickers)
+    stack = np.empty((min(size, len(spans)), n, n))
+    for first in range(0, len(spans), size):
+        held = []  # (start, end, tree, dropped), tree None while in the stack
+        filled = 0
+        failure = None
+        for start, end in spans[first : first + size]:
+            try:
+                dist, dropped = _window_distances(panel, start, end)
+            except InsufficientDataError as err:
+                failure = err
+                break
+            if dropped:
+                held.append((start, end, prim_mst(dist), dropped))
+            else:
+                stack[filled] = dist.d
+                filled += 1
+                held.append((start, end, None, dropped))
+        batched = zip(*prim_batch(stack[:filled], rank)) if filled else iter(())
+        for start, end, tree, dropped in held:
+            if tree is None:
+                tree = Tree.from_edges(panel.tickers, *next(batched))
+            yield start, end, tree, dropped
+        if failure is not None:
+            raise failure
 
 
 def evolve(

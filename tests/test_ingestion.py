@@ -83,6 +83,26 @@ def test_parse_accepts_only_ascii_decimal_prices(text):
     ]
 
 
+@pytest.mark.parametrize("space", ["\u3000", "\u00a0", "\u2003", "\x85"])
+def test_parse_strips_ascii_whitespace_only(space):
+    text = HEADER + (
+        "2005-01-03 ,KGHM,5%s\n"
+        "%s2005-01-04,KGHM,6\n"
+        "2005-01-05,KGHM%s,7\n"
+        " 2005-01-05\t,\x0bKGHM\x0c, 8 \n"
+    ) % (space, space, space)
+    result = parse_price_table(text)
+    assert [(r.line_number, r.reason) for r in result.rejected] == [
+        (2, "unparseable price %r" % ("5" + space)),
+        (3, "unparseable date %r" % (space + "2005-01-04")),
+    ]
+    assert result.tickers == ["KGHM" + space, "KGHM"]
+    assert result.dates == [date(2005, 1, 5)]
+    assert result.prices.tolist() == [[7.0], [8.0]]
+    with pytest.raises(FormatError, match="malformed header"):
+        parse_price_table("date,ticker,close%s\n" % space)
+
+
 @pytest.mark.parametrize("text, value", [("1e+20", 1e20), ("+5", 5.0), (".5", 0.5), ("2E-3", 0.002)])
 def test_parse_keeps_signs_and_exponents_in_prices(text, value):
     result = parse_price_table(HEADER + "2005-01-03,KGHM,%s\n" % text)

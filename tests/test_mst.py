@@ -8,7 +8,9 @@ from assettree.mst import (
     UnionFind,
     brute_force_mst,
     check_tree,
+    _ticker_ranks,
     kruskal_mst,
+    prim_batch,
     prim_mst,
 )
 from assettree.synth import preferential_attachment_tree
@@ -91,6 +93,26 @@ def test_star_structured_distances_recover_the_star():
         tree = algorithm(dist)
         assert all(hub in (i, j) for i, j, _ in edge_list(tree))
     assert edge_list(prim_mst(dist)) == edge_list(brute_force_mst(dist))
+
+
+def test_batched_prim_resolves_ties_like_the_references(rng):
+    # Four weight levels tie many frontier edges and many updates at once;
+    # the all-equal matrix ties every one. Neither path runs without ties.
+    for n in range(3, 41):
+        stack = np.concatenate((rng.integers(1, 5, size=(4, n, n)) * 0.25, np.ones((1, n, n))))
+        upper = np.triu(stack, 1)
+        stack = upper + upper.transpose(0, 2, 1)
+        tickers = ["T%02d" % k for k in rng.permutation(n)]
+        src, dst, w = prim_batch(stack, _ticker_ranks(tickers))
+        for b, d in enumerate(stack):
+            tree = Tree.from_edges(tickers, src[b], dst[b], w[b])
+            dist = dist_from_array(d, tickers)
+            references = [kruskal_mst(dist)]
+            if n <= 8:
+                references.append(brute_force_mst(dist))
+            for expected in references:
+                assert edge_list(tree) == edge_list(expected)
+                assert tree.w.tobytes() == expected.w.tobytes()
 
 
 def test_distinct_weights_give_identical_edge_sets(rng):

@@ -19,7 +19,7 @@ from assettree.metrics import (
     normalized_tree_length,
     summarize,
 )
-from assettree.mst import prim_mst
+from assettree.mst import kruskal_mst, prim_mst
 from assettree.rolling import (
     MetricSeries,
     WindowSpec,
@@ -47,6 +47,19 @@ def one_flat_window_panel():
     returns[2, :40] = 0.25
     days = [date(2005, 1, 4) + timedelta(days=t) for t in range(120)]
     return ReturnPanel(["A", "B", "C", "D"], days, returns)
+
+
+def chunked_panel():
+    """Six companies over 90 days, vertex order unlike ticker order; E is flat on [40, 75).
+
+    Chunks hold 2 * 90 // 6 = 30 windows, so 61 windows of width 30 and
+    step 1 fill three, and the windows from 40 to 45 drop E in the second.
+    """
+    rng = np.random.default_rng(11)
+    returns = rng.standard_normal((6, 90))
+    returns[4, 40:75] = -0.5
+    days = [date(2005, 1, 4) + timedelta(days=t) for t in range(90)]
+    return ReturnPanel(["F", "B", "D", "A", "E", "C"], days, returns)
 
 
 def test_window_arithmetic():
@@ -125,25 +138,47 @@ def test_degenerate_window_drops_company_and_records_it():
 
 
 def test_window_trees_match_the_per_window_pipeline():
-    panel = one_flat_window_panel()
+    cases = [
+        (one_flat_window_panel(), WindowSpec(40, 40), {0: ("C",)}),
+        (chunked_panel(), WindowSpec(30, 1), {s: ("E",) for s in range(40, 46)}),
+    ]
+    for panel, spec, dropped_at in cases:
+        trees = window_trees(panel, spec)
+        assert isinstance(trees, GeneratorType)
+        yielded = list(trees)
+        assert [(s, e) for s, e, _, _ in yielded] == windows(panel, spec)
+        assert [d for _, _, _, d in yielded] == [dropped_at.get(s, ()) for s, _, _, _ in yielded]
+        for start, end, tree, dropped in yielded:
+            keep = [k for k, t in enumerate(panel.tickers) if t not in dropped]
+            sub = ReturnPanel(
+                [panel.tickers[k] for k in keep],
+                panel.dates[start:end],
+                panel.returns[keep, start:end],
+            )
+            expected = kruskal_mst(to_distance(pearson_matrix(sub)))
+            assert tree.tickers == expected.tickers
+            assert np.array_equal(tree.i, expected.i)
+            assert np.array_equal(tree.j, expected.j)
+            assert tree.w.tobytes() == expected.w.tobytes()
+
+
+def test_window_errors_come_in_window_order():
+    # C is flat on [0, 40) and B and C on [40, 80): window 0 drops the
+    # center, window 1 has too few companies, and window 0 must go first.
+    rng = np.random.default_rng(5)
+    returns = rng.standard_normal((3, 80))
+    returns[2, :40] = 0.25
+    returns[1:, 40:] = -0.5
+    days = [date(2005, 1, 4) + timedelta(days=t) for t in range(80)]
+    panel = ReturnPanel(["A", "B", "C"], days, returns)
     spec = WindowSpec(40, 40)
+    with pytest.raises(MissingVertexError, match=r"window \[0, 40\)"):
+        evolve(panel, spec, "C")
     trees = window_trees(panel, spec)
-    assert isinstance(trees, GeneratorType)
-    yielded = list(trees)
-    assert [(s, e) for s, e, _, _ in yielded] == windows(panel, spec)
-    assert [d for _, _, _, d in yielded] == [("C",), (), ()]
-    for start, end, tree, dropped in yielded:
-        keep = [k for k, t in enumerate(panel.tickers) if t not in dropped]
-        sub = ReturnPanel(
-            [panel.tickers[k] for k in keep],
-            panel.dates[start:end],
-            panel.returns[keep, start:end],
-        )
-        expected = prim_mst(to_distance(pearson_matrix(sub)))
-        assert tree.tickers == expected.tickers
-        assert np.array_equal(tree.i, expected.i)
-        assert np.array_equal(tree.j, expected.j)
-        assert tree.w.tobytes() == expected.w.tobytes()
+    start, end, tree, dropped = next(trees)
+    assert (start, end, tree.tickers, dropped) == (0, 40, ["A", "B"], ("C",))
+    with pytest.raises(InsufficientDataError, match=r"window \[40, 80\)"):
+        next(trees)
 
 
 def test_degenerate_static_center_raises():
