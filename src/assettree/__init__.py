@@ -6,7 +6,7 @@ tree-compactness metrics, and phase labels, optionally over rolling
 windows with a transition report.
 """
 
-from .correlation import CorrelationMatrix, DistanceMatrix, pearson_matrix, to_distance
+from .correlation import pearson_matrix, to_distance
 from .errors import (
     AssetTreeError,
     ConfigurationError,

@@ -92,12 +92,11 @@ def cmd_analyze(args, stage: Stage) -> None:
     path = _resolve_input(args)
     out = Path(args.out)
     stage.name = "ingestion"
-    returns, dropped, period = _load_returns(path, args.start, args.end)
+    panel, dropped, period = _load_returns(path, args.start, args.end)
     stage.name = "correlation"
-    corr = pearson_matrix(returns)
-    dist = to_distance(corr)
+    rho = pearson_matrix(panel.tickers, panel.returns)
     stage.name = "mst"
-    tree = prim_mst(dist)
+    tree = prim_mst(panel.tickers, to_distance(rho))
     stage.name = "metrics"
     summary = summarize(tree, args.tau, args.gap, args.tau_hub)
     fit, label = summary.fit, summary.phase
@@ -147,7 +146,7 @@ def cmd_analyze(args, stage: Stage) -> None:
     if "dot" in args.formats:
         exports.write_dot(out / "tree.dot", tree)
     if "csv" in args.formats:
-        exports.write_correlation_matrix(out / "corr.csv", corr)
+        exports.write_correlation_matrix(out / "corr.csv", panel.tickers, rho)
     exports.write_json(out / "analysis.json", payload)
 
 

@@ -48,4 +48,4 @@ class UnderdeterminedFitError(AssetTreeError):
 
 
 class InvariantError(AssetTreeError):
-    """A structural invariant failed: not a spanning tree, |rho| beyond 1."""
+    """A structural invariant failed: not a spanning tree, or a weight outside [0, inf)."""

@@ -14,8 +14,8 @@ from datetime import date as Date
 
 import numpy as np
 
-from .correlation import CorrelationMatrix
 from .errors import FormatError
+from .ingestion import parse_iso_date
 from .mst import Tree, check_tree
 from .rolling import MetricSeries, TransitionReport
 
@@ -125,6 +125,7 @@ def write_metric_series_csv(path, series: MetricSeries) -> None:
 
 
 def read_metric_series_csv(path) -> MetricSeries:
+    """Read back a `series.csv`; a bad header or row raises FormatError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -132,15 +133,19 @@ def read_metric_series_csv(path) -> MetricSeries:
             raise FormatError("unexpected series header %r" % (header,))
         series = MetricSeries([], [], [], [], [], [], [])
         for row in reader:
-            if len(row) != len(SERIES_COLUMNS):
-                raise FormatError("bad series row %r" % (row,))
-            series.window_end_dates.append(Date.fromisoformat(row[0]))
-            series.ntl.append(float(row[1]))
-            series.mol_static.append(float(row[2]))
-            series.mol_dynamic.append(float(row[3]))
-            series.k_max.append(int(row[4]))
-            series.phase.append(row[5])
-            series.dynamic_center.append(row[6])
+            try:
+                day, ntl, mol_static, mol_dynamic, k_max, phase, center = row
+                day, k_max = parse_iso_date(day), int(k_max)
+                ntl, mol_static, mol_dynamic = float(ntl), float(mol_static), float(mol_dynamic)
+            except ValueError:
+                raise FormatError("bad series row at line %d: %r" % (reader.line_num, row)) from None
+            series.window_end_dates.append(day)
+            series.ntl.append(ntl)
+            series.mol_static.append(mol_static)
+            series.mol_dynamic.append(mol_dynamic)
+            series.k_max.append(k_max)
+            series.phase.append(phase)
+            series.dynamic_center.append(center)
     return series
 
 
@@ -173,11 +178,11 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_correlation_matrix(path, corr: CorrelationMatrix) -> None:
+def write_correlation_matrix(path, tickers: list[str], rho: np.ndarray) -> None:
     """Delimited dump: one header row of tickers, then N rows of values."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(corr.tickers) + "\n")
-        for row in corr.rho:
+        fh.write(",".join(tickers) + "\n")
+        for row in rho:
             fh.write(",".join(fmt_float(v) for v in row) + "\n")
 
 

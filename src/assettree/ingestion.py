@@ -32,6 +32,10 @@ COLUMNS = ("date", "ticker", "close")
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
+# Edge lists, DOT and corr.csv write tickers unquoted, so a ticker may not
+# hold a field separator, a quote, an escape or an ASCII control character.
+_BAD_TICKER = re.compile(r'[,"\\\x00-\x1f\x7f]')
+
 # Stripped from each field and header name. ASCII only, like the date and
 # price grammar: a non-ASCII space stays in the field and fails it.
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
@@ -111,10 +115,12 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
 
     The header row is required and must name the columns date, ticker
     and close once each; they are looked up by name, and other columns
-    are ignored. Rows with unparseable dates, unparseable or non-positive
-    prices, or a field count other than the header's are rejected with a
-    diagnostic naming the line; a duplicate (ticker, date) pair is an
-    error, not a rejection, naming the first line that repeats one.
+    are ignored. Rows with unparseable dates, empty tickers or tickers
+    holding `,`, `"`, `\\` or an ASCII control character, unparseable or
+    non-positive prices, or a field count other than the header's are
+    rejected with a diagnostic naming the line; a duplicate (ticker,
+    date) pair is an error, not a rejection, naming the first line that
+    repeats one.
     """
     lines = io.StringIO(raw_text) if isinstance(raw_text, str) else raw_text
     reader = csv.reader(lines)
@@ -128,7 +134,7 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
     pick = itemgetter(*(names.index(c) for c in COLUMNS))
     width = len(header)
 
-    code_of_ticker: dict[str, int] = {}  # in first-seen order
+    code_of_ticker: dict[str, int] = {}  # accepted tickers, in first-seen order
     ordinal_of_text: dict[str, int] = {}  # each distinct date text parsed once; 0 if unparseable
     ticker_codes, ordinals, line_numbers, values = array("q"), array("q"), array("q"), array("d")
     rejected: list[RejectedRow] = []
@@ -156,8 +162,10 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
         if not ordinal:
             reject(line_number, "unparseable date %r" % date_text, row)
             continue
-        if not ticker:
-            reject(line_number, "empty ticker", row)
+        code = code_of_ticker.get(ticker)
+        if code is None and (not ticker or _BAD_TICKER.search(ticker)):
+            reason = "unparseable ticker %r" % ticker if ticker else "empty ticker"
+            reject(line_number, reason, row)
             continue
         try:
             # float() alone would also take "1_000" and non-ASCII digits.
@@ -170,7 +178,9 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
         if not (price > 0 and math.isfinite(price)):
             reject(line_number, "non-positive price %s" % price_text, row)
             continue
-        ticker_codes.append(code_of_ticker.setdefault(ticker, len(code_of_ticker)))
+        if code is None:
+            code = code_of_ticker[ticker] = len(code_of_ticker)
+        ticker_codes.append(code)
         ordinals.append(ordinal)
         line_numbers.append(line_number)
         values.append(price)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import DistanceMatrix
 from .errors import InsufficientDataError, InvariantError, SizeLimitError
 
 BRUTE_FORCE_MAX_N = 8
@@ -105,11 +104,11 @@ def _pair_key(rank: np.ndarray, a, b):
     return lo * len(rank) + hi
 
 
-def _edge_order(dist: DistanceMatrix):
+def _edge_order(tickers: list[str], d: np.ndarray):
     """Edges i < j with weights w, and their (weight, ticker pair) sort order."""
-    rank = _ticker_ranks(dist.tickers)
-    iu, ju = np.triu_indices(len(dist.tickers), 1)
-    w = dist.d[iu, ju]
+    rank = _ticker_ranks(tickers)
+    iu, ju = np.triu_indices(len(tickers), 1)
+    w = d[iu, ju]
     return iu, ju, w, np.lexsort((_pair_key(rank, iu, ju), w))
 
 
@@ -159,18 +158,18 @@ def prim_batch(
     return src, dst, d[rows[:, None], src, dst]
 
 
-def prim_mst(dist: DistanceMatrix) -> Tree:
-    """Prim on one distance matrix: the B = 1 call of `prim_batch`."""
-    src, dst, w = prim_batch(dist.d[None], _ticker_ranks(dist.tickers))
-    return Tree.from_edges(dist.tickers, src[0], dst[0], w[0])
+def prim_mst(tickers: list[str], d: np.ndarray) -> Tree:
+    """Prim on the distances d of `tickers`: the B = 1 call of `prim_batch`."""
+    src, dst, w = prim_batch(d[None], _ticker_ranks(tickers))
+    return Tree.from_edges(tickers, src[0], dst[0], w[0])
 
 
-def kruskal_mst(dist: DistanceMatrix) -> Tree:
+def kruskal_mst(tickers: list[str], d: np.ndarray) -> Tree:
     """Kruskal over all N(N-1)/2 edges with union-find cycle rejection."""
-    n = len(dist.tickers)
+    n = len(tickers)
     if n < 2:
         raise InsufficientDataError("spanning tree needs at least 2 vertices")
-    iu, ju, w, order = _edge_order(dist)
+    iu, ju, w, order = _edge_order(tickers, d)
 
     uf = UnionFind(n)
     kept = []
@@ -179,7 +178,7 @@ def kruskal_mst(dist: DistanceMatrix) -> Tree:
             kept.append(e)
             if len(kept) == n - 1:
                 break
-    return Tree.from_edges(dist.tickers, iu[kept], ju[kept], w[kept])
+    return Tree.from_edges(tickers, iu[kept], ju[kept], w[kept])
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,7 +215,7 @@ def _prufer_trees(n: int) -> np.ndarray:
     return edges
 
 
-def brute_force_mst(dist: DistanceMatrix) -> Tree:
+def brute_force_mst(tickers: list[str], d: np.ndarray) -> Tree:
     """Exhaustive minimum over all N^(N-2) labeled trees (N <= 8).
 
     Edge e gets the bit 2^rank(e), its rank under the (weight, ticker
@@ -225,21 +224,21 @@ def brute_force_mst(dist: DistanceMatrix) -> Tree:
     belongs to the other, so the unique minimum score is the minimum
     spanning tree under that order, ties in weight included.
     """
-    n = len(dist.tickers)
+    n = len(tickers)
     if n < 2:
         raise InsufficientDataError("spanning tree needs at least 2 vertices")
     if n > BRUTE_FORCE_MAX_N:
         raise SizeLimitError(
             "exhaustive search capped at N=%d, got N=%d" % (BRUTE_FORCE_MAX_N, n)
         )
-    iu, ju, _, order = _edge_order(dist)
+    iu, ju, _, order = _edge_order(tickers, d)
     bits = np.zeros((n, n), dtype=np.int64)
     bits[iu[order], ju[order]] = np.left_shift(1, np.arange(order.size, dtype=np.int64))
     bits += bits.T
     trees = _prufer_trees(n)
     best = trees[int(np.argmin(bits[trees[..., 0], trees[..., 1]].sum(axis=1)))]
     a, b = best[:, 0], best[:, 1]
-    return Tree.from_edges(dist.tickers, a, b, dist.d[a, b])
+    return Tree.from_edges(tickers, a, b, d[a, b])
 
 
 def check_tree(tree: Tree) -> None:

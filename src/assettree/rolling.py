@@ -21,7 +21,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .correlation import DistanceMatrix, pearson_matrix, to_distance
+from .correlation import pearson_matrix, to_distance
 from .errors import (
     ConfigurationError,
     DegenerateSeriesError,
@@ -91,27 +91,27 @@ def windows(panel: ReturnPanel, spec: WindowSpec) -> list[tuple[int, int]]:
 
 def _window_distances(
     panel: ReturnPanel, start: int, end: int
-) -> tuple[DistanceMatrix, tuple[str, ...]]:
-    """Distances of columns [start, end) and the companies they leave out.
+) -> tuple[np.ndarray, list[str], tuple[str, ...]]:
+    """Distances of columns [start, end), the tickers kept, and those left out.
 
     A company whose returns have zero variance in the window is left out
     and named in `dropped`; fewer than 2 companies left is an error.
     """
     returns = panel.returns[:, start:end]
-    dates = panel.dates[start:end]
+    tickers = panel.tickers
     dropped: tuple[str, ...] = ()
     try:
-        corr = pearson_matrix(ReturnPanel(panel.tickers, dates, returns))
+        rho = pearson_matrix(tickers, returns)
     except DegenerateSeriesError as err:
-        keep = [k for k, t in enumerate(panel.tickers) if t not in err.tickers]
+        keep = [k for k, t in enumerate(tickers) if t not in err.tickers]
         if len(keep) < 2:
             raise InsufficientDataError(
                 "window [%d, %d) has fewer than 2 usable companies" % (start, end)
             ) from err
         dropped = err.tickers
-        kept = ReturnPanel([panel.tickers[k] for k in keep], dates, returns[keep, :])
-        corr = pearson_matrix(kept)
-    return to_distance(corr), dropped
+        tickers = [tickers[k] for k in keep]
+        rho = pearson_matrix(tickers, returns[keep])
+    return to_distance(rho), tickers, dropped
 
 
 def window_tree(
@@ -122,8 +122,8 @@ def window_tree(
     Slice, Pearson, distance, Prim. A company whose returns have zero
     variance in the window is left out of its tree and named in `dropped`.
     """
-    dist, dropped = _window_distances(panel, start, end)
-    return prim_mst(dist), dropped
+    d, tickers, dropped = _window_distances(panel, start, end)
+    return prim_mst(tickers, d), dropped
 
 
 def window_trees(
@@ -150,14 +150,14 @@ def window_trees(
         failure = None
         for start, end in spans[first : first + size]:
             try:
-                dist, dropped = _window_distances(panel, start, end)
+                d, tickers, dropped = _window_distances(panel, start, end)
             except InsufficientDataError as err:
                 failure = err
                 break
             if dropped:
-                held.append((start, end, prim_mst(dist), dropped))
+                held.append((start, end, prim_mst(tickers, d), dropped))
             else:
-                stack[filled] = dist.d
+                stack[filled] = d
                 filled += 1
                 held.append((start, end, None, dropped))
         batched = zip(*prim_batch(stack[:filled], rank)) if filled else iter(())

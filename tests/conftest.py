@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from assettree.correlation import DistanceMatrix
 from assettree.mst import Tree
 
 
@@ -13,12 +12,14 @@ def tickers_for(n: int) -> list[str]:
     return ["T%02d" % i for i in range(n)]
 
 
-def dist_from_array(d: np.ndarray, tickers: list[str] | None = None) -> DistanceMatrix:
-    n = d.shape[0]
-    return DistanceMatrix(tickers or tickers_for(n), np.asarray(d, dtype=float))
+def dist_from_array(
+    d: np.ndarray, tickers: list[str] | None = None
+) -> tuple[list[str], np.ndarray]:
+    """(tickers, d), the arguments of every MST builder."""
+    return tickers or tickers_for(d.shape[0]), np.asarray(d, dtype=float)
 
 
-def random_dist(rng: np.random.Generator, n: int) -> DistanceMatrix:
+def random_dist(rng: np.random.Generator, n: int) -> tuple[list[str], np.ndarray]:
     """Symmetric matrix of distinct positive weights, zero diagonal."""
     upper = rng.uniform(0.05, 2.0, size=(n, n))
     d = np.triu(upper, 1)

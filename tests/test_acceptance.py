@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from assettree.cli import main
-from assettree.correlation import CorrelationMatrix, to_distance
+from assettree.correlation import to_distance
 from assettree.metrics import (
     DegreeDistribution,
     PHASE_MULTI_HUB,
@@ -43,9 +43,9 @@ def test_mst_algorithms_agree_with_exhaustive_oracle():
     for n in range(2, 9):
         for _ in range(150):
             dist = random_dist(rng, n)
-            prim = prim_mst(dist)
-            kruskal = kruskal_mst(dist)
-            brute = brute_force_mst(dist)
+            prim = prim_mst(*dist)
+            kruskal = kruskal_mst(*dist)
+            brute = brute_force_mst(*dist)
             assert edge_list(prim) == edge_list(kruskal) == edge_list(brute)
             checked += 1
     # Tied weights: the (weight, ticker pair) order still picks one tree,
@@ -57,9 +57,9 @@ def test_mst_algorithms_agree_with_exhaustive_oracle():
         d = np.triu(picks, 1)
         d = d + d.T
         dist = dist_from_array(d)
-        prim = prim_mst(dist)
-        kruskal = kruskal_mst(dist)
-        brute = brute_force_mst(dist)
+        prim = prim_mst(*dist)
+        kruskal = kruskal_mst(*dist)
+        brute = brute_force_mst(*dist)
         assert edge_list(prim) == edge_list(kruskal) == edge_list(brute)
         checked += 1
     elapsed = time.monotonic() - started
@@ -68,16 +68,12 @@ def test_mst_algorithms_agree_with_exhaustive_oracle():
 
 
 def test_distance_recipe_fixed_points_and_monotonicity():
-    corr = CorrelationMatrix(
-        ["A", "B", "C"],
-        np.array([[1.0, 1.0, 0.0], [1.0, 1.0, -1.0], [0.0, -1.0, 1.0]]),
-    )
-    d = to_distance(corr).d
+    d = to_distance(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, -1.0], [0.0, -1.0, 1.0]]))
     assert abs(d[0, 1] - 0.0) <= 1e-12
     assert abs(d[0, 2] - math.sqrt(2.0)) <= 1e-12
     assert abs(d[1, 2] - 2.0) <= 1e-12
     grid = np.linspace(-1.0, 1.0, 1000)
-    dist = to_distance(CorrelationMatrix(["G"], grid.reshape(1, -1))).d.ravel()
+    dist = to_distance(grid)
     assert np.all(np.diff(dist) < 0.0)
 
 
@@ -195,13 +191,13 @@ def test_static_and_dynamic_occupation_layers_coincide_on_shared_center():
 def test_tree_paths_respect_subdominant_ultrametric_bound():
     rng = np.random.default_rng(77)
     for _ in range(100):
-        dist = random_dist(rng, 20)
-        tree = prim_mst(dist)
+        tickers, d = random_dist(rng, 20)
+        tree = prim_mst(tickers, d)
         for i in range(20):
             bound = path_max_weights(tree, i)
             for j in range(20):
                 if i != j:
-                    assert bound[j] <= dist.d[i, j]
+                    assert bound[j] <= d[i, j]
 
 
 def test_evolve_command_is_byte_deterministic(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from assettree.cli import main
+from assettree.errors import FormatError
 from assettree.exports import read_metric_series_csv, read_tree_edges
 from assettree.ingestion import log_returns, parse_price_table, align_and_filter
 from assettree.rolling import detect_transitions
@@ -233,7 +234,7 @@ def test_evolve_default_center_leaves_out_a_company_flat_all_period(tmp_path, ca
         assert (tmp_path / "auto" / name).read_bytes() == (tmp_path / "fixed" / name).read_bytes()
     capsys.readouterr()
     assert main(["analyze", str(path), "--out", str(tmp_path / "one")]) == 2
-    assert capsys.readouterr().err.startswith("correlation: ")
+    assert capsys.readouterr().err == "correlation: zero-variance return series: T3\n"
 
 
 def test_evolve_is_byte_deterministic(star_prices, tmp_path):
@@ -327,6 +328,47 @@ def test_period_bounds_must_be_yyyy_mm_dd(tmp_path, capsys, bound):
         "ingestion: bad date %r, expected YYYY-MM-DD" % bound
     ]
     assert not (tmp_path / "out").exists()
+
+
+def test_analyze_rejects_tickers_its_outputs_cannot_hold(tmp_path, capsys):
+    text = "".join(line + "\n" for line in FLAT_PRICES.splitlines() if ",FLAT," not in line)
+    bad = [('"C,D"', "C,D"), ('"A""B"', 'A"B')]
+    for field, _ in bad:
+        text += "".join("2005-01-%02d,%s,%d\n" % (d, field, d) for d in (3, 4, 5, 6))
+    (tmp_path / "prices.csv").write_text(text)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = ["analyze", str(tmp_path / "prices.csv"), "--out", str(out)]
+    assert main(argv + ["--format", "edges", "--format", "dot", "--format", "csv"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "ingestion: line %d rejected (unparseable ticker %r)" % (10 + 4 * k + d, ticker)
+        for k, (_, ticker) in enumerate(bad)
+        for d in range(4)
+    ]
+    assert [len(line.split(",")) for line in (out / "corr.csv").read_text().splitlines()] == [2, 2, 2]
+    assert main(["export-dot", str(out / "tree.edges"), "--out", str(tmp_path / "conv")]) == 0
+    assert read_tree_edges(out / "tree.edges").tickers == ["AA", "BB"]
+
+
+SERIES_HEADER = "end_date,ntl,mol_static,mol_dynamic,k_max,phase,dynamic_center\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "20060103,1.0,2.0,3.0,4,PowerLaw,H",
+        "2006-01-03,x,2.0,3.0,4,PowerLaw,H",
+        "2006-01-03,1.0,2.0,3.0,4.5,PowerLaw,H",
+        "2006-01-03,1.0,2.0,3.0,4,PowerLaw",
+    ],
+)
+def test_series_reader_names_the_line_of_a_bad_row(tmp_path, row):
+    path = tmp_path / "series.csv"
+    path.write_text(SERIES_HEADER + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n" + row + "\n")
+    with pytest.raises(FormatError, match="bad series row at line 3"):
+        read_metric_series_csv(path)
+    path.write_text(SERIES_HEADER + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n")
+    assert read_metric_series_csv(path).window_end_dates == [date(2006, 1, 2)]
 
 
 def test_crlf_price_file_reads_like_lf(tmp_path, capsys):

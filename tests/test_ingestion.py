@@ -53,6 +53,7 @@ def test_parse_rejects_bad_date_and_field_count():
         "not-a-date,KGHM,31.5\n"
         "2005-01-03,KGHM\n"
         "2005-01-04,KGHM,31.5\n"
+        "2005-01-05, ,31.5\n"
     )
     result = parse_price_table(text)
     assert result.dates == [date(2005, 1, 4)]
@@ -60,6 +61,7 @@ def test_parse_rejects_bad_date_and_field_count():
     assert [(r.line_number, r.reason, r.raw) for r in result.rejected] == [
         (2, "unparseable date 'not-a-date'", "not-a-date,KGHM,31.5"),
         (3, "expected 3 fields, got 2", "2005-01-03,KGHM"),
+        (5, "empty ticker", "2005-01-05, ,31.5"),
     ]
 
 
@@ -101,6 +103,28 @@ def test_parse_strips_ascii_whitespace_only(space):
     assert result.prices.tolist() == [[7.0], [8.0]]
     with pytest.raises(FormatError, match="malformed header"):
         parse_price_table("date,ticker,close%s\n" % space)
+
+
+@pytest.mark.parametrize(
+    "field, ticker",
+    [('"C,D"', "C,D"), ('"A""B"', 'A"B'), ("A\\B", "A\\B"), ("A\tB", "A\tB"), ("A\x1fB", "A\x1fB"), ("A\x7fB", "A\x7fB")],
+)
+def test_parse_rejects_tickers_the_output_formats_cannot_hold(field, ticker):
+    # Edge lists, DOT and corr.csv write tickers unquoted.
+    text = HEADER + (
+        "2005-01-03,%s,5\n"
+        "2005-01-04,%s,x\n"
+        "2005-01-04,KGHM,6\n"
+        "2005-01-05,%s,7\n"
+    ) % (field, field, field)
+    result = parse_price_table(text)
+    assert [(r.line_number, r.reason) for r in result.rejected] == [
+        (2, "unparseable ticker %r" % ticker),
+        (3, "unparseable ticker %r" % ticker),
+        (5, "unparseable ticker %r" % ticker),
+    ]
+    assert result.tickers == ["KGHM"]
+    assert result.dates == [date(2005, 1, 4)]
 
 
 @pytest.mark.parametrize("text, value", [("1e+20", 1e20), ("+5", 5.0), (".5", 0.5), ("2E-3", 0.002)])

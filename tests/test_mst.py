@@ -27,7 +27,7 @@ def triangle():
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_three_node_example(algorithm):
-    tree = algorithm(triangle())
+    tree = algorithm(*triangle())
     assert [(i, j) for i, j, _ in edge_list(tree)] == [(0, 1), (1, 2)]
     assert tree.total_weight == pytest.approx(1.2, abs=1e-12)
     check_tree(tree)
@@ -35,8 +35,7 @@ def test_three_node_example(algorithm):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_two_node_tree_is_the_single_edge(algorithm):
-    d = dist_from_array(np.array([[0.0, 0.3], [0.3, 0.0]]), ["X", "Y"])
-    tree = algorithm(d)
+    tree = algorithm(*dist_from_array(np.array([[0.0, 0.3], [0.3, 0.0]]), ["X", "Y"]))
     assert edge_list(tree) == [(0, 1, 0.3)]
     assert tree.total_weight == 0.3
 
@@ -46,7 +45,7 @@ def test_equal_weights_give_valid_tree_with_expected_total():
     d = np.full((n, n), w)
     np.fill_diagonal(d, 0.0)
     for algorithm in ALGORITHMS:
-        tree = algorithm(dist_from_array(d))
+        tree = algorithm(*dist_from_array(d))
         check_tree(tree)
         assert tree.total_weight == pytest.approx((n - 1) * w, abs=1e-12)
 
@@ -58,9 +57,9 @@ def test_equal_weights_resolve_to_star_on_lexicographically_first_ticker():
     d = np.ones((n, n))
     np.fill_diagonal(d, 0.0)
     tickers = ["D", "A", "C", "B", "E"]
-    prim = prim_mst(dist_from_array(d, tickers))
-    kruskal = kruskal_mst(dist_from_array(d, tickers))
-    brute = brute_force_mst(dist_from_array(d, tickers))
+    prim = prim_mst(tickers, d)
+    kruskal = kruskal_mst(tickers, d)
+    brute = brute_force_mst(tickers, d)
     assert edge_list(prim) == edge_list(kruskal) == edge_list(brute)
     a = tickers.index("A")
     assert all(a in (i, j) for i, j, _ in edge_list(prim))
@@ -76,7 +75,7 @@ def test_tied_cycle_drops_its_lexicographically_last_pair(algorithm):
     np.fill_diagonal(d, 0.0)
     for a, b in ["AE", "BE", "BC", "CD", "AD"]:
         d[at(a), at(b)] = d[at(b), at(a)] = 0.5
-    tree = algorithm(dist_from_array(d, tickers))
+    tree = algorithm(tickers, d)
     pairs = {"".join(sorted(tickers[i] + tickers[j])) for i, j, _ in edge_list(tree)}
     assert pairs == {"AE", "BE", "BC", "AD"}
 
@@ -90,9 +89,9 @@ def test_star_structured_distances_recover_the_star():
     d[hub, hub] = 0.0
     dist = dist_from_array(d)
     for algorithm in ALGORITHMS:
-        tree = algorithm(dist)
+        tree = algorithm(*dist)
         assert all(hub in (i, j) for i, j, _ in edge_list(tree))
-    assert edge_list(prim_mst(dist)) == edge_list(brute_force_mst(dist))
+    assert edge_list(prim_mst(*dist)) == edge_list(brute_force_mst(*dist))
 
 
 def test_batched_prim_resolves_ties_like_the_references(rng):
@@ -106,10 +105,9 @@ def test_batched_prim_resolves_ties_like_the_references(rng):
         src, dst, w = prim_batch(stack, _ticker_ranks(tickers))
         for b, d in enumerate(stack):
             tree = Tree.from_edges(tickers, src[b], dst[b], w[b])
-            dist = dist_from_array(d, tickers)
-            references = [kruskal_mst(dist)]
+            references = [kruskal_mst(tickers, d)]
             if n <= 8:
-                references.append(brute_force_mst(dist))
+                references.append(brute_force_mst(tickers, d))
             for expected in references:
                 assert edge_list(tree) == edge_list(expected)
                 assert tree.w.tobytes() == expected.w.tobytes()
@@ -118,24 +116,24 @@ def test_batched_prim_resolves_ties_like_the_references(rng):
 def test_distinct_weights_give_identical_edge_sets(rng):
     for _ in range(50):
         dist = random_dist(rng, 6)
-        prim = prim_mst(dist)
-        kruskal = kruskal_mst(dist)
-        brute = brute_force_mst(dist)
+        prim = prim_mst(*dist)
+        kruskal = kruskal_mst(*dist)
+        brute = brute_force_mst(*dist)
         assert edge_list(prim) == edge_list(kruskal) == edge_list(brute)
         assert prim.total_weight == kruskal.total_weight == brute.total_weight
 
 
 def test_edge_weights_are_matrix_entries(rng):
-    dist = random_dist(rng, 8)
-    for i, j, w in edge_list(prim_mst(dist)):
-        assert w == dist.d[i, j]
+    tickers, d = random_dist(rng, 8)
+    for i, j, w in edge_list(prim_mst(tickers, d)):
+        assert w == d[i, j]
 
 
 def test_cut_property(rng):
     for _ in range(20):
         n = int(rng.integers(4, 8))
-        dist = random_dist(rng, n)
-        tree = prim_mst(dist)
+        tickers, d = random_dist(rng, n)
+        tree = prim_mst(tickers, d)
         for skip in range(n - 1):
             uf = UnionFind(n)
             for e, (i, j, _) in enumerate(edge_list(tree)):
@@ -145,25 +143,25 @@ def test_cut_property(rng):
             side = uf.find(i0)
             left = [v for v in range(n) if uf.find(v) == side]
             right = [v for v in range(n) if uf.find(v) != side]
-            crossing = min(dist.d[a, b] for a in left for b in right)
+            crossing = min(d[a, b] for a in left for b in right)
             assert w0 == crossing
 
 
 def test_subdominant_ultrametric_bound(rng):
     for _ in range(20):
-        dist = random_dist(rng, 10)
-        tree = prim_mst(dist)
+        tickers, d = random_dist(rng, 10)
+        tree = prim_mst(tickers, d)
         for i in range(10):
             path_max = path_max_weights(tree, i)
             for j in range(10):
                 if i != j:
-                    assert path_max[j] <= dist.d[i, j]
+                    assert path_max[j] <= d[i, j]
 
 
 def test_trees_are_connected_and_acyclic(rng):
     for _ in range(30):
         n = int(rng.integers(2, 12))
-        tree = prim_mst(random_dist(rng, n))
+        tree = prim_mst(*random_dist(rng, n))
         check_tree(tree)
         assert len(tree.i) == n - 1
 
@@ -171,7 +169,7 @@ def test_trees_are_connected_and_acyclic(rng):
 def test_brute_force_size_cap():
     d = np.zeros((9, 9))
     with pytest.raises(SizeLimitError):
-        brute_force_mst(dist_from_array(d, tickers_for(9)))
+        brute_force_mst(tickers_for(9), d)
 
 
 def test_union_find_detects_cycles():
@@ -199,13 +197,13 @@ def test_check_tree_rejects_a_weight_outside_zero_to_infinity(weight):
 
 def test_every_builder_returns_canonical_edge_columns(rng, tmp_path):
     # Unsorted tickers, so vertex order and ticker order disagree.
-    shuffled = dist_from_array(random_dist(rng, 7).d, ["G", "C", "A", "F", "B", "E", "D"])
+    shuffled = dist_from_array(random_dist(rng, 7)[1], ["G", "C", "A", "F", "B", "E", "D"])
     dist = random_dist(rng, 7)
-    write_tree_edges(tmp_path / "tree.edges", prim_mst(dist))
+    write_tree_edges(tmp_path / "tree.edges", prim_mst(*dist))
     trees = [
-        prim_mst(shuffled),
-        kruskal_mst(shuffled),
-        brute_force_mst(shuffled),
+        prim_mst(*shuffled),
+        kruskal_mst(*shuffled),
+        brute_force_mst(*shuffled),
         preferential_attachment_tree(40, 3),
         read_tree_edges(tmp_path / "tree.edges"),
     ]
@@ -215,7 +213,7 @@ def test_every_builder_returns_canonical_edge_columns(rng, tmp_path):
         assert np.all(tree.i < tree.j)
         assert np.all(np.diff(tree.i * tree.n + tree.j) > 0)  # sorted by (i, j)
         check_tree(tree)
-    original, reread = prim_mst(dist), trees[-1]
+    original, reread = prim_mst(*dist), trees[-1]
     assert reread.tickers == original.tickers
     assert np.array_equal(reread.i, original.i)
     assert np.array_equal(reread.j, original.j)

@@ -104,7 +104,7 @@ def test_evolve_produces_aligned_series():
 
 def test_full_width_window_matches_one_shot_pipeline():
     panel = flat_panel(n=7, days=90)
-    tree = prim_mst(to_distance(pearson_matrix(panel)))
+    tree = prim_mst(panel.tickers, to_distance(pearson_matrix(panel.tickers, panel.returns)))
     center = panel.tickers[2]
     series = evolve(panel, WindowSpec(90, 7), center)
     assert len(series) == 1
@@ -150,12 +150,9 @@ def test_window_trees_match_the_per_window_pipeline():
         assert [d for _, _, _, d in yielded] == [dropped_at.get(s, ()) for s, _, _, _ in yielded]
         for start, end, tree, dropped in yielded:
             keep = [k for k, t in enumerate(panel.tickers) if t not in dropped]
-            sub = ReturnPanel(
-                [panel.tickers[k] for k in keep],
-                panel.dates[start:end],
-                panel.returns[keep, start:end],
-            )
-            expected = kruskal_mst(to_distance(pearson_matrix(sub)))
+            tickers = [panel.tickers[k] for k in keep]
+            rho = pearson_matrix(tickers, panel.returns[keep, start:end])
+            expected = kruskal_mst(tickers, to_distance(rho))
             assert tree.tickers == expected.tickers
             assert np.array_equal(tree.i, expected.i)
             assert np.array_equal(tree.j, expected.j)

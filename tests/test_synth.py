@@ -39,7 +39,7 @@ def test_zero_betas_leave_pairs_nearly_uncorrelated():
     total = 0
     for seed in range(3):
         panel = one_factor_returns(factor_params(n=10, days=1000, beta=0.0, seed=seed))
-        rho = pearson_matrix(panel).rho
+        rho = pearson_matrix(panel.tickers, panel.returns)
         iu, ju = np.triu_indices(10, 1)
         total += len(iu)
         flat += int(np.count_nonzero(np.abs(rho[iu, ju]) < 0.1))
@@ -48,7 +48,7 @@ def test_zero_betas_leave_pairs_nearly_uncorrelated():
 
 def test_unit_betas_with_tiny_noise_dominate_correlation():
     panel = one_factor_returns(factor_params(n=8, days=500, beta=1.0, sigma=0.01, seed=4))
-    rho = pearson_matrix(panel).rho
+    rho = pearson_matrix(panel.tickers, panel.returns)
     iu, ju = np.triu_indices(8, 1)
     assert np.all(rho[iu, ju] > 0.99)
 
@@ -92,12 +92,8 @@ def _regime_panel(seed, n=20, days=280, gamma=0.9, interval=(70, 210)):
 
 
 def _window_tree(panel, start, end):
-    from assettree.ingestion import ReturnPanel
-
-    sub = ReturnPanel(
-        list(panel.tickers), list(panel.dates[start:end]), panel.returns[:, start:end]
-    )
-    return prim_mst(to_distance(pearson_matrix(sub)))
+    rho = pearson_matrix(panel.tickers, panel.returns[:, start:end])
+    return prim_mst(panel.tickers, to_distance(rho))
 
 
 def test_strong_coupling_makes_a_star_on_the_hub():
