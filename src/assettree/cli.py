@@ -338,6 +338,9 @@ def main(argv=None) -> int:
     except AssetTreeError as err:
         print("%s: %s" % (stage.name, err), file=sys.stderr)
         return 2
+    except UnicodeDecodeError as err:
+        print("%s: input is not UTF-8 text (%s)" % (stage.name, err.reason), file=sys.stderr)
+        return 2
     return 0
 
 

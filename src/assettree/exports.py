@@ -15,7 +15,7 @@ from datetime import date as Date
 import numpy as np
 
 from .errors import FormatError
-from .ingestion import parse_iso_date
+from .ingestion import ASCII_WHITESPACE, parse_iso_date
 from .mst import Tree, check_tree
 from .rolling import MetricSeries, TransitionReport
 
@@ -30,8 +30,11 @@ SERIES_COLUMNS = [
 ]
 
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def fmt_float(x: float) -> str:
-    return format(x, ".17g")
+    return _FLOAT_FORMAT % x
 
 
 def config_hash(config: dict) -> str:
@@ -65,9 +68,9 @@ def read_tree_edges(path) -> Tree:
     declared = None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
+            line = line.strip(ASCII_WHITESPACE)
             if line.startswith("# n_vertices:"):
-                declared = line.split(":", 1)[1].strip()
+                declared = line.split(":", 1)[1].strip(ASCII_WHITESPACE)
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
@@ -180,10 +183,11 @@ def write_json(path, payload: dict) -> None:
 
 def write_correlation_matrix(path, tickers: list[str], rho: np.ndarray) -> None:
     """Delimited dump: one header row of tickers, then N rows of values."""
+    row_format = ",".join([_FLOAT_FORMAT] * rho.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(tickers) + "\n")
         for row in rho:
-            fh.write(",".join(fmt_float(v) for v in row) + "\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def write_price_csv(path, tickers: list[str], dates: list[Date], prices: np.ndarray) -> None:

@@ -4,10 +4,11 @@ Input is CSV text with a header row and one record per line. The
 header names the columns `date` (YYYY-MM-DD), `ticker` and `close`, in
 any order; other columns are ignored. Fields and header names are
 stripped of ASCII whitespace only. Records may arrive in any order;
-they are read line by line into one ticker x date grid of prices, NaN
-where a ticker has no record. A company enters an aligned panel only if
-it has a price on every trading day of the requested period, where the
-trading-day axis is the set of dates observed in that period.
+they are read in blocks of lines into one ticker x date grid of prices,
+NaN where a ticker has no record, and the grid and the rejected rows do
+not depend on where the blocks split. A company enters an aligned panel
+only if it has a price on every trading day of the requested period,
+where the trading-day axis is the set of dates observed in that period.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Iterable
 
@@ -38,7 +40,22 @@ _BAD_TICKER = re.compile(r'[,"\\\x00-\x1f\x7f]')
 
 # Stripped from each field and header name. ASCII only, like the date and
 # price grammar: a non-ASCII space stays in the field and fails it.
-_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+
+# Lines per block under the plain header. A block's strings are alive at
+# once, and at 1,024 lines and up they pinned one more 1 MiB pymalloc arena
+# for the life of the process; smaller blocks gave no speed.
+BLOCK_LINES = 256
+
+_PLAIN_HEADER = ",".join(COLUMNS)
+
+# A block is plain when it is ASCII and holds none of these: no quoting, no
+# whitespace to strip, no "_" for float() to take.
+_NOT_PLAIN = ('"', "_", " ", "\t", "\r", "\x0b", "\x0c")
+
+# A price made of these alone is parsed in bulk; any other goes through the
+# per-row rules. "\n" ends a line; float() ignores it.
+_BULK_PRICE_BYTES = b"0123456789.e+-\n"
 
 
 @dataclass
@@ -110,6 +127,14 @@ def parse_iso_date(text: str) -> Date:
     return Date(int(text[:4]), int(text[5:7]), int(text[8:]))
 
 
+def _date_ordinal(text: str) -> int:
+    """Proleptic Gregorian ordinal of a YYYY-MM-DD text; 0 if it is not one."""
+    try:
+        return parse_iso_date(text).toordinal()
+    except ValueError:
+        return 0
+
+
 def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
     """Parse CSV price records, a string or an iterable of lines, into a grid.
 
@@ -121,18 +146,25 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
     rejected with a diagnostic naming the line; a duplicate (ticker,
     date) pair is an error, not a rejection, naming the first line that
     repeats one.
+
+    Under the header `date,ticker,close` the lines are read in blocks of
+    BLOCK_LINES, and a plain block is parsed column-wise; any other
+    header or block goes through csv.reader and the per-row rules. The
+    result does not depend on how the lines fall into blocks.
     """
-    lines = io.StringIO(raw_text) if isinstance(raw_text, str) else raw_text
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
+    lines = io.StringIO(raw_text) if isinstance(raw_text, str) else iter(raw_text)
+    first = next(lines, None)
+    if first is None:
         raise FormatError("missing header row")
-    names = [h.strip(_ASCII_WHITESPACE) for h in header]
-    if any(names.count(c) != 1 for c in COLUMNS):
-        raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
-    pick = itemgetter(*(names.index(c) for c in COLUMNS))
-    width = len(header)
+    if first in (_PLAIN_HEADER, _PLAIN_HEADER + "\n"):
+        reader, width, pick = None, len(COLUMNS), itemgetter(0, 1, 2)
+    else:
+        reader = csv.reader(chain([first], lines))
+        header = next(reader)
+        names = [h.strip(ASCII_WHITESPACE) for h in header]
+        if any(names.count(c) != 1 for c in COLUMNS):
+            raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
+        width, pick = len(header), itemgetter(*(names.index(c) for c in COLUMNS))
 
     code_of_ticker: dict[str, int] = {}  # accepted tickers, in first-seen order
     ordinal_of_text: dict[str, int] = {}  # each distinct date text parsed once; 0 if unparseable
@@ -142,31 +174,28 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
     def reject(line_number: int, reason: str, row: list[str]) -> None:
         rejected.append(RejectedRow(line_number, reason, ",".join(row)))
 
-    for line_number, row in enumerate(reader, start=2):
+    def take_row(line_number: int, row: list[str]) -> None:
+        """The per-row rules: append the record or reject the row."""
         if not row:
-            continue
+            return
         if len(row) != width:
             reject(line_number, "expected %d fields, got %d" % (width, len(row)), row)
-            continue
+            return
         date_text, ticker, price_text = pick(row)
-        date_text = date_text.strip(_ASCII_WHITESPACE)
-        ticker = ticker.strip(_ASCII_WHITESPACE)
-        price_text = price_text.strip(_ASCII_WHITESPACE)
+        date_text = date_text.strip(ASCII_WHITESPACE)
+        ticker = ticker.strip(ASCII_WHITESPACE)
+        price_text = price_text.strip(ASCII_WHITESPACE)
         ordinal = ordinal_of_text.get(date_text)
         if ordinal is None:
-            try:
-                ordinal = parse_iso_date(date_text).toordinal()
-            except ValueError:
-                ordinal = 0
-            ordinal_of_text[date_text] = ordinal
+            ordinal = ordinal_of_text[date_text] = _date_ordinal(date_text)
         if not ordinal:
             reject(line_number, "unparseable date %r" % date_text, row)
-            continue
+            return
         code = code_of_ticker.get(ticker)
         if code is None and (not ticker or _BAD_TICKER.search(ticker)):
             reason = "unparseable ticker %r" % ticker if ticker else "empty ticker"
             reject(line_number, reason, row)
-            continue
+            return
         try:
             # float() alone would also take "1_000" and non-ASCII digits.
             if "_" in price_text or not price_text.isascii():
@@ -174,10 +203,10 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
             price = float(price_text)
         except ValueError:
             reject(line_number, "unparseable price %r" % price_text, row)
-            continue
+            return
         if not (price > 0 and math.isfinite(price)):
             reject(line_number, "non-positive price %s" % price_text, row)
-            continue
+            return
         if code is None:
             code = code_of_ticker[ticker] = len(code_of_ticker)
         ticker_codes.append(code)
@@ -185,15 +214,82 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
         line_numbers.append(line_number)
         values.append(price)
 
+    def take_rows(line_number: int, rows: Iterable[list[str]]) -> None:
+        for line_number, row in enumerate(rows, start=line_number):
+            take_row(line_number, row)
+
+    def take_plain_block(line_number: int, block: list[str]) -> None:
+        """Parse a plain block column-wise; rows that fail a rule go through take_row."""
+        n = len(block)
+        commas = np.fromiter(map(str.count, block, repeat(",")), np.int64, n)
+        padded = list(block)
+        for k in np.flatnonzero(commas != 2).tolist():
+            padded[k] = ",,0"  # an empty date sends the row to take_row
+        fields = ",".join(padded).split(",")
+        dates, tickers, prices = fields[0::3], fields[1::3], fields[2::3]
+        for text in set(dates).difference(ordinal_of_text):
+            ordinal_of_text[text] = _date_ordinal(text)
+        days = np.fromiter(map(ordinal_of_text.__getitem__, dates), np.int64, n)
+        others = ",".join(prices).encode().translate(None, _BULK_PRICE_BYTES).split(b",")
+        for k in compress(range(n), others):
+            prices[k] = "0"  # "n/a", "nan", "1E5": parsed by take_row
+        try:
+            closes = np.fromiter(map(float, prices), np.float64, n)
+        except ValueError:  # such as "1e" or an empty price
+            take_rows(line_number, csv.reader(block))
+            return
+        fast = (days != 0) & (closes > 0) & np.isfinite(closes)
+        bad = {t for t in set(tickers).difference(code_of_ticker) if not t or _BAD_TICKER.search(t)}
+        if bad:
+            fast &= ~np.fromiter(map(bad.__contains__, tickers), bool, n)
+        # Fast runs and the rows between them are taken in line order, so
+        # tickers get codes in first-seen order and a duplicate names its line.
+        slow = np.flatnonzero(~fast).tolist()
+        start = 0
+        for k, row in zip(slow + [n], chain(csv.reader([block[k] for k in slow]), [None])):
+            if start < k:
+                run = tickers[start:k]
+                for ticker in sorted(set(run).difference(code_of_ticker), key=run.index):
+                    code_of_ticker[ticker] = len(code_of_ticker)
+                codes = np.fromiter(map(code_of_ticker.__getitem__, run), np.int64, k - start)
+                ticker_codes.frombytes(codes.tobytes())
+                ordinals.frombytes(days[start:k].tobytes())
+                line_numbers.frombytes(np.arange(line_number + start, line_number + k).tobytes())
+                values.frombytes(closes[start:k].tobytes())
+            if row is not None:
+                take_row(line_number + k, row)
+            start = k + 1
+
+    line_number = 2
+    if reader is not None:
+        take_rows(line_number, reader)
+    else:
+        while block := list(islice(lines, BLOCK_LINES)):
+            text = "".join(block)
+            if '"' in text:  # a quoted field can span lines: csv.reader reads the rest
+                take_rows(line_number, csv.reader(chain(block, lines)))
+                break
+            # csv.reader raises on a field over its size limit; a plain block has none.
+            limit = csv.field_size_limit()
+            if (
+                text.isascii()
+                and not any(map(text.__contains__, _NOT_PLAIN))
+                and (len(text) <= limit or max(map(len, block)) <= limit)
+            ):
+                take_plain_block(line_number, block)
+            else:
+                take_rows(line_number, csv.reader(block))
+            line_number += len(block)
+
     tickers = list(code_of_ticker)
     axis, column = np.unique(np.asarray(ordinals), return_inverse=True)
     dates = [Date.fromordinal(day) for day in axis.tolist()]
     cell = np.asarray(ticker_codes) * len(dates) + column
-    _, first = np.unique(cell, return_index=True)
-    if len(first) < len(cell):
-        repeat = np.ones(len(cell), dtype=bool)
-        repeat[first] = False
-        k = int(np.argmax(repeat))
+    _, first_rows = np.unique(cell, return_index=True)
+    if len(first_rows) < len(cell):
+        again = np.ones(len(cell), dtype=bool)
+        again[first_rows] = False
+        k = int(np.argmax(again))
         raise DuplicateRecordError(
             "duplicate record for (%s, %s) at line %d"
             % (tickers[ticker_codes[k]], dates[column[k]], line_numbers[k])

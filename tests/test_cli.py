@@ -289,6 +289,9 @@ CLI_FAILURES = [
     pytest.param(
         ["export-dot", "{tmp}/nan.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-nan-weight"
     ),
+    pytest.param(["analyze", "{tmp}/latin1.csv", "--out", "{tmp}/out"], 2, "ingestion", id="analyze-not-utf8"),
+    pytest.param(["evolve", "{tmp}/latin1.csv", "--out", "{tmp}/out"], 2, "ingestion", id="evolve-not-utf8"),
+    pytest.param(["export-dot", "{tmp}/bytes.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-not-utf8"),
 ]
 
 
@@ -310,6 +313,8 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     (tmp_path / "empty.edges").write_text("# n_vertices: 0\n")
     (tmp_path / "count.edges").write_text("# n_vertices: 5\nA,B,0.5\n")
     (tmp_path / "nan.edges").write_text("# n_vertices: 3\nA,B,nan\nB,C,inf\n")
+    (tmp_path / "latin1.csv").write_bytes(FLAT_PRICES.replace("BB", "B\xe9").encode("latin-1"))
+    (tmp_path / "bytes.edges").write_bytes(b"# n_vertices: 2\nA,B\xff,0.5\n")
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()
@@ -348,6 +353,20 @@ def test_analyze_rejects_tickers_its_outputs_cannot_hold(tmp_path, capsys):
     assert [len(line.split(",")) for line in (out / "corr.csv").read_text().splitlines()] == [2, 2, 2]
     assert main(["export-dot", str(out / "tree.edges"), "--out", str(tmp_path / "conv")]) == 0
     assert read_tree_edges(out / "tree.edges").tickers == ["AA", "BB"]
+
+
+def test_tree_edges_keep_a_non_ascii_space_in_a_ticker(tmp_path):
+    text = "".join(line + "\n" for line in FLAT_PRICES.splitlines() if ",FLAT," not in line)
+    (tmp_path / "prices.csv").write_text(text.replace(",AA,", ",\u3000AA,"), encoding="utf-8")
+    out, conv = tmp_path / "out", tmp_path / "conv"
+    assert main(["analyze", str(tmp_path / "prices.csv"), "--out", str(out)]) == 0
+    assert read_tree_edges(out / "tree.edges").tickers == ["BB", "\u3000AA"]
+    assert main(["export-dot", str(out / "tree.edges"), "--out", str(conv)]) == 0
+    vertices = [
+        sorted(re.findall(r'^  "([^"]+)";$', (run / "tree.dot").read_text(encoding="utf-8"), flags=re.M))
+        for run in (out, conv)
+    ]
+    assert vertices[0] == vertices[1] == ["BB", "\u3000AA"]
 
 
 SERIES_HEADER = "end_date,ntl,mol_static,mol_dynamic,k_max,phase,dynamic_center\n"

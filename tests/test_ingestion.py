@@ -1,9 +1,11 @@
+import csv
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from assettree import ingestion
 from assettree.errors import DuplicateRecordError, FormatError, InsufficientDataError
 from assettree.ingestion import (
     PricePanel,
@@ -191,6 +193,116 @@ def test_parse_ignores_extra_columns_and_checks_the_header_width():
     assert result.dates == [date(2005, 1, 3), date(2005, 1, 5)]
     assert result.prices.tolist() == [[31.5, 33.0]]
     assert [(r.line_number, r.reason) for r in result.rejected] == [(3, "expected 4 fields, got 3")]
+
+
+# csv.reader reads the same three names from this header, but it is not the
+# plain `date,ticker,close` line, so the whole file takes the csv.reader loop
+# with the same rows and line numbers: the reference for the block path.
+REFERENCE_HEADER = '"date",ticker,close\n'
+
+# One of each rejection, a blank line, and prices outside the bulk grammar.
+ODD_ROWS = [
+    "2005-02-30,T00,5\n",
+    "2005-01-03,T01\n",
+    "2005-01-03,T01,5,6\n",
+    "2005-01-04,,5\n",
+    "2005-01-04,A\\B,5\n",
+    "2005-01-05,T02,n/a\n",
+    "2005-01-05,T02,nan\n",
+    "2005-01-05,T02,inf\n",
+    "2005-01-05,T02,0\n",
+    "2005-01-05,T02,-1\n",
+    "2005-01-05,T02,1e999\n",
+    "2005-01-05,T03,1e\n",
+    "2005-01-05,T03,\n",
+    "\n",
+]
+
+
+def _messy_body(seed):
+    """Shuffled rows with holes and every rejection; no final newline.
+
+    LATE's first row is rejected and its next one is accepted by the per-row
+    rules (`2E1`), ahead of EARLY's first row, which the bulk path takes.
+    """
+    rng = np.random.default_rng(seed)
+    days = [date(2005, 1, 3) + timedelta(days=d) for d in range(30)]
+    formats = ["%.17g", "%.5f", "%r"]
+    rows = [
+        "%s,T%02d,%s\n" % (day.isoformat(), t, formats[rng.integers(3)] % rng.uniform(1, 500))
+        for t in range(12)
+        for day in days
+        if rng.random() > 0.1
+    ]
+    rows += ODD_ROWS + ["2005-01-05,LATE,7\n"]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    head = "2005-01-03,LATE,-1\n2005-01-04,LATE,2E1\n2005-01-03,EARLY,3\n"
+    return (head + "".join(rows))[:-1]
+
+
+def _assert_same_parse(result, reference):
+    assert result.tickers == reference.tickers
+    assert result.dates == reference.dates
+    assert result.prices.tobytes() == reference.prices.tobytes()
+    assert [(r.line_number, r.reason, r.raw) for r in result.rejected] == [
+        (r.line_number, r.reason, r.raw) for r in reference.rejected
+    ]
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 7, ingestion.BLOCK_LINES])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_parse_matches_the_csv_reader_loop(monkeypatch, seed, block_lines):
+    body = _messy_body(seed)
+    reference = parse_price_table(REFERENCE_HEADER + body)
+    assert len(reference.rejected) == len(ODD_ROWS)  # the blank line is skipped, LATE's -1 is not
+    assert reference.tickers[:2] == ["LATE", "EARLY"]
+    monkeypatch.setattr(ingestion, "BLOCK_LINES", block_lines)
+    _assert_same_parse(parse_price_table(HEADER + body), reference)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3, 4])
+def test_parse_duplicate_across_blocks_names_the_first_repeating_line(monkeypatch, block_lines):
+    monkeypatch.setattr(ingestion, "BLOCK_LINES", block_lines)
+    text = HEADER + (
+        "2005-01-03,A,1.0\n"
+        "2005-01-03,B,1.0\n"
+        "2005-01-04,A,1.0\n"
+        "2005-01-04,B,2.0\n"
+        "2005-01-03,B,3E0\n"  # line 6 repeats line 3; the per-row rules take 3E0
+        "2005-01-03,A,3.0\n"  # line 7 repeats line 2, a cell that sorts first
+    )
+    with pytest.raises(DuplicateRecordError, match=r"^duplicate record for \(B, 2005-01-03\) at line 6$"):
+        parse_price_table(text)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3])
+def test_parse_quoted_field_across_a_block_boundary(monkeypatch, block_lines):
+    monkeypatch.setattr(ingestion, "BLOCK_LINES", block_lines)
+    body = '2005-01-03,A,1\n2005-01-04,"A\nB",2\n2005-01-05,A,3\n2005-01-06,"A",4\n'
+    result = parse_price_table(HEADER + body)
+    _assert_same_parse(result, parse_price_table(REFERENCE_HEADER + body))
+    assert [(r.line_number, r.reason) for r in result.rejected] == [(3, "unparseable ticker 'A\\nB'")]
+    assert result.prices.tolist() == [[1.0, 3.0, 4.0]]
+
+
+@pytest.mark.parametrize("odd", ["2005-01-05\t,A,2\n", "2005-01-05,A,2\u3000\n", "2005-01-05,A,1_000\n"])
+def test_parse_non_plain_block_between_plain_ones(monkeypatch, odd):
+    monkeypatch.setattr(ingestion, "BLOCK_LINES", 2)
+    body = "2005-01-03,A,1\n2005-01-04,A,2\n" + odd + "2005-01-06,A,4\n2005-01-07,A,5\n2005-01-08,A,6\n"
+    reference = parse_price_table(REFERENCE_HEADER + body)
+    assert len(reference.dates) + len(reference.rejected) == 6
+    _assert_same_parse(parse_price_table(HEADER + body), reference)
+
+
+def test_parse_line_over_the_csv_field_limit_takes_the_csv_reader(monkeypatch):
+    monkeypatch.setattr(ingestion, "BLOCK_LINES", 2)
+    limit = csv.field_size_limit(20)
+    try:
+        for header in (HEADER, REFERENCE_HEADER):
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                parse_price_table(header + "2005-01-03,A,1\n2005-01-04,%s,2\n" % ("B" * 21))
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _csv(quotes):
