@@ -16,7 +16,6 @@ from .errors import (
     InsufficientDataError,
     InvariantError,
     MissingVertexError,
-    SizeLimitError,
     UnderdeterminedFitError,
 )
 from .ingestion import (
@@ -45,10 +44,7 @@ from .metrics import (
 )
 from .mst import (
     Tree,
-    UnionFind,
-    brute_force_mst,
     check_tree,
-    kruskal_mst,
     prim_batch,
     prim_mst,
 )
@@ -67,7 +63,6 @@ from .synth import (
     HubRegimeParams,
     hub_regime_returns,
     one_factor_returns,
-    preferential_attachment_tree,
 )
 
 __version__ = "0.1.0"

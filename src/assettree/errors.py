@@ -39,10 +39,6 @@ class MissingVertexError(AssetTreeError):
     """A requested ticker is not a vertex of the tree or panel."""
 
 
-class SizeLimitError(AssetTreeError):
-    """Exhaustive enumeration requested beyond its hard size cap."""
-
-
 class UnderdeterminedFitError(AssetTreeError):
     """Fewer than three distinct degree values; no line can be assessed."""
 

@@ -15,7 +15,7 @@ from datetime import date as Date
 import numpy as np
 
 from .errors import FormatError
-from .ingestion import ASCII_WHITESPACE, parse_iso_date
+from .ingestion import ASCII_WHITESPACE, BAD_TICKER, parse_iso_date
 from .mst import Tree, check_tree
 from .rolling import MetricSeries, TransitionReport
 
@@ -58,10 +58,11 @@ def write_tree_edges(path, tree: Tree, meta: dict | None = None) -> None:
 def read_tree_edges(path) -> Tree:
     """Rebuild a Tree from an edge-list file written by write_tree_edges.
 
-    Raises FormatError on a malformed line or weight, or when a
-    `# n_vertices:` header disagrees with the tickers the edges name, and
-    InvariantError if the edges do not form a spanning tree on those
-    tickers. A file without the header is accepted.
+    Raises FormatError on a malformed line, weight or ticker (empty, or
+    one `parse_price_table` rejects), or when a `# n_vertices:` header
+    disagrees with the tickers the edges name, and InvariantError if the
+    edges do not form a spanning tree on those tickers. A file without
+    the header is accepted.
     """
     names: list[str] = []
     weights: list[float] = []
@@ -80,6 +81,9 @@ def read_tree_edges(path) -> Tree:
                 weights.append(float(parts[2]))
             except ValueError:
                 raise FormatError("bad edge weight in %r" % line) from None
+            for ticker in parts[:2]:
+                if not ticker or BAD_TICKER.search(ticker):
+                    raise FormatError("bad ticker %r in %r" % (ticker, line))
             names += parts[:2]
     if not weights:
         raise FormatError("no edge lines")

@@ -36,7 +36,8 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # Edge lists, DOT and corr.csv write tickers unquoted, so a ticker may not
 # hold a field separator, a quote, an escape or an ASCII control character.
-_BAD_TICKER = re.compile(r'[,"\\\x00-\x1f\x7f]')
+# `exports.read_tree_edges` holds the tickers it reads to the same rule.
+BAD_TICKER = re.compile(r'[,"\\\x00-\x1f\x7f]')
 
 # Stripped from each field and header name. ASCII only, like the date and
 # price grammar: a non-ASCII space stays in the field and fails it.
@@ -160,7 +161,10 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
         reader, width, pick = None, len(COLUMNS), itemgetter(0, 1, 2)
     else:
         reader = csv.reader(chain([first], lines))
-        header = next(reader)
+        try:
+            header = next(reader)
+        except csv.Error as err:
+            raise FormatError("line 1: %s" % err) from None
         names = [h.strip(ASCII_WHITESPACE) for h in header]
         if any(names.count(c) != 1 for c in COLUMNS):
             raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
@@ -192,7 +196,7 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
             reject(line_number, "unparseable date %r" % date_text, row)
             return
         code = code_of_ticker.get(ticker)
-        if code is None and (not ticker or _BAD_TICKER.search(ticker)):
+        if code is None and (not ticker or BAD_TICKER.search(ticker)):
             reason = "unparseable ticker %r" % ticker if ticker else "empty ticker"
             reject(line_number, reason, row)
             return
@@ -215,8 +219,12 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
         values.append(price)
 
     def take_rows(line_number: int, rows: Iterable[list[str]]) -> None:
-        for line_number, row in enumerate(rows, start=line_number):
-            take_row(line_number, row)
+        line = line_number - 1  # the last row read
+        try:
+            for line, row in enumerate(rows, start=line_number):
+                take_row(line, row)
+        except csv.Error as err:  # such as a field over csv.field_size_limit()
+            raise FormatError("line %d: %s" % (line + 1, err)) from None
 
     def take_plain_block(line_number: int, block: list[str]) -> None:
         """Parse a plain block column-wise; rows that fail a rule go through take_row."""
@@ -239,7 +247,7 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
             take_rows(line_number, csv.reader(block))
             return
         fast = (days != 0) & (closes > 0) & np.isfinite(closes)
-        bad = {t for t in set(tickers).difference(code_of_ticker) if not t or _BAD_TICKER.search(t)}
+        bad = {t for t in set(tickers).difference(code_of_ticker) if not t or BAD_TICKER.search(t)}
         if bad:
             fast &= ~np.fromiter(map(bad.__contains__, tickers), bool, n)
         # Fast runs and the rows between them are taken in line order, so

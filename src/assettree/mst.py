@@ -1,27 +1,23 @@
 """Minimal spanning tree construction over complete distance graphs.
 
-One Prim kernel, `prim_batch`, builds the trees of a stack of B dense
-distance matrices in one call; `prim_mst` is its B = 1 call. Two
-independent references check it: Kruskal over sorted edges and an
-exhaustive oracle for small N. All three resolve ties the same way:
-edges are ordered by (weight, ticker pair), where the ticker pair is
-compared lexicographically with the smaller ticker first. That
-refinement makes the minimum tree unique, so all three return identical
-edge sets even when many weights coincide: the oracle is exact under
-ties, not just minimal in total weight.
+Prim is the one builder: `prim_batch` builds the trees of a stack of B
+dense distance matrices in one call, and `prim_mst` is its B = 1 call.
+Edges are ordered by (weight, ticker pair), where the ticker pair is
+compared lexicographically with the smaller ticker first (`_pair_key`).
+That refinement makes the minimum tree unique even when many weights
+coincide. The tests check Prim edge for edge against Kruskal and an
+exhaustive oracle in `tests/oracles.py`, which take the same order from
+`_pair_key`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvariantError, SizeLimitError
-
-BRUTE_FORCE_MAX_N = 8
+from .errors import InsufficientDataError, InvariantError
 
 
 @dataclass
@@ -104,14 +100,6 @@ def _pair_key(rank: np.ndarray, a, b):
     return lo * len(rank) + hi
 
 
-def _edge_order(tickers: list[str], d: np.ndarray):
-    """Edges i < j with weights w, and their (weight, ticker pair) sort order."""
-    rank = _ticker_ranks(tickers)
-    iu, ju = np.triu_indices(len(tickers), 1)
-    w = d[iu, ju]
-    return iu, ju, w, np.lexsort((_pair_key(rank, iu, ju), w))
-
-
 def prim_batch(
     d: np.ndarray, rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,83 +150,6 @@ def prim_mst(tickers: list[str], d: np.ndarray) -> Tree:
     """Prim on the distances d of `tickers`: the B = 1 call of `prim_batch`."""
     src, dst, w = prim_batch(d[None], _ticker_ranks(tickers))
     return Tree.from_edges(tickers, src[0], dst[0], w[0])
-
-
-def kruskal_mst(tickers: list[str], d: np.ndarray) -> Tree:
-    """Kruskal over all N(N-1)/2 edges with union-find cycle rejection."""
-    n = len(tickers)
-    if n < 2:
-        raise InsufficientDataError("spanning tree needs at least 2 vertices")
-    iu, ju, w, order = _edge_order(tickers, d)
-
-    uf = UnionFind(n)
-    kept = []
-    for e in order.tolist():
-        if uf.union(int(iu[e]), int(ju[e])):
-            kept.append(e)
-            if len(kept) == n - 1:
-                break
-    return Tree.from_edges(tickers, iu[kept], ju[kept], w[kept])
-
-
-@functools.lru_cache(maxsize=None)
-def _prufer_trees(n: int) -> np.ndarray:
-    """Edge table (n^(n-2), n-1, 2) of every labeled tree on n >= 2 vertices.
-
-    Row r is the tree of the r-th Prufer sequence; all sequences are
-    decoded in parallel as one batch of array operations. The table
-    depends only on n, so it is built once and shared read-only.
-    """
-    m = n ** (n - 2)
-    seqs = np.indices((n,) * (n - 2)).reshape(n - 2, m).T
-    rows = np.arange(m)
-
-    deg = np.ones((m, n), dtype=np.int8)
-    np.add.at(deg, (rows[:, None], seqs), 1)
-    avail = deg == 1
-    edges = np.empty((m, n - 1, 2), dtype=np.int8)
-    for t in range(n - 2):
-        leaf = np.argmax(avail, axis=1)
-        parent = seqs[:, t]
-        edges[:, t, 0] = leaf
-        edges[:, t, 1] = parent
-        avail[rows, leaf] = False
-        deg[rows, leaf] = 0
-        deg[rows, parent] -= 1
-        avail[rows, parent] = deg[rows, parent] == 1
-    first = np.argmax(avail, axis=1)
-    avail[rows, first] = False
-    second = np.argmax(avail, axis=1)
-    edges[:, n - 2, 0] = first
-    edges[:, n - 2, 1] = second
-    edges.flags.writeable = False
-    return edges
-
-
-def brute_force_mst(tickers: list[str], d: np.ndarray) -> Tree:
-    """Exhaustive minimum over all N^(N-2) labeled trees (N <= 8).
-
-    Edge e gets the bit 2^rank(e), its rank under the (weight, ticker
-    pair) order, and each tree scores the sum of its edge bits. A tree
-    beats another exactly when the highest-ranked edge they do not share
-    belongs to the other, so the unique minimum score is the minimum
-    spanning tree under that order, ties in weight included.
-    """
-    n = len(tickers)
-    if n < 2:
-        raise InsufficientDataError("spanning tree needs at least 2 vertices")
-    if n > BRUTE_FORCE_MAX_N:
-        raise SizeLimitError(
-            "exhaustive search capped at N=%d, got N=%d" % (BRUTE_FORCE_MAX_N, n)
-        )
-    iu, ju, _, order = _edge_order(tickers, d)
-    bits = np.zeros((n, n), dtype=np.int64)
-    bits[iu[order], ju[order]] = np.left_shift(1, np.arange(order.size, dtype=np.int64))
-    bits += bits.T
-    trees = _prufer_trees(n)
-    best = trees[int(np.argmin(bits[trees[..., 0], trees[..., 1]].sum(axis=1)))]
-    a, b = best[:, 0], best[:, 1]
-    return Tree.from_edges(tickers, a, b, d[a, b])
 
 
 def check_tree(tree: Tree) -> None:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .ingestion import ReturnPanel
-from .mst import Tree
 
 EPOCH = Date(2005, 1, 3)
 
@@ -97,22 +96,3 @@ def hub_regime_returns(params: HubRegimeParams) -> ReturnPanel:
     coupled[hub] = window[hub]
     returns[:, start:end] = coupled
     return ReturnPanel(base.tickers, base.dates, returns)
-
-
-def preferential_attachment_tree(n: int, seed: int) -> Tree:
-    """Random tree grown by degree-proportional attachment, unit weights.
-
-    Keeps the classic repeated-endpoints list: each edge appends both of
-    its endpoints, so sampling a uniform position in the list picks an
-    existing vertex with probability proportional to its degree.
-    """
-    if n < 2:
-        raise ConfigurationError("tree needs at least 2 vertices")
-    rng = np.random.default_rng(seed)
-    targets = np.zeros(n - 1, dtype=np.int64)  # vertex v attaches to targets[v - 1]
-    endpoints = [0, 1]
-    for v in range(2, n):
-        target = endpoints[rng.integers(len(endpoints))]
-        targets[v - 1] = target
-        endpoints += (target, v)
-    return Tree.from_edges(_tickers(n), targets, np.arange(1, n), np.ones(n - 1))

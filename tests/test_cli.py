@@ -292,6 +292,13 @@ CLI_FAILURES = [
     pytest.param(["analyze", "{tmp}/latin1.csv", "--out", "{tmp}/out"], 2, "ingestion", id="analyze-not-utf8"),
     pytest.param(["evolve", "{tmp}/latin1.csv", "--out", "{tmp}/out"], 2, "ingestion", id="evolve-not-utf8"),
     pytest.param(["export-dot", "{tmp}/bytes.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-not-utf8"),
+    pytest.param(["analyze", "{tmp}/long.csv", "--out", "{tmp}/out"], 2, "ingestion", id="analyze-field-limit"),
+    pytest.param(
+        ["export-dot", "{tmp}/quote.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-quote-ticker"
+    ),
+    pytest.param(
+        ["export-dot", "{tmp}/blank.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-empty-ticker"
+    ),
 ]
 
 
@@ -315,6 +322,9 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     (tmp_path / "nan.edges").write_text("# n_vertices: 3\nA,B,nan\nB,C,inf\n")
     (tmp_path / "latin1.csv").write_bytes(FLAT_PRICES.replace("BB", "B\xe9").encode("latin-1"))
     (tmp_path / "bytes.edges").write_bytes(b"# n_vertices: 2\nA,B\xff,0.5\n")
+    (tmp_path / "long.csv").write_text(FLAT_PRICES + "2005-01-07,%s,1.0\n" % ("X" * 140_000))
+    (tmp_path / "quote.edges").write_text('# n_vertices: 2\nA"x,B,0.5\n')
+    (tmp_path / "blank.edges").write_text("# n_vertices: 2\n,B,0.5\n")
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()

@@ -299,10 +299,22 @@ def test_parse_line_over_the_csv_field_limit_takes_the_csv_reader(monkeypatch):
     limit = csv.field_size_limit(20)
     try:
         for header in (HEADER, REFERENCE_HEADER):
-            with pytest.raises(csv.Error, match="field larger than field limit"):
+            with pytest.raises(FormatError, match="^line 3: field larger than field limit"):
                 parse_price_table(header + "2005-01-03,A,1\n2005-01-04,%s,2\n" % ("B" * 21))
     finally:
         csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, ingestion.BLOCK_LINES])
+def test_parse_field_over_the_csv_limit_names_its_line(monkeypatch, block_lines):
+    monkeypatch.setattr(ingestion, "BLOCK_LINES", block_lines)
+    long = "B" * (csv.field_size_limit() + 1)
+    body = "2005-01-03,A,1\n2005-01-04,A,2\n2005-01-05,A,3\n2005-01-05,%s,4\n2005-01-06,A,5\n" % long
+    for text in (HEADER + body, REFERENCE_HEADER + body):
+        with pytest.raises(FormatError, match="^line 5: field larger than field limit"):
+            parse_price_table(text)
+    with pytest.raises(FormatError, match="^line 1: field larger than field limit"):
+        parse_price_table(HEADER.rstrip("\n") + ",%s\n" % long + body)
 
 
 def _csv(quotes):

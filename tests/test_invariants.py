@@ -10,6 +10,8 @@ from pathlib import Path
 
 import assettree
 
+from test_readme import library_block
+
 SOURCES = sorted(Path(assettree.__file__).parent.glob("*.py"))
 
 
@@ -23,3 +25,34 @@ def test_package_sources_use_no_assert_or_assertion_error():
             ):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def _named(tree: ast.AST) -> set[str]:
+    """Every name a piece of code loads, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_definition_is_used_by_the_package_or_the_readme():
+    # Code only the tests call belongs in the tests (see tests/oracles.py).
+    # `__init__.py` re-exports names, so its imports do not count as a use.
+    used = _named(ast.parse(library_block()))
+    defined = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((path.stem, node.name))
+                used |= {name for name in _named(node) if name != node.name}
+            else:
+                used |= _named(node)
+    assert defined
+    assert ["%s.%s" % (module, name) for module, name in defined if name not in used] == []

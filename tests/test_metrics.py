@@ -17,9 +17,8 @@ from assettree.metrics import (
     summarize,
 )
 from assettree.mst import Tree
-from assettree.synth import preferential_attachment_tree
-
 from conftest import chain_tree, star_tree, tickers_for
+from oracles import preferential_attachment_tree
 
 
 def dist_of(counts: dict, hub: str | None = "HUB") -> DegreeDistribution:

@@ -1,21 +1,12 @@
 import numpy as np
 import pytest
 
-from assettree.errors import InvariantError, SizeLimitError
+from assettree.errors import InvariantError
 from assettree.exports import read_tree_edges, write_tree_edges
-from assettree.mst import (
-    Tree,
-    UnionFind,
-    brute_force_mst,
-    check_tree,
-    _ticker_ranks,
-    kruskal_mst,
-    prim_batch,
-    prim_mst,
-)
-from assettree.synth import preferential_attachment_tree
+from assettree.mst import Tree, UnionFind, check_tree, _ticker_ranks, prim_batch, prim_mst
 
 from conftest import dist_from_array, edge_list, path_max_weights, random_dist, tickers_for
+from oracles import brute_force_mst, kruskal_mst, preferential_attachment_tree
 
 ALGORITHMS = [prim_mst, kruskal_mst, brute_force_mst]
 
@@ -168,7 +159,7 @@ def test_trees_are_connected_and_acyclic(rng):
 
 def test_brute_force_size_cap():
     d = np.zeros((9, 9))
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ValueError, match="capped at N=8"):
         brute_force_mst(tickers_for(9), d)
 
 

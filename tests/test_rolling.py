@@ -19,7 +19,7 @@ from assettree.metrics import (
     normalized_tree_length,
     summarize,
 )
-from assettree.mst import kruskal_mst, prim_mst
+from assettree.mst import prim_mst
 from assettree.rolling import (
     MetricSeries,
     WindowSpec,
@@ -29,6 +29,8 @@ from assettree.rolling import (
     windows,
 )
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
+
+from oracles import kruskal_mst
 
 
 def flat_panel(n=5, days=120, seed=0, beta=0.6):

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from assettree.correlation import pearson_matrix, to_distance
+from assettree.correlation import pearson_matrix
 from assettree.errors import ConfigurationError
 from assettree.metrics import normalized_tree_length
-from assettree.mst import check_tree, prim_mst
-from assettree.synth import (
-    FactorModelParams,
-    HubRegimeParams,
-    hub_regime_returns,
-    one_factor_returns,
-    preferential_attachment_tree,
-)
+from assettree.mst import check_tree
+from assettree.rolling import window_tree
+from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
 from conftest import edge_list
+from oracles import preferential_attachment_tree
 
 
 def factor_params(n=10, days=200, beta=1.0, sigma=1.0, seed=0):
@@ -91,16 +87,11 @@ def _regime_panel(seed, n=20, days=280, gamma=0.9, interval=(70, 210)):
     return hub_regime_returns(HubRegimeParams(base, 5, gamma, interval))
 
 
-def _window_tree(panel, start, end):
-    rho = pearson_matrix(panel.tickers, panel.returns[:, start:end])
-    return prim_mst(panel.tickers, to_distance(rho))
-
-
 def test_strong_coupling_makes_a_star_on_the_hub():
     stars = 0
     for seed in range(20):
         panel = _regime_panel(seed)
-        tree = _window_tree(panel, 70, 210)
+        tree = window_tree(panel, 70, 210)[0]
         deg = tree.degrees()
         if deg.max() == tree.n - 1 and tree.tickers[int(deg.argmax())] == "V0005":
             stars += 1
@@ -110,8 +101,8 @@ def test_strong_coupling_makes_a_star_on_the_hub():
 def test_ntl_drops_inside_the_coupled_interval():
     for seed in range(10):
         panel = _regime_panel(seed, days=280, interval=(70, 210))
-        inside = normalized_tree_length(_window_tree(panel, 70, 210))
-        outside = normalized_tree_length(_window_tree(panel, 0, 70))
+        inside = normalized_tree_length(window_tree(panel, 70, 210)[0])
+        outside = normalized_tree_length(window_tree(panel, 0, 70)[0])
         assert inside < outside
 
 
