@@ -66,8 +66,8 @@ def _resolve_input(args) -> str:
 
 def _load_returns(path: str, start: str | None, end: str | None):
     """Price file to ReturnPanel; returns (panel, dropped, period)."""
-    with open(path, encoding="utf-8-sig") as lines:  # Excel writes a byte-order mark
-        parsed = parse_price_table(lines)
+    with open(path, "rb") as source:
+        parsed = parse_price_table(source)
     for reject in parsed.rejected:
         print(
             "ingestion: line %d rejected (%s)" % (reject.line_number, reject.reason),
@@ -94,7 +94,7 @@ def cmd_analyze(args, stage: Stage) -> None:
     stage.name = "ingestion"
     panel, dropped, period = _load_returns(path, args.start, args.end)
     stage.name = "correlation"
-    rho = pearson_matrix(panel.tickers, panel.returns)
+    rho = pearson_matrix(panel.tickers, panel.returns, panel.log_scale)
     stage.name = "mst"
     tree = prim_mst(panel.tickers, to_distance(rho))
     stage.name = "metrics"

@@ -14,12 +14,21 @@ import numpy as np
 from .errors import DegenerateSeriesError, InsufficientDataError
 
 
-def pearson_matrix(tickers: list[str], returns: np.ndarray) -> np.ndarray:
+# A row is flat when its returns spread no wider than the rounding of
+# r = ln p[t+1] - ln p[t] can spread them: a few eps times the size of the
+# log prices, not of the returns. A price that doubles every day gives such
+# a row, and its correlations would be rounding noise.
+FLAT_EPS = 4 * np.finfo(float).eps
+
+
+def pearson_matrix(tickers: list[str], returns: np.ndarray, log_scale=0.0) -> np.ndarray:
     """Sample Pearson correlation of every pair of return rows.
 
-    Row k of `returns` belongs to tickers[k]. The result is symmetric with
-    an exact unit diagonal. Raises DegenerateSeriesError naming every
-    zero-variance ticker, and InsufficientDataError for windows shorter
+    Row k of `returns` belongs to tickers[k], and log_scale[k] bounds the
+    |ln p| of its prices (`ReturnPanel.log_scale`). The result is
+    symmetric with an exact unit diagonal. Raises DegenerateSeriesError
+    naming every flat row, one with max(r) - min(r) <= FLAT_EPS *
+    (log_scale + max |r|), and InsufficientDataError for windows shorter
     than 3 observations.
     """
     r = np.asarray(returns, dtype=float)
@@ -27,8 +36,8 @@ def pearson_matrix(tickers: list[str], returns: np.ndarray) -> np.ndarray:
         raise InsufficientDataError("need at least 2 return rows")
     if r.shape[1] < 3:
         raise InsufficientDataError("window length %d < 3" % r.shape[1])
-    sd = r.std(axis=1)
-    flat = np.flatnonzero(sd == 0.0)
+    high, low = r.max(axis=1), r.min(axis=1)
+    flat = np.flatnonzero(high - low <= FLAT_EPS * (log_scale + np.maximum(high, -low)))
     if flat.size:
         raise DegenerateSeriesError([tickers[i] for i in flat])
 
@@ -40,6 +49,8 @@ def pearson_matrix(tickers: list[str], returns: np.ndarray) -> np.ndarray:
     return rho
 
 
-def to_distance(rho: np.ndarray) -> np.ndarray:
-    """Map correlations to distances via d = sqrt(2 (1 - rho))."""
-    return np.sqrt(2.0 * (1.0 - rho))
+def to_distance(rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Map correlations to distances via d = sqrt(2 (1 - rho)), into `out` if given."""
+    out = np.subtract(1.0, rho, out=out)
+    out *= 2.0
+    return np.sqrt(out, out=out)

@@ -28,7 +28,7 @@ class InsufficientDataError(AssetTreeError):
 
 
 class DegenerateSeriesError(AssetTreeError):
-    """A return row has zero variance over the requested window."""
+    """A return row is flat (zero variance, up to rounding) over the requested window."""
 
     def __init__(self, tickers):
         self.tickers = tuple(tickers)

@@ -14,7 +14,7 @@ from datetime import date as Date
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvariantError
 from .ingestion import ASCII_WHITESPACE, BAD_TICKER, parse_iso_date
 from .mst import Tree, check_tree
 from .rolling import MetricSeries, TransitionReport
@@ -186,12 +186,26 @@ def write_json(path, payload: dict) -> None:
 
 
 def write_correlation_matrix(path, tickers: list[str], rho: np.ndarray) -> None:
-    """Delimited dump: one header row of tickers, then N rows of values."""
-    row_format = ",".join([_FLOAT_FORMAT] * rho.shape[1]) + "\n"
+    """Delimited dump: one header row of tickers, then N rows of values.
+
+    `rho` must be exactly symmetric, as `pearson_matrix` makes it, else
+    InvariantError: each value right of the diagonal is formatted once and
+    kept for the row below the diagonal that repeats it.
+    """
+    bits = np.ascontiguousarray(rho, dtype=np.float64).view(np.uint64)
+    if bits.ndim != 2 or not np.array_equal(bits, bits.T):
+        raise InvariantError("correlation matrix is not exactly symmetric")
+    n = len(rho)
+    left: list[list[str]] = [[] for _ in range(n)]  # row i's cells before its diagonal
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(tickers) + "\n")
-        for row in rho:
-            fh.write(row_format % tuple(row.tolist()))
+        for i in range(n):
+            tail = ",".join([_FLOAT_FORMAT] * (n - i)) % tuple(rho[i, i:].tolist())
+            row, left[i] = left[i], []
+            row.append(tail)
+            fh.write(",".join(row) + "\n")
+            for cells, cell in zip(left[i + 1 :], tail.split(",")[1:]):
+                cells.append(cell)
 
 
 def write_price_csv(path, tickers: list[str], dates: list[Date], prices: np.ndarray) -> None:

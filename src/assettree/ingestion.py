@@ -1,14 +1,15 @@
 """Price table parsing, panel alignment, and log returns.
 
-Input is CSV text with a header row and one record per line. The
-header names the columns `date` (YYYY-MM-DD), `ticker` and `close`, in
-any order; other columns are ignored. Fields and header names are
-stripped of ASCII whitespace only. Records may arrive in any order;
-they are read in blocks of lines into one ticker x date grid of prices,
-NaN where a ticker has no record, and the grid and the rejected rows do
-not depend on where the blocks split. A company enters an aligned panel
-only if it has a price on every trading day of the requested period,
-where the trading-day axis is the set of dates observed in that period.
+Input is UTF-8 CSV with a header row and one record per line. The header
+names the columns `date` (YYYY-MM-DD), `ticker` and `close`, in any
+order; other columns are ignored. Fields and header names are stripped
+of ASCII whitespace only. A leading byte-order mark is skipped, and
+"\\r\\n" and a lone "\\r" end a line like "\\n". The file is read as bytes,
+CHUNK_BYTES at a time, into one ticker x date grid of prices, NaN where a
+ticker has no record, and the grid and the rejected rows do not depend on
+where the chunks split. A company enters an aligned panel only if it has
+a price on every trading day of the requested period, where the
+trading-day axis is the set of dates observed in that period.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
-from itertools import chain, compress, islice, repeat
+from itertools import chain, count
 from operator import itemgetter
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateRecordError, FormatError, InsufficientDataError
 
@@ -43,20 +45,36 @@ BAD_TICKER = re.compile(r'[,"\\\x00-\x1f\x7f]')
 # price grammar: a non-ASCII space stays in the field and fails it.
 ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
-# Lines per block under the plain header. A block's strings are alive at
-# once, and at 1,024 lines and up they pinned one more 1 MiB pymalloc arena
-# for the life of the process; smaller blocks gave no speed.
-BLOCK_LINES = 256
+# Bytes read at a time. A chunk's arrays are alive at once: peak RSS of a
+# rolling run read 45-46 MB with 64-256 KiB chunks and 53 MB with 1 MiB.
+CHUNK_BYTES = 1 << 18
 
-_PLAIN_HEADER = ",".join(COLUMNS)
+_PLAIN_HEADER = b"date,ticker,close"
+_BOM = b"\xef\xbb\xbf"
 
-# A block is plain when it is ASCII and holds none of these: no quoting, no
-# whitespace to strip, no "_" for float() to take.
-_NOT_PLAIN = ('"', "_", " ", "\t", "\r", "\x0b", "\x0c")
+# The longest ticker and price a chunk parses column-wise, in bytes;
+# longer ones go through the per-row rules. A chunk is padded so that a
+# window of _PRICE_BYTES fits after every line.
+_TICKER_BYTES, _PRICE_BYTES = 16, 32
+_PAD = bytes(_PRICE_BYTES)
 
-# A price made of these alone is parsed in bulk; any other goes through the
-# per-row rules. "\n" ends a line; float() ignores it.
-_BULK_PRICE_BYTES = b"0123456789.e+-\n"
+# _KEEP[L] keeps the first L bytes of a 32-byte window, as 4 little-endian words.
+_KEEP = np.where(np.arange(32) < np.arange(33)[:, None], 255, 0).astype(np.uint8).view("<u8")
+
+# Days before month m (1-12) in a common year, and the month's length; 0 and
+# 13 stand for every out-of-range month and give it no valid day.
+_DAYS_BEFORE = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 0])
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
+# Days before January 1 of each year 0-9999 (the ordinal of its December 31
+# before), and which years are leap years.
+_YEARS = np.arange(10000)
+_DAYS_BEFORE_YEAR = (_YEARS - 1) * 365 + (_YEARS - 1) // 4 - (_YEARS - 1) // 100 + (_YEARS - 1) // 400
+_LEAP = (_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))
+# XOR with "YYYY-MM-" read as a little-endian word leaves each digit's value
+# in the digit bytes and 0 in the dash bytes (4 and 7) of a date.
+_DATE_WORD = int.from_bytes(b"0000-00-", "little")
+_DASH_BYTES = 0xFF0000FF00000000
+_HIGH_NIBBLES = 0xF0F0F0F0F0F0F0F0
 
 
 @dataclass
@@ -86,11 +104,20 @@ class PricePanel:
 
 @dataclass
 class ReturnPanel:
-    """Daily log returns: N tickers by T-1 days (one less than prices)."""
+    """Daily log returns: N tickers by T-1 days (one less than prices).
+
+    log_scale[k] is the largest |ln p| of row k's prices, which the rounding
+    of its returns scales with; zeros when no prices are known.
+    """
 
     tickers: list[str]
     dates: list[Date]
     returns: np.ndarray
+    log_scale: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.log_scale is None:
+            self.log_scale = np.zeros(len(self.tickers))
 
 
 @dataclass
@@ -136,8 +163,53 @@ def _date_ordinal(text: str) -> int:
         return 0
 
 
-def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
-    """Parse CSV price records, a string or an iterable of lines, into a grid.
+def _chunks(stream: BinaryIO) -> Iterator[bytes]:
+    """The stream's bytes in chunks of whole lines, each line ending in "\\n".
+
+    Reads CHUNK_BYTES at a time and carries a cut line to the next chunk.
+    "\\r\\n" and a lone "\\r" become "\\n". A last line with no final newline
+    comes last, as it is.
+    """
+    carried: list[bytes] = []
+    while data := stream.read(CHUNK_BYTES):
+        while data.endswith(b"\r") and (more := stream.read(1)):  # "\r" | "\n" is one newline
+            data += more
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*carried, data[:cut]])
+            carried = [data[cut:]]
+        else:
+            carried.append(data)
+    if rest := b"".join(carried):
+        yield rest
+
+
+def _text_lines(chunks: Iterable[bytes]) -> Iterator[str]:
+    """The lines of the chunks as strict UTF-8 text, each with its "\\n", decoded one at a time."""
+    for chunk in chunks:
+        for line in chunk.splitlines(keepends=True):  # "\n" is the only line end left
+            yield line.decode("utf-8")
+
+
+def _ordinals(ymd: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinals of YYYY-MM-DD dates, and which are dates, from the words at their bytes 0 and 8."""
+    x = ymd ^ _DATE_WORD  # "YYYY-MM-"
+    d = dd & 0xFFFF ^ 0x3030  # "DD"
+    # A byte holds a digit's value when it and it + 6 are both below 16.
+    ok = ((x | x + 0x0606060606060606) & _HIGH_NIBBLES | x & _DASH_BYTES | (d | d + 0x0606) & 0xF0F0) == 0
+    pairs = x * 10 + (x >> 8)  # two-digit values in bytes 0 and 2 (the year) and 5 (the month)
+    year = np.minimum((pairs & 0xFF) * 100 + (pairs >> 16 & 0xFF), 9999)
+    month = np.minimum(pairs >> 40 & 0xFF, 13)
+    day = ((d & 0xFF) * 10 + (d >> 8)).view(np.int64)
+    leap = _LEAP[year]
+    ok &= (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
+    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE[month] + (leap & (month > 2)) + day, ok
+
+
+def parse_price_table(source: str | BinaryIO) -> ParseResult:
+    """Parse CSV price records, a string or a binary file, into a grid.
 
     The header row is required and must name the columns date, ticker
     and close once each; they are looked up by name, and other columns
@@ -146,21 +218,26 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
     non-positive prices, or a field count other than the header's are
     rejected with a diagnostic naming the line; a duplicate (ticker,
     date) pair is an error, not a rejection, naming the first line that
-    repeats one.
+    repeats one. Invalid UTF-8 raises UnicodeDecodeError.
 
-    Under the header `date,ticker,close` the lines are read in blocks of
-    BLOCK_LINES, and a plain block is parsed column-wise; any other
-    header or block goes through csv.reader and the per-row rules. The
-    result does not depend on how the lines fall into blocks.
+    A string is read as its UTF-8 bytes. Under the header
+    `date,ticker,close` the bytes are read in chunks of whole lines; a
+    line of printable ASCII with a YYYY-MM-DD date, a ticker of up to 16
+    bytes and a short price is parsed column-wise, and every other line
+    goes through csv.reader and the per-row rules, in line order. Any
+    other header, or a `"` in a chunk, sends the rest through csv.reader.
+    The result does not depend on where the chunks split.
     """
-    lines = io.StringIO(raw_text) if isinstance(raw_text, str) else iter(raw_text)
-    first = next(lines, None)
-    if first is None:
+    chunks = _chunks(io.BytesIO(source.encode("utf-8")) if isinstance(source, str) else source)
+    head = next(chunks, b"").removeprefix(_BOM)
+    if not head:
         raise FormatError("missing header row")
-    if first in (_PLAIN_HEADER, _PLAIN_HEADER + "\n"):
+    cut = head.find(b"\n") + 1 or len(head)
+    if head[:cut] in (_PLAIN_HEADER, _PLAIN_HEADER + b"\n"):
         reader, width, pick = None, len(COLUMNS), itemgetter(0, 1, 2)
+        chunks = chain([head[cut:]], chunks)
     else:
-        reader = csv.reader(chain([first], lines))
+        reader = csv.reader(_text_lines(chain([head], chunks)))
         try:
             header = next(reader)
         except csv.Error as err:
@@ -174,6 +251,7 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
     ordinal_of_text: dict[str, int] = {}  # each distinct date text parsed once; 0 if unparseable
     ticker_codes, ordinals, line_numbers, values = array("q"), array("q"), array("q"), array("d")
     rejected: list[RejectedRow] = []
+    limit = csv.field_size_limit()
 
     def reject(line_number: int, reason: str, row: list[str]) -> None:
         rejected.append(RejectedRow(line_number, reason, ",".join(row)))
@@ -218,86 +296,119 @@ def parse_price_table(raw_text: str | Iterable[str]) -> ParseResult:
         line_numbers.append(line_number)
         values.append(price)
 
-    def take_rows(line_number: int, rows: Iterable[list[str]]) -> None:
-        line = line_number - 1  # the last row read
-        try:
-            for line, row in enumerate(rows, start=line_number):
-                take_row(line, row)
-        except csv.Error as err:  # such as a field over csv.field_size_limit()
-            raise FormatError("line %d: %s" % (line + 1, err)) from None
+    def take_rows(lines: Iterable[int], rows: Iterable[list[str]]) -> None:
+        """take_row on each row, numbered by `lines`."""
+        rows = iter(rows)
+        for line in lines:
+            try:
+                row = next(rows, None)
+            except csv.Error as err:  # such as a field over csv.field_size_limit()
+                raise FormatError("line %d: %s" % (line, err)) from None
+            if row is None:
+                return
+            take_row(line, row)
 
-    def take_plain_block(line_number: int, block: list[str]) -> None:
-        """Parse a plain block column-wise; rows that fail a rule go through take_row."""
-        n = len(block)
-        commas = np.fromiter(map(str.count, block, repeat(",")), np.int64, n)
-        padded = list(block)
-        for k in np.flatnonzero(commas != 2).tolist():
-            padded[k] = ",,0"  # an empty date sends the row to take_row
-        fields = ",".join(padded).split(",")
-        dates, tickers, prices = fields[0::3], fields[1::3], fields[2::3]
-        for text in set(dates).difference(ordinal_of_text):
-            ordinal_of_text[text] = _date_ordinal(text)
-        days = np.fromiter(map(ordinal_of_text.__getitem__, dates), np.int64, n)
-        others = ",".join(prices).encode().translate(None, _BULK_PRICE_BYTES).split(b",")
-        for k in compress(range(n), others):
-            prices[k] = "0"  # "n/a", "nan", "1E5": parsed by take_row
-        try:
-            closes = np.fromiter(map(float, prices), np.float64, n)
-        except ValueError:  # such as "1e" or an empty price
-            take_rows(line_number, csv.reader(block))
-            return
-        fast = (days != 0) & (closes > 0) & np.isfinite(closes)
-        bad = {t for t in set(tickers).difference(code_of_ticker) if not t or BAD_TICKER.search(t)}
-        if bad:
-            fast &= ~np.fromiter(map(bad.__contains__, tickers), bool, n)
-        # Fast runs and the rows between them are taken in line order, so
-        # tickers get codes in first-seen order and a duplicate names its line.
-        slow = np.flatnonzero(~fast).tolist()
-        start = 0
-        for k, row in zip(slow + [n], chain(csv.reader([block[k] for k in slow]), [None])):
-            if start < k:
-                run = tickers[start:k]
-                for ticker in sorted(set(run).difference(code_of_ticker), key=run.index):
-                    code_of_ticker[ticker] = len(code_of_ticker)
-                codes = np.fromiter(map(code_of_ticker.__getitem__, run), np.int64, k - start)
-                ticker_codes.frombytes(codes.tobytes())
-                ordinals.frombytes(days[start:k].tobytes())
-                line_numbers.frombytes(np.arange(line_number + start, line_number + k).tobytes())
-                values.frombytes(closes[start:k].tobytes())
-            if row is not None:
-                take_row(line_number + k, row)
-            start = k + 1
+    def take_chunk(line_number: int, chunk: bytes) -> int:
+        """Parse a chunk's plain lines column-wise and the rest with take_row; the next line number."""
+        if not chunk.endswith(b"\n"):
+            chunk += b"\n"  # the last line of a file with no final newline
+        padded = chunk + _PAD
+        a = np.frombuffer(padded, np.uint8)
+        body = a[: len(chunk)]
+        words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))  # the 8 bytes from each byte on
+        seps = np.flatnonzero(body <= 44)  # newlines and commas, and bytes such as space or "+"
+        marks = body[seps]
+        odd = seps[(marks <= 32) & (marks != 10)]  # whitespace or a control byte
+        if body.max() > 126 or b"\\" in chunk:
+            odd = np.concatenate([odd, np.flatnonzero((body > 126) | (body == 92))])
+        sep = (marks == 10) | (marks == 44)
+        seps, marks = seps[sep], marks[sep]
+        newline = marks == 10
+        n = int(np.count_nonzero(newline))
+        if len(seps) == 3 * n and newline[2::3].all():  # two commas on every line
+            plain = np.ones(n, dtype=bool)
+            first, second, ends = seps[0::3], seps[1::3], seps[2::3]
+        else:
+            at = np.flatnonzero(newline)
+            ends = seps[at]
+            commas = np.diff(at, prepend=-1) - 1  # on each line
+            plain = commas == 2
+            at -= commas  # each line's first comma, if it has one
+            first, second = seps[at], seps[np.minimum(at + 1, len(seps) - 1)]
+        if len(odd):
+            plain[np.searchsorted(ends, odd)] = False
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        ticker_len, price_len = second - first - 1, ends - second - 1
+        plain &= (first - starts == 10) & (ticker_len >= 1) & (ticker_len <= _TICKER_BYTES)
+        plain &= (price_len >= 1) & (price_len <= _PRICE_BYTES) & (ends - starts <= limit)
+        k = np.flatnonzero(plain)
+
+        days, ok = _ordinals(words[starts[k]], words[starts[k] + 8])
+        price = sliding_window_view(a, _PRICE_BYTES)[second[k] + 1].view("<u8")
+        tokens = (price & _KEEP.take(price_len[k], axis=0)).view("S%d" % _PRICE_BYTES).ravel().tolist()
+        closes, rest = array("d"), iter(tokens)
+        while True:
+            try:
+                closes.extend(map(float, rest))
+                break
+            except ValueError:  # such as "n/a": the per-row rules judge it
+                closes.append(0.0)
+        closes = np.frombuffer(closes, dtype=np.float64)
+        if b"_" in chunk:  # float() alone would take "1_000"
+            closes = np.where([b"_" in token for token in tokens], 0.0, closes)
+        ok &= (closes > 0) & (closes < math.inf)
+        k, days, closes = k[ok], days[ok], closes[ok]
+
+        # A ticker's bytes 0-7 and 8-15 start at line bytes 11 and 19.
+        ticker_len = ticker_len[k]
+        keys = words[starts[k] + 11] & _KEEP[ticker_len, 0]
+        if len(k) and ticker_len.max() > 8:
+            high = words[starts[k] + 19] & _KEEP[ticker_len, 1]
+            keys = np.stack([keys, high], axis=1).view("S16").ravel()
+        keys, inverse = np.unique(keys, return_inverse=True)
+        names = [name.decode() for name in keys.view("S%d" % keys.itemsize).tolist()]
+        # take_row gives codes in line order, so a new ticker's first line goes through it.
+        fresh = [u for u, name in enumerate(names) if name not in code_of_ticker]
+        if fresh:
+            seen = np.full(len(names), n)
+            np.minimum.at(seen, inverse, k)
+            fast = np.isin(k, seen[fresh], invert=True)
+            k, days, closes, inverse = k[fast], days[fast], closes[fast], inverse[fast]
+        slow = np.delete(np.arange(n), k).tolist()
+        rows = csv.reader(chunk[starts[s] : ends[s] + 1].decode("utf-8") for s in slow)
+        take_rows([line_number + s for s in slow], rows)
+        codes = np.array([code_of_ticker[name] for name in names], dtype=np.int64)
+        ticker_codes.frombytes(codes[inverse].tobytes())
+        ordinals.frombytes(days.tobytes())
+        line_numbers.frombytes((k + line_number).tobytes())
+        values.frombytes(closes.tobytes())
+        return line_number + n
 
     line_number = 2
     if reader is not None:
-        take_rows(line_number, reader)
+        take_rows(count(line_number), reader)
     else:
-        while block := list(islice(lines, BLOCK_LINES)):
-            text = "".join(block)
-            if '"' in text:  # a quoted field can span lines: csv.reader reads the rest
-                take_rows(line_number, csv.reader(chain(block, lines)))
+        for chunk in chunks:
+            if b'"' in chunk:  # a quoted field can span lines: csv.reader reads the rest
+                take_rows(count(line_number), csv.reader(_text_lines(chain([chunk], chunks))))
                 break
-            # csv.reader raises on a field over its size limit; a plain block has none.
-            limit = csv.field_size_limit()
-            if (
-                text.isascii()
-                and not any(map(text.__contains__, _NOT_PLAIN))
-                and (len(text) <= limit or max(map(len, block)) <= limit)
-            ):
-                take_plain_block(line_number, block)
-            else:
-                take_rows(line_number, csv.reader(block))
-            line_number += len(block)
+            if chunk:
+                line_number = take_chunk(line_number, chunk)
 
     tickers = list(code_of_ticker)
-    axis, column = np.unique(np.asarray(ordinals), return_inverse=True)
-    dates = [Date.fromordinal(day) for day in axis.tolist()]
-    cell = np.asarray(ticker_codes) * len(dates) + column
-    _, first_rows = np.unique(cell, return_index=True)
-    if len(first_rows) < len(cell):
+    days = np.frombuffer(ordinals, dtype=np.int64)
+    lo, hi = (int(days.min()), int(days.max())) if len(days) else (0, -1)
+    present = np.zeros(hi - lo + 1, dtype=bool)  # the date axis, as a mask over [lo, hi]
+    present[days - lo] = True
+    dates = [Date.fromordinal(lo + day) for day in np.flatnonzero(present).tolist()]
+    column = (np.cumsum(present) - 1)[days - lo]
+    cell = np.frombuffer(ticker_codes, dtype=np.int64) * len(dates) + column
+    if len(cell) and np.bincount(cell).max() > 1:
+        order = np.argsort(np.frombuffer(line_numbers, dtype=np.int64))
+        _, first_rows = np.unique(cell[order], return_index=True)
         again = np.ones(len(cell), dtype=bool)
         again[first_rows] = False
-        k = int(np.argmax(again))
+        k = int(order[np.argmax(again)])
         raise DuplicateRecordError(
             "duplicate record for (%s, %s) at line %d"
             % (tickers[ticker_codes[k]], dates[column[k]], line_numbers[k])
@@ -333,5 +444,6 @@ def align_and_filter(parsed: ParseResult, period: tuple[Date, Date]) -> AlignRes
 
 def log_returns(panel: PricePanel) -> ReturnPanel:
     """Daily log returns: r[i][t] = ln p[i][t+1] - ln p[i][t]."""
-    returns = np.diff(np.log(panel.prices), axis=1)
-    return ReturnPanel(list(panel.tickers), list(panel.dates[1:]), returns)
+    logs = np.log(panel.prices)
+    returns = np.diff(logs, axis=1)
+    return ReturnPanel(list(panel.tickers), list(panel.dates[1:]), returns, np.abs(logs).max(axis=1))

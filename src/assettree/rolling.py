@@ -89,19 +89,19 @@ def windows(panel: ReturnPanel, spec: WindowSpec) -> list[tuple[int, int]]:
     return [(s, s + spec.width) for s in range(0, t - spec.width + 1, spec.step)]
 
 
-def _window_distances(
+def _window_correlations(
     panel: ReturnPanel, start: int, end: int
 ) -> tuple[np.ndarray, list[str], tuple[str, ...]]:
-    """Distances of columns [start, end), the tickers kept, and those left out.
+    """Correlations of columns [start, end), the tickers kept, and those left out.
 
-    A company whose returns have zero variance in the window is left out
-    and named in `dropped`; fewer than 2 companies left is an error.
+    A company whose returns are flat in the window is left out and named
+    in `dropped`; fewer than 2 companies left is an error.
     """
     returns = panel.returns[:, start:end]
     tickers = panel.tickers
     dropped: tuple[str, ...] = ()
     try:
-        rho = pearson_matrix(tickers, returns)
+        rho = pearson_matrix(tickers, returns, panel.log_scale)
     except DegenerateSeriesError as err:
         keep = [k for k, t in enumerate(tickers) if t not in err.tickers]
         if len(keep) < 2:
@@ -110,8 +110,8 @@ def _window_distances(
             ) from err
         dropped = err.tickers
         tickers = [tickers[k] for k in keep]
-        rho = pearson_matrix(tickers, returns[keep])
-    return to_distance(rho), tickers, dropped
+        rho = pearson_matrix(tickers, returns[keep], panel.log_scale[keep])
+    return rho, tickers, dropped
 
 
 def window_tree(
@@ -119,11 +119,11 @@ def window_tree(
 ) -> tuple[Tree, tuple[str, ...]]:
     """The tree of columns [start, end) and the companies it leaves out.
 
-    Slice, Pearson, distance, Prim. A company whose returns have zero
-    variance in the window is left out of its tree and named in `dropped`.
+    Slice, Pearson, distance, Prim. A company whose returns are flat in
+    the window is left out of its tree and named in `dropped`.
     """
-    d, tickers, dropped = _window_distances(panel, start, end)
-    return prim_mst(tickers, d), dropped
+    rho, tickers, dropped = _window_correlations(panel, start, end)
+    return prim_mst(tickers, to_distance(rho)), dropped
 
 
 def window_trees(
@@ -150,14 +150,14 @@ def window_trees(
         failure = None
         for start, end in spans[first : first + size]:
             try:
-                d, tickers, dropped = _window_distances(panel, start, end)
+                rho, tickers, dropped = _window_correlations(panel, start, end)
             except InsufficientDataError as err:
                 failure = err
                 break
             if dropped:
-                held.append((start, end, prim_mst(tickers, d), dropped))
+                held.append((start, end, prim_mst(tickers, to_distance(rho)), dropped))
             else:
-                stack[filled] = d
+                to_distance(rho, out=stack[filled])
                 filled += 1
                 held.append((start, end, None, dropped))
         batched = zip(*prim_batch(stack[:filled], rank)) if filled else iter(())

@@ -80,8 +80,8 @@ def test_synth_gamma_zero_matches_one_factor_file(tmp_path):
 def test_synth_round_trips_through_ingestion(tmp_path):
     params = write_params(tmp_path / "p.txt", n_companies=5, n_days=40, regime_end=39)
     assert main(["synth", str(params), "--out", str(tmp_path)]) == 0
-    with open(tmp_path / "prices.csv", encoding="utf-8") as lines:
-        parsed = parse_price_table(lines)
+    with open(tmp_path / "prices.csv", "rb") as source:
+        parsed = parse_price_table(source)
     aligned = align_and_filter(parsed, (parsed.dates[0], parsed.dates[-1]))
     recovered = log_returns(aligned.panel)
 
@@ -235,6 +235,23 @@ def test_evolve_default_center_leaves_out_a_company_flat_all_period(tmp_path, ca
     capsys.readouterr()
     assert main(["analyze", str(path), "--out", str(tmp_path / "one")]) == 2
     assert capsys.readouterr().err == "correlation: zero-variance return series: T3\n"
+
+
+def test_a_company_with_a_constant_log_return_is_flat(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((5, 130)), axis=1))
+    prices[2] = 100.0 * 2.0 ** np.arange(130)
+    days = [date(2005, 1, 3) + timedelta(days=t) for t in range(130)]
+    path = tmp_path / "prices.csv"
+    path.write_text(
+        "date,ticker,close\n"
+        + "".join("%s,T%d,%r\n" % (d, k, p) for k, row in enumerate(prices.tolist()) for d, p in zip(days, row))
+    )
+    assert main(["analyze", str(path), "--out", str(tmp_path / "one")]) == 2
+    assert capsys.readouterr().err == "correlation: zero-variance return series: T2\n"
+    assert main(["evolve", str(path), "--window", "60", "--step", "30", "--out", str(tmp_path / "roll")]) == 0
+    report = json.loads((tmp_path / "roll" / "transitions.json").read_text())
+    assert report["window_drops"] == {str(k): ["T2"] for k in range(3)}
 
 
 def test_evolve_is_byte_deterministic(star_prices, tmp_path):

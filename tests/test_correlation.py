@@ -1,10 +1,12 @@
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from assettree.correlation import pearson_matrix, to_distance
 from assettree.errors import DegenerateSeriesError, InsufficientDataError
+from assettree.ingestion import PricePanel, log_returns
 
 
 def panel_of(rows):
@@ -45,6 +47,36 @@ def test_zero_variance_row_raises_with_ticker():
         pearson_matrix(*panel_of(rows))
     assert "R1" in str(err.value)
     assert err.value.tickers == ("R1",)
+
+
+@pytest.mark.parametrize("width", [30, 60, 120, 250])
+def test_constant_log_return_row_is_flat(rng, width):
+    # 100 * 2^t has the same log return every day, but rounding ln p[t+1] -
+    # ln p[t] leaves its row a few distinct values and a nonzero variance.
+    days = [date(2005, 1, 3) + timedelta(days=t) for t in range(width + 1)]
+    walks = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((3, width + 1)), axis=1))
+    prices = np.vstack([100.0 * 2.0 ** np.arange(width + 1), walks])
+    panel = log_returns(PricePanel(["DBL", "A", "B", "C"], days, prices))
+    assert panel.returns[0].std() > 0
+    with pytest.raises(DegenerateSeriesError) as err:
+        pearson_matrix(panel.tickers, panel.returns, panel.log_scale)
+    assert err.value.tickers == ("DBL",)
+    rho = pearson_matrix(panel.tickers[1:], panel.returns[1:], panel.log_scale[1:])
+    assert rho.shape == (3, 3)
+
+
+def test_constant_return_row_is_flat_without_prices():
+    # The std of [0.1] * 3 is not exactly 0: their mean rounds away from 0.1.
+    with pytest.raises(DegenerateSeriesError) as err:
+        pearson_matrix(*panel_of([[0.1, 0.2, -0.1], [0.1, 0.1, 0.1]]))
+    assert err.value.tickers == ("R1",)
+
+
+def test_distance_into_out_matches_the_formula(rng):
+    rho = pearson_matrix(*panel_of(rng.standard_normal((40, 30))))
+    out = np.empty_like(rho)
+    assert to_distance(rho, out=out) is out
+    assert out.tobytes() == np.sqrt(2.0 * (1.0 - rho)).tobytes() == to_distance(rho).tobytes()
 
 
 def test_short_window_raises():

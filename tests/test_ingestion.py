@@ -1,4 +1,6 @@
 import csv
+import io
+import itertools
 import math
 from datetime import date, timedelta
 
@@ -197,8 +199,13 @@ def test_parse_ignores_extra_columns_and_checks_the_header_width():
 
 # csv.reader reads the same three names from this header, but it is not the
 # plain `date,ticker,close` line, so the whole file takes the csv.reader loop
-# with the same rows and line numbers: the reference for the block path.
+# with the same rows and line numbers: the reference for the chunk path.
 REFERENCE_HEADER = '"date",ticker,close\n'
+
+# Chunk sizes in bytes: a chunk of 1 byte holds at most one line, and 256
+# bytes hold a few; the 1, 2, 7 and 256 cases keep the test ids of the
+# line-block parser these tests were written for.
+CHUNK_SIZES = [1, 2, 7, 97, 256, ingestion.CHUNK_BYTES]
 
 # One of each rejection, a blank line, and prices outside the bulk grammar.
 ODD_ROWS = [
@@ -241,6 +248,7 @@ def _messy_body(seed):
 
 
 def _assert_same_parse(result, reference):
+    assert all(type(r.line_number) is int for r in result.rejected)
     assert result.tickers == reference.tickers
     assert result.dates == reference.dates
     assert result.prices.tobytes() == reference.prices.tobytes()
@@ -249,20 +257,20 @@ def _assert_same_parse(result, reference):
     ]
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 7, ingestion.BLOCK_LINES])
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_block_parse_matches_the_csv_reader_loop(monkeypatch, seed, block_lines):
+def test_block_parse_matches_the_csv_reader_loop(monkeypatch, seed, chunk_bytes):
     body = _messy_body(seed)
     reference = parse_price_table(REFERENCE_HEADER + body)
     assert len(reference.rejected) == len(ODD_ROWS)  # the blank line is skipped, LATE's -1 is not
     assert reference.tickers[:2] == ["LATE", "EARLY"]
-    monkeypatch.setattr(ingestion, "BLOCK_LINES", block_lines)
+    monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
     _assert_same_parse(parse_price_table(HEADER + body), reference)
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 3, 4])
-def test_parse_duplicate_across_blocks_names_the_first_repeating_line(monkeypatch, block_lines):
-    monkeypatch.setattr(ingestion, "BLOCK_LINES", block_lines)
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 4, 97, ingestion.CHUNK_BYTES])
+def test_parse_duplicate_across_blocks_names_the_first_repeating_line(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
     text = HEADER + (
         "2005-01-03,A,1.0\n"
         "2005-01-03,B,1.0\n"
@@ -275,9 +283,9 @@ def test_parse_duplicate_across_blocks_names_the_first_repeating_line(monkeypatc
         parse_price_table(text)
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 3])
-def test_parse_quoted_field_across_a_block_boundary(monkeypatch, block_lines):
-    monkeypatch.setattr(ingestion, "BLOCK_LINES", block_lines)
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 7, 97, ingestion.CHUNK_BYTES])
+def test_parse_quoted_field_across_a_block_boundary(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
     body = '2005-01-03,A,1\n2005-01-04,"A\nB",2\n2005-01-05,A,3\n2005-01-06,"A",4\n'
     result = parse_price_table(HEADER + body)
     _assert_same_parse(result, parse_price_table(REFERENCE_HEADER + body))
@@ -287,27 +295,31 @@ def test_parse_quoted_field_across_a_block_boundary(monkeypatch, block_lines):
 
 @pytest.mark.parametrize("odd", ["2005-01-05\t,A,2\n", "2005-01-05,A,2\u3000\n", "2005-01-05,A,1_000\n"])
 def test_parse_non_plain_block_between_plain_ones(monkeypatch, odd):
-    monkeypatch.setattr(ingestion, "BLOCK_LINES", 2)
     body = "2005-01-03,A,1\n2005-01-04,A,2\n" + odd + "2005-01-06,A,4\n2005-01-07,A,5\n2005-01-08,A,6\n"
     reference = parse_price_table(REFERENCE_HEADER + body)
     assert len(reference.dates) + len(reference.rejected) == 6
-    _assert_same_parse(parse_price_table(HEADER + body), reference)
+    for chunk_bytes in CHUNK_SIZES:
+        monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
+        _assert_same_parse(parse_price_table(HEADER + body), reference)
 
 
 def test_parse_line_over_the_csv_field_limit_takes_the_csv_reader(monkeypatch):
-    monkeypatch.setattr(ingestion, "BLOCK_LINES", 2)
     limit = csv.field_size_limit(20)
     try:
-        for header in (HEADER, REFERENCE_HEADER):
+        # A 21-byte ticker, and a 21-byte price of a ticker seen before: a
+        # price that short is otherwise parsed column-wise.
+        bodies = ["2005-01-03,A,1\n2005-01-04,%s,2\n" % ("B" * 21), "2005-01-03,A,1\n2005-01-04,A,%s\n" % ("1" * 21)]
+        for header, body, chunk_bytes in itertools.product((HEADER, REFERENCE_HEADER), bodies, CHUNK_SIZES):
+            monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
             with pytest.raises(FormatError, match="^line 3: field larger than field limit"):
-                parse_price_table(header + "2005-01-03,A,1\n2005-01-04,%s,2\n" % ("B" * 21))
+                parse_price_table(header + body)
     finally:
         csv.field_size_limit(limit)
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, ingestion.BLOCK_LINES])
-def test_parse_field_over_the_csv_limit_names_its_line(monkeypatch, block_lines):
-    monkeypatch.setattr(ingestion, "BLOCK_LINES", block_lines)
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+def test_parse_field_over_the_csv_limit_names_its_line(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
     long = "B" * (csv.field_size_limit() + 1)
     body = "2005-01-03,A,1\n2005-01-04,A,2\n2005-01-05,A,3\n2005-01-05,%s,4\n2005-01-06,A,5\n" % long
     for text in (HEADER + body, REFERENCE_HEADER + body):
@@ -315,6 +327,118 @@ def test_parse_field_over_the_csv_limit_names_its_line(monkeypatch, block_lines)
             parse_price_table(text)
     with pytest.raises(FormatError, match="^line 1: field larger than field limit"):
         parse_price_table(HEADER.rstrip("\n") + ",%s\n" % long + body)
+
+
+BOM = "\ufeff"
+
+
+def test_parse_skips_a_leading_byte_order_mark():
+    body = "2005-01-03,A,1\n2005-01-04,\ufeffB,2\n"
+    expected = parse_price_table(HEADER + body)
+    assert expected.tickers == ["A", "\ufeffB"]  # only the mark that opens the file is skipped
+    sources = [BOM + HEADER + body, io.BytesIO((BOM + HEADER + body).encode()), BOM + REFERENCE_HEADER + body]
+    for source in sources:
+        _assert_same_parse(parse_price_table(source), expected)
+    with pytest.raises(FormatError, match="^missing header row$"):
+        parse_price_table(BOM)
+
+
+@pytest.mark.parametrize(
+    "text", ["date,ticker,close", "date,ticker,close\r\n", BOM + "date,ticker,close\r", '"date",ticker,close']
+)
+def test_parse_header_only_file_gives_an_empty_grid(text):
+    result = parse_price_table(text)
+    assert (result.tickers, result.dates, result.prices.shape, result.rejected) == ([], [], (0, 0), [])
+
+
+def test_parse_calendar_matches_the_per_row_rules():
+    rng = np.random.default_rng(9)
+    days = [date.fromordinal(int(d) + 1).isoformat() for d in rng.choice(date.max.toordinal(), 2000, replace=False)]
+    days += ["1900-02-29", "2000-02-29", "2004-02-29", "2005-02-29", "0001-01-01", "9999-12-31", "0000-06-15"]
+    days += ["2005-13-01", "2005-00-10", "2005-04-31", "2005-04-00", "2005-12-32", "2005/01/03", "2005-01-3a"]
+    days += ["2005-01-031", "2005-01-03T", "205-01-03"]
+    body = "".join("%s,A,1\n" % day for day in days)
+    result = parse_price_table(HEADER + body)
+    _assert_same_parse(result, parse_price_table(REFERENCE_HEADER + body))
+    assert len(result.rejected) == 13
+
+
+# Tickers of 1-8, 9-16 and 17 bytes, with "_", a non-ASCII letter, a space,
+# a control byte, and an empty one.
+FUZZ_TICKERS = [
+    "A", "KGHM", "A_B", "LONGNAME9", "SIXTEEN_BYTES_XY", "SEVENTEEN_BYTES_X", "\u00dcnic", " PAD", "T\x7f", ""
+]
+FUZZ_DATES = ["2005-02-30", "20050103", "2005-1-03", "0000-01-01", " 2005-01-03", "2005-01-0\u0663", "2005-01-031"]
+FUZZ_PRICES = [
+    "n/a", "1_000", "1_0.5", "1e", "-1", "0", "inf", "nan", "1e999", "+5", ".5", "2E-3", "", " 7", "\u0661"
+]
+NEWLINES = ["\n", "\r\n", "\r"]
+
+
+def _fuzz_lines(rng):
+    """Price lines with every kind of rejection, duplicates and quotes now and then."""
+    days = [(date(2005, 1, 3) + timedelta(days=d)).isoformat() for d in range(30)]
+    cells = rng.choice(len(days) * len(FUZZ_TICKERS), size=rng.integers(0, 150), replace=False)
+    lines = []
+    for cell in cells.tolist():
+        day, ticker = days[cell // len(FUZZ_TICKERS)], FUZZ_TICKERS[cell % len(FUZZ_TICKERS)]
+        price = ["%.17g", "%.4f", "%r"][rng.integers(3)] % rng.uniform(0.01, 1e4)
+        roll = rng.random()
+        if roll < 0.05:
+            day = FUZZ_DATES[rng.integers(len(FUZZ_DATES))]
+        elif roll < 0.12:
+            price = FUZZ_PRICES[rng.integers(len(FUZZ_PRICES))]
+        elif roll < 0.13:
+            price = "1" * 40  # longer than a column-wise price
+        elif roll < 0.15:
+            price += ",1"
+        lines.append("" if roll > 0.98 else ",".join([day, ticker, price]))
+    for _ in range(rng.integers(2) if lines else 0):  # a duplicate record
+        lines.append(lines[rng.integers(len(lines))])
+    if lines and rng.random() < 0.15:  # a quote, after which csv.reader reads the rest
+        lines.insert(rng.integers(len(lines)), '"%s",A,1' % days[-1])
+    return lines
+
+
+def _outcome(source):
+    """What parsing gives: the grid and rejections, or the error."""
+    try:
+        r = parse_price_table(source)
+    except UnicodeDecodeError as err:
+        return "UnicodeDecodeError", err.reason
+    except (FormatError, DuplicateRecordError) as err:
+        return type(err).__name__, str(err)
+    assert all(type(x.line_number) is int for x in r.rejected)
+    return r.tickers, r.dates, r.prices.tobytes(), [(x.line_number, x.reason, x.raw) for x in r.rejected]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chunk_parse_matches_the_csv_reader_reference(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    lines = _fuzz_lines(rng)
+    if rng.random() < 0.2:  # each line ends in any of the three newlines
+        ends = [NEWLINES[k] for k in rng.integers(3, size=len(lines) + 1)]
+    else:
+        ends = [NEWLINES[rng.integers(3)] if rng.random() < 0.3 else "\n"] * (len(lines) + 1)
+    if rng.random() < 0.3:
+        ends[-1] = ""  # no final newline
+    bom = BOM if rng.random() < 0.2 else ""
+    body = "".join(line + end for line, end in zip(lines, ends[1:])).encode()
+    if lines and rng.random() < 0.1:
+        cut = max(body.find(b"\n", rng.integers(len(body))), 0)
+        body = body[:cut] + b"\xff" + body[cut:]  # invalid UTF-8
+    plain = (bom + HEADER.rstrip("\n") + ends[0]).encode() + body
+    reference = (bom + REFERENCE_HEADER.rstrip("\n") + ends[0]).encode() + body
+    limit = csv.field_size_limit(16 if seed % 8 == 7 else csv.field_size_limit())  # below a price's length
+    try:
+        expected = _outcome(io.BytesIO(reference))
+        for chunk_bytes in CHUNK_SIZES:
+            monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
+            assert _outcome(io.BytesIO(plain)) == expected, chunk_bytes
+        if b"\xff" not in plain:  # a str is read as its UTF-8 bytes
+            assert _outcome(plain.decode()) == expected
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _csv(quotes):
