@@ -54,7 +54,6 @@ from .rolling import (
     WindowSpec,
     detect_transitions,
     evolve,
-    window_tree,
     window_trees,
     windows,
 )

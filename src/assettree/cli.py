@@ -32,7 +32,7 @@ from .metrics import (
     summarize,
 )
 from .mst import prim_mst
-from .rolling import WindowSpec, detect_transitions, evolve, window_tree
+from .rolling import WindowSpec, detect_transitions, evolve, window_trees
 from .synth import EPOCH, FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
 DEFAULT_WINDOW = 250
@@ -88,8 +88,16 @@ def _jf(x: float):
     return x if math.isfinite(x) else None
 
 
+def _check_thresholds(args) -> None:
+    """Classifier thresholds must be finite: every comparison with NaN is false."""
+    for flag, value in (("--tau", args.tau), ("--gap", args.gap), ("--tau-hub", args.tau_hub)):
+        if not math.isfinite(value):
+            raise ConfigurationError("%s must be finite, got %r" % (flag, value))
+
+
 def cmd_analyze(args, stage: Stage) -> None:
     path = _resolve_input(args)
+    _check_thresholds(args)
     out = Path(args.out)
     stage.name = "ingestion"
     panel, dropped, period = _load_returns(path, args.start, args.end)
@@ -154,13 +162,14 @@ def cmd_evolve(args, stage: Stage) -> None:
     path = _resolve_input(args)
     out = Path(args.out)
     spec = WindowSpec(args.window, args.step)
+    _check_thresholds(args)
     stage.name = "ingestion"
     returns, dropped, period = _load_returns(path, args.start, args.end)
     stage.name = "rolling"
     center = args.center
     if center is None:
         # Data-driven default: the dominant vertex of the whole period.
-        center = summarize(window_tree(returns, 0, len(returns.dates))[0]).center
+        center = summarize(next(window_trees(returns, [(0, len(returns.dates))]))[2]).center
     series = evolve(returns, spec, center, args.tau, args.gap, args.tau_hub)
     report = detect_transitions(series)
     stage.name = "export"

@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from datetime import date as Date
 
 import numpy as np
 
 from .errors import FormatError, InvariantError
 from .ingestion import ASCII_WHITESPACE, BAD_TICKER, parse_iso_date
+from .metrics import PHASE_MULTI_HUB, PHASE_POWER_LAW, PHASE_SUPERHUB
 from .mst import Tree, check_tree
 from .rolling import MetricSeries, TransitionReport
 
@@ -132,7 +134,10 @@ def write_metric_series_csv(path, series: MetricSeries) -> None:
 
 
 def read_metric_series_csv(path) -> MetricSeries:
-    """Read back a `series.csv`; a bad header or row raises FormatError naming it."""
+    """Read back a `series.csv`; FormatError names a bad header or row.
+
+    A bad row has a field that does not parse, an unknown phase or a non-finite float.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -144,6 +149,9 @@ def read_metric_series_csv(path) -> MetricSeries:
                 day, ntl, mol_static, mol_dynamic, k_max, phase, center = row
                 day, k_max = parse_iso_date(day), int(k_max)
                 ntl, mol_static, mol_dynamic = float(ntl), float(mol_static), float(mol_dynamic)
+                finite = all(map(math.isfinite, (ntl, mol_static, mol_dynamic)))
+                if not finite or phase not in (PHASE_POWER_LAW, PHASE_SUPERHUB, PHASE_MULTI_HUB):
+                    raise ValueError(row)
             except ValueError:
                 raise FormatError("bad series row at line %d: %r" % (reader.line_num, row)) from None
             series.window_end_dates.append(day)

@@ -323,18 +323,13 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
             odd = np.concatenate([odd, np.flatnonzero((body > 126) | (body == 92))])
         sep = (marks == 10) | (marks == 44)
         seps, marks = seps[sep], marks[sep]
-        newline = marks == 10
-        n = int(np.count_nonzero(newline))
-        if len(seps) == 3 * n and newline[2::3].all():  # two commas on every line
-            plain = np.ones(n, dtype=bool)
-            first, second, ends = seps[0::3], seps[1::3], seps[2::3]
-        else:
-            at = np.flatnonzero(newline)
-            ends = seps[at]
-            commas = np.diff(at, prepend=-1) - 1  # on each line
-            plain = commas == 2
-            at -= commas  # each line's first comma, if it has one
-            first, second = seps[at], seps[np.minimum(at + 1, len(seps) - 1)]
+        at = np.flatnonzero(marks == 10)  # each line's newline, among seps
+        n = len(at)
+        ends = seps[at]
+        commas = np.diff(at, prepend=-1) - 1  # on each line
+        plain = commas == 2
+        at -= commas  # each line's first comma, if it has one
+        first, second = seps[at], seps[np.minimum(at + 1, len(seps) - 1)]
         if len(odd):
             plain[np.searchsorted(ends, odd)] = False
         starts = np.concatenate(([0], ends[:-1] + 1))

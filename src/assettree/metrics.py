@@ -97,14 +97,15 @@ def degree_distribution(tree: Tree) -> DegreeDistribution:
     return DegreeDistribution(n, dict(zip(ks.tolist(), counts.tolist())), hub)
 
 
-def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    """Slope, intercept and weighted spread sum w (x - mean x)^2 of the weighted line."""
     total = w.sum()
     xb = (w @ x) / total
     yb = (w @ y) / total
     dx = x - xb
     sxx = w @ (dx * dx)
     slope = (w @ (dx * (y - yb))) / sxx
-    return float(slope), float(yb - slope * xb)
+    return float(slope), float(yb - slope * xb), float(sxx)
 
 
 def fit_power_law(
@@ -126,31 +127,28 @@ def fit_power_law(
     w = np.array([dist.counts[k] for k in ks], dtype=float)
     y = np.log10(w / dist.n_vertices)
 
-    slope1, icpt1 = _weighted_line(x, y, w)
+    slope1, icpt1, sxx1 = _weighted_line(x, y, w)
     resid1 = y - (icpt1 + slope1 * x)
     top_resid = resid1[-1]
     if w[-1] == 1 and len(ks) >= 4:
         # Lone top point: measure it against the line it had no part in.
-        s_loo, i_loo = _weighted_line(x[:-1], y[:-1], w[:-1])
+        s_loo, i_loo, _ = _weighted_line(x[:-1], y[:-1], w[:-1])
         top_resid = y[-1] - (i_loo + s_loo * x[-1])
     drop = resid1 >= drop_threshold
     drop[-1] = top_resid >= drop_threshold
 
     if drop.any() and np.count_nonzero(~drop) >= 3:
         kept = ~drop
-        slope, icpt = _weighted_line(x[kept], y[kept], w[kept])
+        slope, icpt, sxx = _weighted_line(x[kept], y[kept], w[kept])
     else:
         kept = np.ones(len(ks), dtype=bool)
-        slope, icpt = slope1, icpt1
+        slope, icpt, sxx = slope1, icpt1, sxx1
 
+    # At least 3 distinct degrees stay, so nk - 2 > 0 and sxx > 0.
     resid = y - (icpt + slope * x)
     rk = resid[kept]
-    wk = w[kept]
-    nk = int(kept.sum())
-    dxk = x[kept] - (wk @ x[kept]) / wk.sum()
-    sxx = wk @ (dxk * dxk)
-    sigma2 = (wk @ (rk * rk)) / (nk - 2) if nk > 2 else 0.0
-    stderr = math.sqrt(sigma2 / sxx) if sxx > 0 else 0.0
+    sigma2 = (w[kept] @ (rk * rk)) / (int(kept.sum()) - 2)
+    stderr = math.sqrt(sigma2 / sxx)
 
     kept_ks = [k for k, keep in zip(ks, kept) if keep]
     return PowerLawFit(

@@ -1,9 +1,8 @@
 """Sliding-window pipeline: per-window trees, metrics, and transitions.
 
-`window_tree` turns one window of the return panel into a tree
-(correlation, distance, Prim). `window_trees` yields one per window; it
-builds the trees of a chunk of windows with one batched Prim call.
-`evolve` summarizes each tree into one series row (metrics, phase
+`window_trees` turns [start, end) column spans of the return panel into
+trees (correlation, distance, Prim), a chunk of spans per batched Prim
+call. `evolve` summarizes each tree into one series row (metrics, phase
 label). Two occupation-layer series come out: one measured from a fixed
 static center, one from each window's own maximal-degree vertex. The
 transition report then locates the global minima of tree length and
@@ -114,33 +113,24 @@ def _window_correlations(
     return rho, tickers, dropped
 
 
-def window_tree(
-    panel: ReturnPanel, start: int, end: int
-) -> tuple[Tree, tuple[str, ...]]:
-    """The tree of columns [start, end) and the companies it leaves out.
-
-    Slice, Pearson, distance, Prim. A company whose returns are flat in
-    the window is left out of its tree and named in `dropped`.
-    """
-    rho, tickers, dropped = _window_correlations(panel, start, end)
-    return prim_mst(tickers, to_distance(rho)), dropped
-
-
 def window_trees(
-    panel: ReturnPanel, spec: WindowSpec
+    panel: ReturnPanel, spans: list[tuple[int, int]]
 ) -> Iterator[tuple[int, int, Tree, tuple[str, ...]]]:
-    """Yield (start, end, tree, dropped) per window, in window order.
+    """Yield (start, end, tree, dropped) per [start, end) column span, in order.
 
-    This is the only place the windows of a panel become trees. They are
-    taken in chunks of B = max(1, 2T // N) for N companies and T return
-    columns, so the chunk's (B, N, N) distance stack holds no more values
-    than twice the returns. One `prim_batch` call builds the trees of a
-    chunk's full windows. A window that leaves a company out has fewer
-    vertices and goes through `prim_mst` on its own. A window that fails
-    raises only after every window before it has been yielded.
+    This is the only place columns of a panel become trees, rolling
+    windows and the full period (0, T) alike. Any span outside 0 <= start
+    < end <= T raises ConfigurationError before the first tree. Spans go
+    in chunks of B = max(1, 2T // N) for N companies and T return columns,
+    so a chunk's (B, N, N) distance stack holds at most twice as many
+    values as the returns. One `prim_batch` call builds a chunk's trees; a
+    span that leaves a company out goes through `prim_mst` on its own. A
+    span that fails raises only after every span before it is yielded.
     """
-    spans = windows(panel, spec)
     n, t = panel.returns.shape
+    for start, end in spans:
+        if not 0 <= start < end <= t:
+            raise ConfigurationError("window [%d, %d) outside return columns [0, %d)" % (start, end, t))
     size = max(1, 2 * t // n)
     rank = _ticker_ranks(panel.tickers)
     stack = np.empty((min(size, len(spans)), n, n))
@@ -185,7 +175,7 @@ def evolve(
     if static_center not in panel.tickers:
         raise MissingVertexError("static center %r not in panel" % static_center)
     series = MetricSeries([], [], [], [], [], [], [])
-    for start, end, tree, dropped in window_trees(panel, spec):
+    for start, end, tree, dropped in window_trees(panel, windows(panel, spec)):
         if static_center in dropped:
             raise MissingVertexError(
                 "static center %r has zero variance in window [%d, %d)"

@@ -287,6 +287,12 @@ CLI_FAILURES = [
     pytest.param(["analyze", "{tmp}/flat.csv", "--out", "{tmp}/out"], 2, "correlation", id="analyze-correlation"),
     pytest.param(["analyze", "{tmp}/two.csv", "--out", "{tmp}/empty.csv"], 3, "export", id="analyze-export"),
     pytest.param(["evolve", "{tmp}/absent.csv", "--out", "{tmp}/out"], 3, "ingestion", id="evolve-ingestion"),
+    # Thresholds are checked before ingestion, so the absent input is never opened.
+    pytest.param(["analyze", "{tmp}/absent.csv", "--gap", "nan", "--out", "{tmp}/out"], 2, "setup", id="analyze-nan-gap"),
+    pytest.param(["evolve", "{tmp}/absent.csv", "--tau", "nan", "--out", "{tmp}/out"], 2, "setup", id="evolve-nan-tau"),
+    pytest.param(
+        ["evolve", "{tmp}/absent.csv", "--tau-hub", "inf", "--out", "{tmp}/out"], 2, "setup", id="evolve-inf-tau-hub"
+    ),
     pytest.param(
         ["evolve", "{tmp}/flat.csv", "--center", "ZZZ", "--out", "{tmp}/out"], 2, "rolling", id="evolve-rolling"
     ),
@@ -406,6 +412,11 @@ SERIES_HEADER = "end_date,ntl,mol_static,mol_dynamic,k_max,phase,dynamic_center\
         "2006-01-03,x,2.0,3.0,4,PowerLaw,H",
         "2006-01-03,1.0,2.0,3.0,4.5,PowerLaw,H",
         "2006-01-03,1.0,2.0,3.0,4,PowerLaw",
+        "2006-01-03,1.0,2.0,3.0,4,Superhub,H",
+        "2006-01-03,1.0,2.0,3.0,4,,H",
+        "2006-01-03,nan,2.0,3.0,4,PowerLaw,H",
+        "2006-01-03,1.0,inf,3.0,4,PowerLaw,H",
+        "2006-01-03,1.0,2.0,-inf,4,PowerLaw,H",
     ],
 )
 def test_series_reader_names_the_line_of_a_bad_row(tmp_path, row):

@@ -145,7 +145,7 @@ def test_window_trees_match_the_per_window_pipeline():
         (chunked_panel(), WindowSpec(30, 1), {s: ("E",) for s in range(40, 46)}),
     ]
     for panel, spec, dropped_at in cases:
-        trees = window_trees(panel, spec)
+        trees = window_trees(panel, windows(panel, spec))
         assert isinstance(trees, GeneratorType)
         yielded = list(trees)
         assert [(s, e) for s, e, _, _ in yielded] == windows(panel, spec)
@@ -173,11 +173,35 @@ def test_window_errors_come_in_window_order():
     spec = WindowSpec(40, 40)
     with pytest.raises(MissingVertexError, match=r"window \[0, 40\)"):
         evolve(panel, spec, "C")
-    trees = window_trees(panel, spec)
+    trees = window_trees(panel, windows(panel, spec))
     start, end, tree, dropped = next(trees)
     assert (start, end, tree.tickers, dropped) == (0, 40, ["A", "B"], ("C",))
     with pytest.raises(InsufficientDataError, match=r"window \[40, 80\)"):
         next(trees)
+
+
+@pytest.mark.parametrize("bad", [(-50, 100), (0, 121), (0, 10**9), (60, 60), (70, 60)])
+def test_window_trees_check_every_span_before_the_first_tree(bad):
+    panel = one_flat_window_panel()  # 120 return columns
+    trees = window_trees(panel, [(0, 40), bad])
+    with pytest.raises(ConfigurationError, match=r"window \[%d, %d\)" % bad):
+        next(trees)
+
+
+def test_window_trees_of_any_spans_match_prim_on_their_columns():
+    # Chunks of 2 * 90 // 6 = 30 spans: the full period and repeats share one.
+    panel = chunked_panel()
+    spans = [(0, 90), (10, 40), (10, 40), (40, 75), (0, 90), (5, 88)]
+    yielded = list(window_trees(panel, spans))
+    assert [(s, e) for s, e, _, _ in yielded] == spans
+    for start, end, tree, dropped in yielded:
+        keep = [k for k, t in enumerate(panel.tickers) if t not in dropped]
+        tickers = [panel.tickers[k] for k in keep]
+        expected = prim_mst(tickers, to_distance(pearson_matrix(tickers, panel.returns[keep, start:end])))
+        assert (tree.tickers, dropped) == (expected.tickers, ("E",) if (start, end) == (40, 75) else ())
+        assert np.array_equal(tree.i, expected.i)
+        assert np.array_equal(tree.j, expected.j)
+        assert tree.w.tobytes() == expected.w.tobytes()
 
 
 def test_degenerate_static_center_raises():

@@ -5,7 +5,7 @@ from assettree.correlation import pearson_matrix
 from assettree.errors import ConfigurationError
 from assettree.metrics import normalized_tree_length
 from assettree.mst import check_tree
-from assettree.rolling import window_tree
+from assettree.rolling import window_trees
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
 from conftest import edge_list
@@ -91,7 +91,7 @@ def test_strong_coupling_makes_a_star_on_the_hub():
     stars = 0
     for seed in range(20):
         panel = _regime_panel(seed)
-        tree = window_tree(panel, 70, 210)[0]
+        tree = next(window_trees(panel, [(70, 210)]))[2]
         deg = tree.degrees()
         if deg.max() == tree.n - 1 and tree.tickers[int(deg.argmax())] == "V0005":
             stars += 1
@@ -101,8 +101,9 @@ def test_strong_coupling_makes_a_star_on_the_hub():
 def test_ntl_drops_inside_the_coupled_interval():
     for seed in range(10):
         panel = _regime_panel(seed, days=280, interval=(70, 210))
-        inside = normalized_tree_length(window_tree(panel, 70, 210)[0])
-        outside = normalized_tree_length(window_tree(panel, 0, 70)[0])
+        inside, outside = (
+            normalized_tree_length(tree) for _, _, tree, _ in window_trees(panel, [(70, 210), (0, 70)])
+        )
         assert inside < outside
 
 
