@@ -30,6 +30,7 @@ from .ingestion import (
 from .metrics import (
     DegreeDistribution,
     PhaseLabel,
+    PhaseRule,
     PowerLawFit,
     TreeSummary,
     PHASE_MULTI_HUB,

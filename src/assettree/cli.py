@@ -26,9 +26,8 @@ from .correlation import pearson_matrix, to_distance
 from .errors import AssetTreeError, ConfigurationError
 from .ingestion import align_and_filter, log_returns, parse_iso_date, parse_price_table
 from .metrics import (
-    DEFAULT_GAP_RATIO,
-    DEFAULT_HUB_THRESHOLD,
-    DEFAULT_RESIDUAL_THRESHOLD,
+    PhaseRule,
+    degree_distribution,
     summarize,
 )
 from .mst import prim_mst
@@ -88,16 +87,9 @@ def _jf(x: float):
     return x if math.isfinite(x) else None
 
 
-def _check_thresholds(args) -> None:
-    """Classifier thresholds must be finite: every comparison with NaN is false."""
-    for flag, value in (("--tau", args.tau), ("--gap", args.gap), ("--tau-hub", args.tau_hub)):
-        if not math.isfinite(value):
-            raise ConfigurationError("%s must be finite, got %r" % (flag, value))
-
-
 def cmd_analyze(args, stage: Stage) -> None:
     path = _resolve_input(args)
-    _check_thresholds(args)
+    rule = PhaseRule(args.tau, args.gap, args.tau_hub)
     out = Path(args.out)
     stage.name = "ingestion"
     panel, dropped, period = _load_returns(path, args.start, args.end)
@@ -106,15 +98,13 @@ def cmd_analyze(args, stage: Stage) -> None:
     stage.name = "mst"
     tree = prim_mst(panel.tickers, to_distance(rho))
     stage.name = "metrics"
-    summary = summarize(tree, args.tau, args.gap, args.tau_hub)
+    summary = summarize(tree, rule)
     fit, label = summary.fit, summary.phase
     config = {
         "input": path,
         "start": period[0].isoformat(),
         "end": period[1].isoformat(),
-        "tau": args.tau,
-        "gap": args.gap,
-        "tau_hub": args.tau_hub,
+        **vars(rule),
     }
     payload = {
         "n_companies": tree.n,
@@ -162,15 +152,16 @@ def cmd_evolve(args, stage: Stage) -> None:
     path = _resolve_input(args)
     out = Path(args.out)
     spec = WindowSpec(args.window, args.step)
-    _check_thresholds(args)
+    rule = PhaseRule(args.tau, args.gap, args.tau_hub)
     stage.name = "ingestion"
     returns, dropped, period = _load_returns(path, args.start, args.end)
     stage.name = "rolling"
     center = args.center
     if center is None:
         # Data-driven default: the dominant vertex of the whole period.
-        center = summarize(next(window_trees(returns, [(0, len(returns.dates))]))[2]).center
-    series = evolve(returns, spec, center, args.tau, args.gap, args.tau_hub)
+        _, _, full_tree, _ = next(window_trees(returns, [(0, len(returns.dates))]))
+        center = degree_distribution(full_tree).hub_ticker
+    series = evolve(returns, spec, center, rule)
     report = detect_transitions(series)
     stage.name = "export"
     config = {
@@ -180,9 +171,7 @@ def cmd_evolve(args, stage: Stage) -> None:
         "window": spec.width,
         "step": spec.step,
         "center": center,
-        "tau": args.tau,
-        "gap": args.gap,
-        "tau_hub": args.tau_hub,
+        **vars(rule),
     }
     out.mkdir(parents=True, exist_ok=True)
     exports.write_metric_series_csv(out / "series.csv", series)
@@ -292,9 +281,9 @@ def _add_common_io(sub, with_window: bool) -> None:
         sub.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window width in trading days")
         sub.add_argument("--step", type=int, default=DEFAULT_STEP, help="window step in trading days")
         sub.add_argument("--center", help="static center ticker (default: full-period max-degree vertex)")
-    sub.add_argument("--tau", type=float, default=DEFAULT_RESIDUAL_THRESHOLD, help="superhub residual threshold, decades")
-    sub.add_argument("--gap", type=float, default=DEFAULT_GAP_RATIO, help="superhub degree gap ratio")
-    sub.add_argument("--tau-hub", type=float, default=DEFAULT_HUB_THRESHOLD, help="hub residual threshold, decades")
+    sub.add_argument("--tau", type=float, default=PhaseRule.tau, help="superhub residual threshold, decades")
+    sub.add_argument("--gap", type=float, default=PhaseRule.gap, help="superhub degree gap ratio")
+    sub.add_argument("--tau-hub", type=float, default=PhaseRule.tau_hub, help="hub residual threshold, decades")
     sub.add_argument("--out", default=".", help="output directory")
 
 

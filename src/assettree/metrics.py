@@ -24,16 +24,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, MissingVertexError, UnderdeterminedFitError
+from .errors import ConfigurationError, InvariantError, MissingVertexError, UnderdeterminedFitError
 from .mst import Tree
-
-DEFAULT_RESIDUAL_THRESHOLD = 0.8  # decades above the line for a superhub
-DEFAULT_GAP_RATIO = 1.6           # k_max / k_second dominance ratio
-DEFAULT_HUB_THRESHOLD = 0.4       # decades above the line for a mere hub
 
 PHASE_POWER_LAW = "PowerLaw"
 PHASE_SUPERHUB = "SuperhubDecorated"
 PHASE_MULTI_HUB = "MultiHubDecorated"
+
+
+@dataclass(frozen=True)
+class PhaseRule:
+    """The thresholds `classify_phase` applies; `tau` is also the fit's drop threshold.
+
+    Each must be finite: every comparison with NaN is false, so a NaN
+    threshold would silently change the labels.
+    """
+
+    tau: float = 0.8      # decades above the line for a superhub
+    gap: float = 1.6      # k_max / k_second dominance ratio
+    tau_hub: float = 0.4  # decades above the line for a mere hub
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigurationError("%s must be finite, got %r" % (name, value))
 
 
 @dataclass
@@ -110,7 +124,7 @@ def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, 
 
 def fit_power_law(
     dist: DegreeDistribution,
-    drop_threshold: float = DEFAULT_RESIDUAL_THRESHOLD,
+    drop_threshold: float = PhaseRule.tau,
 ) -> PowerLawFit:
     """Count-weighted least squares of log10 f(k) on log10 k.
 
@@ -193,18 +207,16 @@ def mean_occupation_layer(tree: Tree, central: str) -> float:
 def classify_phase(
     dist: DegreeDistribution,
     fit: PowerLawFit | None,
-    residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD,
-    gap_ratio: float = DEFAULT_GAP_RATIO,
-    hub_threshold: float = DEFAULT_HUB_THRESHOLD,
+    rule: PhaseRule = PhaseRule(),
 ) -> PhaseLabel:
     """Label the tree topology for one window.
 
-    A superhub must both sit `residual_threshold` decades above the
-    fitted line and lead the runner-up degree by `gap_ratio`. When no
-    fit exists (fewer than 3 distinct degrees, e.g. a pure star) the
-    residual test is replaced by requiring k_max to be large in
-    absolute terms: at least 4 and at least a quarter of N-1, and no
-    degree counts as an outlier hub.
+    A superhub must both sit `rule.tau` decades above the fitted line
+    and lead the runner-up degree by `rule.gap`; a hub sits
+    `rule.tau_hub` decades above it. When no fit exists (fewer than 3
+    distinct degrees, e.g. a pure star) the residual test is replaced by
+    requiring k_max to be large in absolute terms: at least 4 and at
+    least a quarter of N-1, and no degree counts as an outlier hub.
     """
     ks = sorted(dist.counts)
     k_max = ks[-1]
@@ -215,11 +227,11 @@ def classify_phase(
     ratio = k_max / k_second
     if fit is not None:
         log_residual = fit.residuals[k_max]
-        is_superhub = log_residual >= residual_threshold and ratio >= gap_ratio
-        n_hubs = sum(1 for r in fit.residuals.values() if r >= hub_threshold)
+        is_superhub = log_residual >= rule.tau and ratio >= rule.gap
+        n_hubs = sum(1 for r in fit.residuals.values() if r >= rule.tau_hub)
     else:
         log_residual = float("nan")
-        is_superhub = ratio >= gap_ratio and k_max >= max(4, 0.25 * (dist.n_vertices - 1))
+        is_superhub = ratio >= rule.gap and k_max >= max(4, 0.25 * (dist.n_vertices - 1))
         n_hubs = 0
     if is_superhub:
         phase = PHASE_SUPERHUB
@@ -232,20 +244,18 @@ def classify_phase(
 
 def summarize(
     tree: Tree,
-    residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD,
-    gap_ratio: float = DEFAULT_GAP_RATIO,
-    hub_threshold: float = DEFAULT_HUB_THRESHOLD,
+    rule: PhaseRule = PhaseRule(),
 ) -> TreeSummary:
     """Degrees, fit (None if underdetermined), phase, center, NTL, MOL."""
     dist = degree_distribution(tree)
     try:
-        fit = fit_power_law(dist, drop_threshold=residual_threshold)
+        fit = fit_power_law(dist, drop_threshold=rule.tau)
     except UnderdeterminedFitError:
         fit = None
     return TreeSummary(
         distribution=dist,
         fit=fit,
-        phase=classify_phase(dist, fit, residual_threshold, gap_ratio, hub_threshold),
+        phase=classify_phase(dist, fit, rule),
         center=dist.hub_ticker,
         ntl=normalized_tree_length(tree),
         mol_dynamic=mean_occupation_layer(tree, dist.hub_ticker),

@@ -29,10 +29,8 @@ from .errors import (
 )
 from .ingestion import ReturnPanel
 from .metrics import (
-    DEFAULT_GAP_RATIO,
-    DEFAULT_HUB_THRESHOLD,
-    DEFAULT_RESIDUAL_THRESHOLD,
     PHASE_SUPERHUB,
+    PhaseRule,
     mean_occupation_layer,
     summarize,
 )
@@ -163,9 +161,7 @@ def evolve(
     panel: ReturnPanel,
     spec: WindowSpec,
     static_center: str,
-    residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD,
-    gap_ratio: float = DEFAULT_GAP_RATIO,
-    hub_threshold: float = DEFAULT_HUB_THRESHOLD,
+    rule: PhaseRule = PhaseRule(),
 ) -> MetricSeries:
     """Summarize every window tree of the panel into one series row.
 
@@ -181,7 +177,7 @@ def evolve(
                 "static center %r has zero variance in window [%d, %d)"
                 % (static_center, start, end)
             )
-        summary = summarize(tree, residual_threshold, gap_ratio, hub_threshold)
+        summary = summarize(tree, rule)
         series.window_end_dates.append(panel.dates[end - 1])
         series.ntl.append(summary.ntl)
         series.mol_static.append(mean_occupation_layer(tree, static_center))

@@ -15,6 +15,7 @@ the same dates through log_returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 
@@ -51,8 +52,10 @@ class FactorModelParams:
             raise ConfigurationError(
                 "%d betas for %d companies" % (len(self.betas), self.n_companies)
             )
-        if not self.noise_sigma > 0:
-            raise ConfigurationError("noise_sigma must be positive")
+        if not all(math.isfinite(b) for b in self.betas):
+            raise ConfigurationError("betas must be finite")
+        if not 0 < self.noise_sigma < math.inf:
+            raise ConfigurationError("noise_sigma must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,15 @@ def test_evolve_full_width_matches_analyze(star_prices, tmp_path):
     assert series.mol_dynamic[0] == analysis["mol_dynamic"]
 
 
+def test_default_thresholds_keep_the_config_hash(star_prices, tmp_path, monkeypatch):
+    # config_hash digests the threshold names and values; a renamed PhaseRule field changes it.
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "prices.csv", "--out", "a"]) == 0
+    assert main(["evolve", "prices.csv", "--window", "60", "--step", "20", "--out", "e"]) == 0
+    assert json.loads((tmp_path / "a" / "analysis.json").read_text())["config_hash"] == "9b830197c0ac"
+    assert json.loads((tmp_path / "e" / "transitions.json").read_text())["config_hash"] == "a3f2579252fc"
+
+
 def test_evolve_rejects_bad_window(star_prices, tmp_path):
     assert main(
         ["evolve", str(star_prices), "--window", "10", "--out", str(tmp_path / "x")]
@@ -302,6 +311,9 @@ CLI_FAILURES = [
     pytest.param(["synth", "{tmp}/beta.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-beta"),
     pytest.param(["synth", "{tmp}/betas.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-betas"),
     pytest.param(["synth", "{tmp}/hub.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-partial-hub"),
+    pytest.param(["synth", "{tmp}/nan-beta.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-nan-beta"),
+    pytest.param(["synth", "{tmp}/inf-betas.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-inf-betas"),
+    pytest.param(["synth", "{tmp}/inf-sigma.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-inf-sigma"),
     pytest.param(["export-dot", "{tmp}/absent.edges", "--out", "{tmp}/out"], 3, "read", id="export-dot-read"),
     pytest.param(["export-dot", "{tmp}/weight.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-weight"),
     pytest.param(["export-dot", "{tmp}/cycle.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-not-a-tree"),
@@ -338,6 +350,9 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     (tmp_path / "betas.txt").write_text("n_companies = 2\nn_days = 40\nbetas = 1,a\n")
     (tmp_path / "kind.txt").write_text("n_companies = 5\nn_days = 40\nkind = one_factor\n")
     (tmp_path / "hub.txt").write_text("n_companies = 5\nn_days = 40\nhub_index = 1\n")
+    (tmp_path / "nan-beta.txt").write_text("n_companies = 3\nn_days = 40\nbeta = nan\n")
+    (tmp_path / "inf-betas.txt").write_text("n_companies = 2\nn_days = 40\nbetas = 1,inf\n")
+    (tmp_path / "inf-sigma.txt").write_text("n_companies = 3\nn_days = 40\nnoise_sigma = inf\n")
     (tmp_path / "weight.edges").write_text("# n_vertices: 2\nA,B,abc\n")
     (tmp_path / "cycle.edges").write_text("# n_vertices: 2\nA,B,0.5\nB,A,0.25\n")
     (tmp_path / "empty.edges").write_text("# n_vertices: 0\n")

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from assettree.errors import InvariantError, MissingVertexError, UnderdeterminedFitError
+from assettree.errors import (
+    ConfigurationError,
+    InvariantError,
+    MissingVertexError,
+    UnderdeterminedFitError,
+)
 from assettree.metrics import (
     DegreeDistribution,
     PHASE_MULTI_HUB,
     PHASE_POWER_LAW,
     PHASE_SUPERHUB,
+    PhaseRule,
     classify_phase,
     degree_distribution,
     fit_power_law,
@@ -165,6 +171,13 @@ def test_mol_at_dynamic_center_is_bounded_below_by_best_vertex():
         best = min(mean_occupation_layer(tree, t) for t in tree.tickers)
         dynamic = mean_occupation_layer(tree, summarize(tree).center)
         assert best <= dynamic
+
+
+@pytest.mark.parametrize("field", ["tau", "gap", "tau_hub"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_phase_rule_rejects_a_non_finite_threshold(field, value):
+    with pytest.raises(ConfigurationError, match="^%s must be finite" % field):
+        PhaseRule(**{field: value})
 
 
 def test_lone_dominant_hub_is_a_superhub():

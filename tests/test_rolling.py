@@ -1,3 +1,4 @@
+from collections import Counter
 from datetime import date, timedelta
 from types import GeneratorType
 
@@ -15,6 +16,7 @@ from assettree.metrics import (
     PHASE_MULTI_HUB,
     PHASE_POWER_LAW,
     PHASE_SUPERHUB,
+    PhaseRule,
     mean_occupation_layer,
     normalized_tree_length,
     summarize,
@@ -37,8 +39,8 @@ def flat_panel(n=5, days=120, seed=0, beta=0.6):
     return one_factor_returns(FactorModelParams(n, days, (beta,) * n, 1.0, seed))
 
 
-def regime_panel(seed=0, n=20, days=300, interval=(100, 200), gamma=0.9, hub=5):
-    base = FactorModelParams(n, days, (0.0,) * n, 1.0, seed)
+def regime_panel(seed=0, n=20, days=300, interval=(100, 200), gamma=0.9, hub=5, beta=0.0):
+    base = FactorModelParams(n, days, (beta,) * n, 1.0, seed)
     return hub_regime_returns(HubRegimeParams(base, hub, gamma, interval))
 
 
@@ -116,6 +118,20 @@ def test_full_width_window_matches_one_shot_pipeline():
     assert series.dynamic_center[0] == center
     assert series.mol_dynamic[0] == mean_occupation_layer(tree, center)
     assert series.k_max[0] == int(tree.degrees().max())
+
+
+@pytest.mark.parametrize(
+    "rule, labels",
+    [
+        (PhaseRule(), {PHASE_POWER_LAW: 26, PHASE_SUPERHUB: 1}),
+        (PhaseRule(gap=1e9), {PHASE_POWER_LAW: 27}),
+        (PhaseRule(tau=10.0), {PHASE_POWER_LAW: 27}),
+        (PhaseRule(tau_hub=-10.0), {PHASE_MULTI_HUB: 26, PHASE_SUPERHUB: 1}),
+    ],
+)
+def test_evolve_labels_windows_by_the_rule_it_is_given(rule, labels):
+    series = evolve(regime_panel(beta=1.0), WindowSpec(40, 10), "V0005", rule)
+    assert Counter(series.phase) == labels
 
 
 def test_missing_static_center_raises():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,9 @@ def test_parameter_validation():
         FactorModelParams(3, 100, (1.0, 1.0), 1.0, 0)
     with pytest.raises(ConfigurationError):
         FactorModelParams(3, 100, (1.0,) * 3, 0.0, 0)
+    for betas, sigma in [((1.0, math.nan, 1.0), 1.0), ((1.0, 1.0, -math.inf), 1.0), ((1.0,) * 3, math.inf)]:
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            FactorModelParams(3, 100, betas, sigma, 0)
     base = factor_params()
     with pytest.raises(ConfigurationError):
         HubRegimeParams(base, 99, 0.5, (0, 100))
