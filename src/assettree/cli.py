@@ -202,9 +202,9 @@ _PARAM_KEYS = {
 
 
 def _parse_params(path: str) -> dict:
-    """Flat key=value file; '#' comments and blank lines ignored."""
+    """Flat key=value file; '#' comments, blank lines and a leading BOM ignored."""
     params: dict[str, str] = {}
-    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -252,8 +252,12 @@ def cmd_synth(args, stage: Stage) -> None:
     stage.name = "params"
     params = _parse_params(args.params)
     stage.name = "generate"
-    panel = _synth_panel(params)
-    prices = 100.0 * np.exp(np.cumsum(panel.returns, axis=1))
+    with np.errstate(all="ignore"):  # a price outside the float range is caught below
+        panel = _synth_panel(params)
+        prices = 100.0 * np.exp(np.cumsum(panel.returns, axis=1))
+    bad = np.count_nonzero(~((prices > 0) & (prices < np.inf)))
+    if bad:
+        raise ConfigurationError("%d prices overflow or underflow the float range" % bad)
     prices = np.hstack([np.full((prices.shape[0], 1), 100.0), prices])
     price_dates = [panel.dates[0] - timedelta(days=1)] + list(panel.dates)
     stage.name = "export"

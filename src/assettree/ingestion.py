@@ -214,11 +214,11 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
     The header row is required and must name the columns date, ticker
     and close once each; they are looked up by name, and other columns
     are ignored. Rows with unparseable dates, empty tickers or tickers
-    holding `,`, `"`, `\\` or an ASCII control character, unparseable or
-    non-positive prices, or a field count other than the header's are
-    rejected with a diagnostic naming the line; a duplicate (ticker,
-    date) pair is an error, not a rejection, naming the first line that
-    repeats one. Invalid UTF-8 raises UnicodeDecodeError.
+    holding `,`, `"`, `\\` or an ASCII control character, unparseable,
+    non-finite or non-positive prices, or a field count other than the
+    header's are rejected with a diagnostic naming the line; a duplicate
+    (ticker, date) pair is an error, not a rejection, naming the first
+    line that repeats one. Invalid UTF-8 raises UnicodeDecodeError.
 
     A string is read as its UTF-8 bytes. Under the header
     `date,ticker,close` the bytes are read in chunks of whole lines; a
@@ -287,7 +287,8 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
             reject(line_number, "unparseable price %r" % price_text, row)
             return
         if not (price > 0 and math.isfinite(price)):
-            reject(line_number, "non-positive price %s" % price_text, row)
+            kind = "non-positive" if math.isfinite(price) else "non-finite"
+            reject(line_number, "%s price %s" % (kind, price_text), row)
             return
         if code is None:
             code = code_of_ticker[ticker] = len(code_of_ticker)

@@ -186,22 +186,7 @@ def mean_occupation_layer(tree: Tree, central: str) -> float:
         root = tree.tickers.index(central)
     except ValueError:
         raise MissingVertexError("no vertex %r in tree" % central) from None
-    adj: list[list[int]] = [[] for _ in range(tree.n)]
-    for i, j in zip(tree.i.tolist(), tree.j.tolist()):
-        adj[i].append(j)
-        adj[j].append(i)
-    level = [-1] * tree.n
-    level[root] = 0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return sum(level) / tree.n
+    return sum(tree.levels(root)) / tree.n
 
 
 def classify_phase(

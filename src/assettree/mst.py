@@ -57,32 +57,24 @@ class Tree:
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate((self.i, self.j)), minlength=self.n)
 
-
-class UnionFind:
-    """Disjoint sets with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
+    def levels(self, root: int) -> list[int]:
+        """Hop count from `root` to each vertex, -1 for a vertex it does not reach."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for i, j in zip(self.i.tolist(), self.j.tolist()):
+            adj[i].append(j)
+            adj[j].append(i)
+        level = [-1] * self.n
+        level[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if level[v] < 0:
+                        level[v] = level[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        return level
 
 
 def _ticker_ranks(tickers: list[str]) -> np.ndarray:
@@ -157,11 +149,12 @@ def check_tree(tree: Tree) -> None:
     n = tree.n
     if len(tree.i) != n - 1:
         raise InvariantError("expected %d edges, got %d" % (n - 1, len(tree.i)))
-    uf = UnionFind(n)
     for i, j, w in zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()):
         if not (0 <= i < j < n):
             raise InvariantError("bad edge endpoints (%d, %d)" % (i, j))
         if not 0 <= w < math.inf:
             raise InvariantError("edge weight %r outside [0, inf)" % w)
-        if not uf.union(i, j):
-            raise InvariantError("cycle through edge (%d, %d)" % (i, j))
+    # N-1 edges that leave a vertex unreached must close a cycle elsewhere.
+    level = tree.levels(0)
+    if -1 in level:
+        raise InvariantError("cycle: the edges leave %r unreached" % tree.tickers[level.index(-1)])

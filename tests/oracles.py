@@ -1,11 +1,12 @@
 """Reference MST builders and a known-exponent tree, for the tests only.
 
 The package builds every tree with one kernel, `mst.prim_batch`. Two
-independent references check it here: Kruskal over sorted edges and an
-exhaustive oracle for small N. Both take their edge order from the
-package's `_pair_key` and `_ticker_ranks`, so edges are ordered by
-(weight, ticker pair) in one place: the minimum tree is unique, and all
-three builders return identical edge sets even when weights tie.
+independent references check it here: Kruskal over sorted edges, with
+the disjoint sets of `UnionFind`, and an exhaustive oracle for small N.
+Both take their edge order from the package's `_pair_key` and
+`_ticker_ranks`, so edges are ordered by (weight, ticker pair) in one
+place: the minimum tree is unique, and all three builders return
+identical edge sets even when weights tie.
 
 `preferential_attachment_tree` grows a random tree whose degree
 distribution has a known power-law exponent.
@@ -18,7 +19,7 @@ import functools
 import numpy as np
 
 from assettree.errors import ConfigurationError, InsufficientDataError
-from assettree.mst import Tree, UnionFind, _pair_key, _ticker_ranks
+from assettree.mst import Tree, _pair_key, _ticker_ranks
 from assettree.synth import _tickers
 
 BRUTE_FORCE_MAX_N = 8
@@ -30,6 +31,33 @@ def _edge_order(tickers: list[str], d: np.ndarray):
     iu, ju = np.triu_indices(len(tickers), 1)
     w = d[iu, ju]
     return iu, ju, w, np.lexsort((_pair_key(rank, iu, ju), w))
+
+
+class UnionFind:
+    """Disjoint sets with path compression and union by rank."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, a: int) -> int:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return True
 
 
 def kruskal_mst(tickers: list[str], d: np.ndarray) -> Tree:

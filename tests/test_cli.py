@@ -314,6 +314,11 @@ CLI_FAILURES = [
     pytest.param(["synth", "{tmp}/nan-beta.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-nan-beta"),
     pytest.param(["synth", "{tmp}/inf-betas.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-inf-betas"),
     pytest.param(["synth", "{tmp}/inf-sigma.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-inf-sigma"),
+    pytest.param(["synth", "{tmp}/no-equals.txt", "--out", "{tmp}/out"], 2, "params", id="synth-params-not-key-value"),
+    pytest.param(["synth", "{tmp}/repeat.txt", "--out", "{tmp}/out"], 2, "params", id="synth-params-repeated-key"),
+    pytest.param(["synth", "{tmp}/one-day.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-one-day"),
+    # 39 returns of standard deviation 100 sum past ln(max float) ~ 709; no numpy warning may escape.
+    pytest.param(["synth", "{tmp}/overflow.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-overflow"),
     pytest.param(["export-dot", "{tmp}/absent.edges", "--out", "{tmp}/out"], 3, "read", id="export-dot-read"),
     pytest.param(["export-dot", "{tmp}/weight.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-weight"),
     pytest.param(["export-dot", "{tmp}/cycle.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-not-a-tree"),
@@ -353,6 +358,10 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     (tmp_path / "nan-beta.txt").write_text("n_companies = 3\nn_days = 40\nbeta = nan\n")
     (tmp_path / "inf-betas.txt").write_text("n_companies = 2\nn_days = 40\nbetas = 1,inf\n")
     (tmp_path / "inf-sigma.txt").write_text("n_companies = 3\nn_days = 40\nnoise_sigma = inf\n")
+    (tmp_path / "no-equals.txt").write_text("n_companies = 5\nn_days 40\n")
+    (tmp_path / "repeat.txt").write_text("n_companies = 5\nn_days = 40\nn_companies = 6\n")
+    (tmp_path / "one-day.txt").write_text("n_companies = 5\nn_days = 1\n")
+    (tmp_path / "overflow.txt").write_text("n_companies = 3\nn_days = 40\nnoise_sigma = 100\n")
     (tmp_path / "weight.edges").write_text("# n_vertices: 2\nA,B,abc\n")
     (tmp_path / "cycle.edges").write_text("# n_vertices: 2\nA,B,0.5\nB,A,0.25\n")
     (tmp_path / "empty.edges").write_text("# n_vertices: 0\n")
@@ -367,6 +376,52 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(stage + ": "), lines
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, message",
+    [
+        pytest.param(
+            "flat.csv",
+            FLAT_PRICES,
+            ["analyze", "--start", "2005-01-04", "--end", "2005-01-05"],
+            "ingestion: panel needs at least 3 trading days",
+            id="analyze-two-trading-days",
+        ),
+        pytest.param(
+            "loop.edges", "A,A,0.5\nB,C,0.5\n", ["export-dot"], "read: bad edge endpoints (0, 0)", id="export-dot-self-loop"
+        ),
+        # Seed 8 draws two returns below -1300, so both prices underflow to 0.
+        pytest.param(
+            "underflow.txt",
+            "n_companies = 2\nn_days = 2\nbeta = 0\nnoise_sigma = 1000\nseed = 8\n",
+            ["synth"],
+            "generate: 2 prices overflow or underflow the float range",
+            id="synth-underflow",
+        ),
+    ],
+)
+def test_cli_failure_names_its_cause_and_writes_nothing(tmp_path, capsys, name, text, argv, message):
+    (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert main([argv[0], str(tmp_path / name), *argv[1:], "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_params_comments_blank_lines_and_a_bom_read_alike(tmp_path):
+    plain = b"n_companies = 4\nn_days = 30\nseed = 3\n"
+    variants = {
+        "plain": plain,
+        "commented": b"# four companies\n\nn_companies = 4  # a comment\n\nn_days = 30\n   \nseed = 3 #\n",
+        "bom": b"\xef\xbb\xbf" + plain,
+    }
+    for name, data in variants.items():
+        (tmp_path / (name + ".txt")).write_bytes(data)
+        assert main(["synth", str(tmp_path / (name + ".txt")), "--out", str(tmp_path / name)]) == 0
+    expected = (tmp_path / "plain" / "prices.csv").read_bytes()
+    assert (tmp_path / "commented" / "prices.csv").read_bytes() == expected
+    assert (tmp_path / "bom" / "prices.csv").read_bytes() == expected
 
 
 @pytest.mark.parametrize("bound", ["20050103", "2005-W01-1", "2005-1-03"])
@@ -441,6 +496,13 @@ def test_series_reader_names_the_line_of_a_bad_row(tmp_path, row):
         read_metric_series_csv(path)
     path.write_text(SERIES_HEADER + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n")
     assert read_metric_series_csv(path).window_end_dates == [date(2006, 1, 2)]
+
+
+def test_series_reader_rejects_a_wrong_header(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text(SERIES_HEADER.replace("ntl", "NTL") + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n")
+    with pytest.raises(FormatError, match="unexpected series header"):
+        read_metric_series_csv(path)
 
 
 def test_crlf_price_file_reads_like_lf(tmp_path, capsys):

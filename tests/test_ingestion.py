@@ -52,6 +52,22 @@ def test_parse_rejects_nonpositive_price_with_row_diagnostic():
     assert "non-positive" in result.rejected[0].reason
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("nan", "non-finite price nan"),
+        ("inf", "non-finite price inf"),
+        ("-inf", "non-finite price -inf"),
+        ("0", "non-positive price 0"),
+        ("-1", "non-positive price -1"),
+    ],
+)
+def test_parse_names_non_finite_and_non_positive_prices_apart(text, reason):
+    result = parse_price_table(HEADER + "2005-01-03,KGHM,%s\n2005-01-04,KGHM,32.0\n" % text)
+    assert result.dates == [date(2005, 1, 4)]
+    assert [(r.line_number, r.reason) for r in result.rejected] == [(2, reason)]
+
+
 def test_parse_rejects_bad_date_and_field_count():
     text = HEADER + (
         "not-a-date,KGHM,31.5\n"

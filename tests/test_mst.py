@@ -3,10 +3,10 @@ import pytest
 
 from assettree.errors import InvariantError
 from assettree.exports import read_tree_edges, write_tree_edges
-from assettree.mst import Tree, UnionFind, check_tree, _ticker_ranks, prim_batch, prim_mst
+from assettree.mst import Tree, check_tree, _ticker_ranks, prim_batch, prim_mst
 
 from conftest import dist_from_array, edge_list, path_max_weights, random_dist, tickers_for
-from oracles import brute_force_mst, kruskal_mst, preferential_attachment_tree
+from oracles import UnionFind, brute_force_mst, kruskal_mst, preferential_attachment_tree
 
 ALGORITHMS = [prim_mst, kruskal_mst, brute_force_mst]
 
@@ -177,6 +177,21 @@ def test_check_tree_rejects_a_cycle():
     tree = Tree.from_edges(tickers_for(4), [0, 1, 0], [1, 2, 2], [0.5, 0.5, 0.5])
     with pytest.raises(InvariantError, match="cycle"):
         check_tree(tree)
+
+
+def test_check_tree_names_the_vertex_a_duplicated_edge_leaves_unreached():
+    tree = Tree.from_edges(["A", "B", "C"], [0, 1], [1, 0], [0.5, 0.5])
+    with pytest.raises(InvariantError, match="cycle: the edges leave 'C' unreached"):
+        check_tree(tree)
+
+
+def test_levels_are_hop_counts_with_minus_one_for_unreached_vertices():
+    path = Tree.from_edges(tickers_for(4), [0, 1, 2], [1, 2, 3], [0.5, 0.5, 0.5])
+    assert path.levels(0) == [0, 1, 2, 3]
+    assert path.levels(2) == [2, 1, 0, 1]
+    split = Tree.from_edges(tickers_for(4), [0, 2], [1, 3], [0.5, 0.5])
+    assert split.levels(1) == [1, 0, -1, -1]
+    assert split.levels(3) == [-1, -1, 1, 0]
 
 
 @pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf")])
