@@ -42,6 +42,7 @@ from .metrics import (
     mean_occupation_layer,
     normalized_tree_length,
     summarize,
+    summarize_batch,
 )
 from .mst import (
     Tree,

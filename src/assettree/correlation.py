@@ -9,6 +9,8 @@ decreasing, so correlation ranking and distance ranking always agree.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DegenerateSeriesError, InsufficientDataError
@@ -21,30 +23,44 @@ from .errors import DegenerateSeriesError, InsufficientDataError
 FLAT_EPS = 4 * np.finfo(float).eps
 
 
-def pearson_matrix(tickers: list[str], returns: np.ndarray, log_scale=0.0) -> np.ndarray:
-    """Sample Pearson correlation of every pair of return rows.
+@functools.lru_cache(maxsize=None)
+def _below_diagonal(n: int) -> np.ndarray:
+    return np.tri(n, k=-1, dtype=bool)
+
+
+def pearson_matrix(tickers: list[str], returns: np.ndarray, log_scale=0.0, out=None) -> np.ndarray:
+    """Sample Pearson correlation of every pair of return rows, into `out` if given.
 
     Row k of `returns` belongs to tickers[k], and log_scale[k] bounds the
     |ln p| of its prices (`ReturnPanel.log_scale`). The result is
     symmetric with an exact unit diagonal. Raises DegenerateSeriesError
     naming every flat row, one with max(r) - min(r) <= FLAT_EPS *
     (log_scale + max |r|), and InsufficientDataError for windows shorter
-    than 3 observations.
+    than 3 observations; neither writes to `out`, a C-contiguous N x N
+    float array.
     """
-    r = np.asarray(returns, dtype=float)
-    if r.ndim != 2 or r.shape[0] < 2:
+    x = np.array(returns, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 2:
         raise InsufficientDataError("need at least 2 return rows")
-    if r.shape[1] < 3:
-        raise InsufficientDataError("window length %d < 3" % r.shape[1])
-    high, low = r.max(axis=1), r.min(axis=1)
+    n, w = x.shape
+    if w < 3:
+        raise InsufficientDataError("window length %d < 3" % w)
+    high, low = x.max(axis=1), x.min(axis=1)
     flat = np.flatnonzero(high - low <= FLAT_EPS * (log_scale + np.maximum(high, -low)))
     if flat.size:
         raise DegenerateSeriesError([tickers[i] for i in flat])
 
-    rho = np.corrcoef(r)  # already clipped to [-1, 1] by numpy
+    # np.corrcoef's own steps, so every value is the same to the bit.
+    x -= x.mean(axis=1)[:, None]
+    rho = np.dot(x, x.T, out=out)
+    del x  # freed before np.copyto makes its own copy of rho.T
+    rho *= 1.0 / (w - 1)
+    sd = np.sqrt(np.diag(rho))
+    rho /= sd[:, None]
+    rho /= sd[None, :]
+    np.clip(rho, -1.0, 1.0, out=rho)
     # Exact symmetry and an exact unit diagonal, independent of BLAS details.
-    upper = np.triu(rho, 1)
-    rho = upper + upper.T
+    np.copyto(rho, rho.T, where=_below_diagonal(n))
     np.fill_diagonal(rho, 1.0)
     return rho
 

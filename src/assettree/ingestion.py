@@ -327,10 +327,12 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         at = np.flatnonzero(marks == 10)  # each line's newline, among seps
         n = len(at)
         ends = seps[at]
-        commas = np.diff(at, prepend=-1) - 1  # on each line
-        plain = commas == 2
-        at -= commas  # each line's first comma, if it has one
-        first, second = seps[at], seps[np.minimum(at + 1, len(seps) - 1)]
+        plain = np.diff(at, prepend=-1) == 3  # two commas on the line
+        # A plain line's commas are the two separators before its newline (clipped for a first line).
+        at -= 1
+        second = seps.take(at, mode="clip")
+        at -= 1
+        first = seps.take(at, mode="clip")
         if len(odd):
             plain[np.searchsorted(ends, odd)] = False
         starts = np.concatenate(([0], ends[:-1] + 1))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError, MissingVertexError, UnderdeterminedFitError
-from .mst import Tree
+from .mst import Tree, _ticker_ranks
 
 PHASE_POWER_LAW = "PowerLaw"
 PHASE_SUPERHUB = "SuperhubDecorated"
@@ -227,21 +227,65 @@ def classify_phase(
     return PhaseLabel(phase, n_hubs, is_superhub, k_max, k_second, log_residual, ratio)
 
 
-def summarize(
-    tree: Tree,
+def summarize_batch(
+    tickers: list[str], src: np.ndarray, dst: np.ndarray, w: np.ndarray, static: int,
     rule: PhaseRule = PhaseRule(),
-) -> TreeSummary:
-    """Degrees, fit (None if underdetermined), phase, center, NTL, MOL."""
-    dist = degree_distribution(tree)
-    try:
-        fit = fit_power_law(dist, drop_threshold=rule.tau)
-    except UnderdeterminedFitError:
-        fit = None
-    return TreeSummary(
-        distribution=dist,
-        fit=fit,
-        phase=classify_phase(dist, fit, rule),
-        center=dist.hub_ticker,
-        ntl=normalized_tree_length(tree),
-        mol_dynamic=mean_occupation_layer(tree, dist.hub_ticker),
-    )
+) -> list[tuple[TreeSummary, float]]:
+    """The summary of each of B trees on `tickers`, with its MOL from vertex `static`.
+
+    Tree b has edges src[b, e] - dst[b, e] of weight w[b, e], each of
+    shape (B, N-1), and src[b, e] is the parent of dst[b, e], as in
+    `prim_batch`'s join order. Degrees, hubs and occupation layers take
+    numpy passes over all B trees; the fit, phase and NTL go tree by tree.
+    """
+    nb, n = src.shape[0], len(tickers)
+    offset = np.arange(0, nb * n, n)[:, None]
+    ends = (np.concatenate((src, dst), axis=1) + offset).ravel()
+    deg = np.bincount(ends, minlength=nb * n).reshape(nb, n)
+    hist = np.bincount((deg + offset).ravel(), minlength=nb * n).reshape(nb, n)
+    hub = np.argmax(deg * n - _ticker_ranks(tickers), axis=1)  # the smallest ticker on ties
+    # Each pass moves every vertex up to its next ancestor and counts it
+    # into that ancestor's subtree; there is one pass per tree level.
+    up = np.arange(nb * n)  # parent, the root its own
+    up[dst + offset] = src + offset
+    size = np.ones(nb * n, dtype=np.int64)
+    above = (src + offset).ravel()
+    while len(above):
+        size += np.bincount(above, minlength=nb * n)
+        nxt = up[above]
+        above = nxt[nxt != above]
+    # The root's hop sum is the total size of all other subtrees, and each
+    # step down to a vertex v adds n - 2 * size[v]: a center's sum adds
+    # the gains of the vertices on its path up to the root.
+    gain = n - 2 * size
+    gain[size == n] = 0  # the roots
+    at = np.stack((hub, np.full(nb, static)), axis=1) + offset
+    path, nxt = np.zeros_like(at), up[at]
+    while (nxt != at).any():
+        path += gain[at]
+        at, nxt = nxt, up[nxt]
+    sums = (path + size.reshape(nb, n).sum(axis=1, keepdims=True) - n).tolist()
+    rows = []
+    for b in range(nb):
+        ks = np.flatnonzero(hist[b])
+        dist = DegreeDistribution(n, dict(zip(ks.tolist(), hist[b, ks].tolist())), tickers[hub[b]])
+        try:
+            fit = fit_power_law(dist, drop_threshold=rule.tau)
+        except UnderdeterminedFitError:
+            fit = None
+        ntl = math.fsum(w[b].tolist()) / (n - 1)
+        summary = TreeSummary(dist, fit, classify_phase(dist, fit, rule), dist.hub_ticker, ntl, sums[b][0] / n)
+        rows.append((summary, sums[b][1] / n))
+    return rows
+
+
+def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
+    """Degrees, fit (None if underdetermined), phase, center, NTL, MOL.
+
+    The B = 1 call of `summarize_batch`, each edge pointed away from vertex 0.
+    """
+    level = np.array(tree.levels(0))
+    if len(tree.i) != tree.n - 1 or level.min() < 0:
+        raise InvariantError("%d edges do not span %d vertices" % (len(tree.i), tree.n))
+    src, dst = np.where(level[tree.i] < level[tree.j], (tree.i, tree.j), (tree.j, tree.i))
+    return summarize_batch(tree.tickers, src[None], dst[None], tree.w[None], 0, rule)[0][0]

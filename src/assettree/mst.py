@@ -100,8 +100,9 @@ def prim_batch(
     `d` has shape (B, N, N); all B graphs share the vertex ranks `rank`
     (see `_ticker_ranks`), so each tree starts from the lexicographically
     first ticker and breaks ties by (weight, ticker pair). Returns
-    (src, dst, w), each of shape (B, N-1): edge e of tree b joins
-    src[b, e] and dst[b, e] with weight w[b, e] = d[b, src[b, e], dst[b, e]].
+    (src, dst, w), each of shape (B, N-1), in join order: edge e of tree
+    b brings in dst[b, e] from src[b, e], which joined before it (or is
+    the first ticker), with weight w[b, e] = d[b, src[b, e], dst[b, e]].
     """
     nb, n, _ = d.shape
     if n < 2:
@@ -113,7 +114,6 @@ def prim_batch(
     best_w = d[:, start].astype(np.float64)
     best_w[:, start] = np.nan
     best_from = np.full((nb, n), start, dtype=np.int64)
-    src = np.empty((nb, n - 1), dtype=np.int64)
     dst = np.empty((nb, n - 1), dtype=np.int64)
     for step in range(n - 1):
         cand = best_w == np.fmin.reduce(best_w, axis=1, keepdims=True)
@@ -123,7 +123,6 @@ def prim_batch(
             v = np.where(cand, key, np.iinfo(np.int64).max).argmin(axis=1)
         else:
             v = cand.argmax(axis=1)
-        src[:, step] = best_from[rows, v]
         dst[:, step] = v
         best_w[rows, v] = np.nan
 
@@ -135,6 +134,8 @@ def prim_batch(
             better[tb, tu] = _pair_key(rank, v[tb], tu) < _pair_key(rank, best_from[tb, tu], tu)
         np.copyto(best_w, dv, where=better)
         np.copyto(best_from, v[:, None], where=better)
+    # A vertex's best_from is frozen once it joins: its NaN best_w never compares true.
+    src = best_from[rows[:, None], dst]
     return src, dst, d[rows[:, None], src, dst]
 
 

@@ -2,9 +2,10 @@
 
 `window_trees` turns [start, end) column spans of the return panel into
 trees (correlation, distance, Prim), a chunk of spans per batched Prim
-call. `evolve` summarizes each tree into one series row (metrics, phase
-label). Two occupation-layer series come out: one measured from a fixed
-static center, one from each window's own maximal-degree vertex. The
+call. `evolve` summarizes each chunk's trees into series rows (metrics,
+phase label) from Prim's edge columns. Two occupation-layer series come
+out: one measured from a fixed static center, one from each window's own
+maximal-degree vertex. The
 transition report then locates the global minima of tree length and
 dynamic occupation layer, lists every phase change, and extracts
 maximal runs of the superhub phase.
@@ -33,6 +34,7 @@ from .metrics import (
     PhaseRule,
     mean_occupation_layer,
     summarize,
+    summarize_batch,
 )
 from .mst import Tree, _ticker_ranks, prim_batch, prim_mst
 
@@ -87,28 +89,60 @@ def windows(panel: ReturnPanel, spec: WindowSpec) -> list[tuple[int, int]]:
 
 
 def _window_correlations(
-    panel: ReturnPanel, start: int, end: int
+    panel: ReturnPanel, start: int, end: int, out: np.ndarray
 ) -> tuple[np.ndarray, list[str], tuple[str, ...]]:
     """Correlations of columns [start, end), the tickers kept, and those left out.
 
-    A company whose returns are flat in the window is left out and named
-    in `dropped`; fewer than 2 companies left is an error.
+    They go into `out` when every company is kept. A company whose
+    returns are flat in the window is left out and named in `dropped`;
+    fewer than 2 companies left is an error.
     """
     returns = panel.returns[:, start:end]
     tickers = panel.tickers
-    dropped: tuple[str, ...] = ()
     try:
-        rho = pearson_matrix(tickers, returns, panel.log_scale)
+        return pearson_matrix(tickers, returns, panel.log_scale, out=out), tickers, ()
     except DegenerateSeriesError as err:
         keep = [k for k, t in enumerate(tickers) if t not in err.tickers]
         if len(keep) < 2:
             raise InsufficientDataError(
                 "window [%d, %d) has fewer than 2 usable companies" % (start, end)
             ) from err
-        dropped = err.tickers
         tickers = [tickers[k] for k in keep]
-        rho = pearson_matrix(tickers, returns[keep], panel.log_scale[keep])
-    return rho, tickers, dropped
+        return pearson_matrix(tickers, returns[keep], panel.log_scale[keep]), tickers, err.tickers
+
+
+def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
+    """Yield (rows, edges) per chunk of spans; see `window_trees`.
+
+    Rows are (start, end, tree, dropped), tree None for the next row of
+    the chunk's `prim_batch` edges (None if no span of the chunk has one).
+    """
+    n, t = panel.returns.shape
+    for start, end in spans:
+        if not 0 <= start < end <= t:
+            raise ConfigurationError("window [%d, %d) outside return columns [0, %d)" % (start, end, t))
+    size = max(1, 2 * t // n)
+    rank = _ticker_ranks(panel.tickers)
+    stack = np.empty((min(size, len(spans)), n, n))
+    for first in range(0, len(spans), size):
+        held = []
+        filled = 0
+        failure = None
+        for start, end in spans[first : first + size]:
+            try:
+                rho, tickers, dropped = _window_correlations(panel, start, end, stack[filled])
+            except InsufficientDataError as err:
+                failure = err
+                break
+            d = to_distance(rho, out=rho)
+            if dropped:
+                held.append((start, end, prim_mst(tickers, d), dropped))
+            else:
+                filled += 1
+                held.append((start, end, None, dropped))
+        yield held, prim_batch(stack[:filled], rank) if filled else None
+        if failure is not None:
+            raise failure
 
 
 def window_trees(
@@ -121,40 +155,18 @@ def window_trees(
     < end <= T raises ConfigurationError before the first tree. Spans go
     in chunks of B = max(1, 2T // N) for N companies and T return columns,
     so a chunk's (B, N, N) distance stack holds at most twice as many
-    values as the returns. One `prim_batch` call builds a chunk's trees; a
-    span that leaves a company out goes through `prim_mst` on its own. A
-    span that fails raises only after every span before it is yielded.
+    values as the returns; each span's correlations and then distances
+    are written in place into its slot. One `prim_batch` call builds a
+    chunk's trees; a span that leaves a company out goes through
+    `prim_mst` on its own. A span that fails raises only after every span
+    before it is yielded.
     """
-    n, t = panel.returns.shape
-    for start, end in spans:
-        if not 0 <= start < end <= t:
-            raise ConfigurationError("window [%d, %d) outside return columns [0, %d)" % (start, end, t))
-    size = max(1, 2 * t // n)
-    rank = _ticker_ranks(panel.tickers)
-    stack = np.empty((min(size, len(spans)), n, n))
-    for first in range(0, len(spans), size):
-        held = []  # (start, end, tree, dropped), tree None while in the stack
-        filled = 0
-        failure = None
-        for start, end in spans[first : first + size]:
-            try:
-                rho, tickers, dropped = _window_correlations(panel, start, end)
-            except InsufficientDataError as err:
-                failure = err
-                break
-            if dropped:
-                held.append((start, end, prim_mst(tickers, to_distance(rho)), dropped))
-            else:
-                to_distance(rho, out=stack[filled])
-                filled += 1
-                held.append((start, end, None, dropped))
-        batched = zip(*prim_batch(stack[:filled], rank)) if filled else iter(())
+    for held, edges in _chunks(panel, spans):
+        batched = zip(*edges) if edges else None
         for start, end, tree, dropped in held:
             if tree is None:
                 tree = Tree.from_edges(panel.tickers, *next(batched))
             yield start, end, tree, dropped
-        if failure is not None:
-            raise failure
 
 
 def evolve(
@@ -165,27 +177,35 @@ def evolve(
 ) -> MetricSeries:
     """Summarize every window tree of the panel into one series row.
 
-    A window that drops the static center cannot honor the static
-    series, so it raises MissingVertexError instead of silently moving on.
+    A chunk's full windows go through one `summarize_batch` call, and a
+    window that leaves a company out through `summarize`. A window that
+    drops the static center cannot honor the static series, so it raises
+    MissingVertexError instead of silently moving on.
     """
     if static_center not in panel.tickers:
         raise MissingVertexError("static center %r not in panel" % static_center)
+    static = panel.tickers.index(static_center)
     series = MetricSeries([], [], [], [], [], [], [])
-    for start, end, tree, dropped in window_trees(panel, windows(panel, spec)):
-        if static_center in dropped:
-            raise MissingVertexError(
-                "static center %r has zero variance in window [%d, %d)"
-                % (static_center, start, end)
-            )
-        summary = summarize(tree, rule)
-        series.window_end_dates.append(panel.dates[end - 1])
-        series.ntl.append(summary.ntl)
-        series.mol_static.append(mean_occupation_layer(tree, static_center))
-        series.mol_dynamic.append(summary.mol_dynamic)
-        series.k_max.append(summary.phase.k_max)
-        series.phase.append(summary.phase.phase)
-        series.dynamic_center.append(summary.center)
-        series.dropped.append(dropped)
+    for held, edges in _chunks(panel, windows(panel, spec)):
+        batched = iter(summarize_batch(panel.tickers, *edges, static, rule) if edges else ())
+        for start, end, tree, dropped in held:
+            if static_center in dropped:
+                raise MissingVertexError(
+                    "static center %r has zero variance in window [%d, %d)"
+                    % (static_center, start, end)
+                )
+            if tree is None:
+                summary, mol_static = next(batched)
+            else:
+                summary, mol_static = summarize(tree, rule), mean_occupation_layer(tree, static_center)
+            series.window_end_dates.append(panel.dates[end - 1])
+            series.ntl.append(summary.ntl)
+            series.mol_static.append(mol_static)
+            series.mol_dynamic.append(summary.mol_dynamic)
+            series.k_max.append(summary.phase.k_max)
+            series.phase.append(summary.phase.phase)
+            series.dynamic_center.append(summary.center)
+            series.dropped.append(dropped)
     return series
 
 

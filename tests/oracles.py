@@ -9,7 +9,9 @@ place: the minimum tree is unique, and all three builders return
 identical edge sets even when weights tie.
 
 `preferential_attachment_tree` grows a random tree whose degree
-distribution has a known power-law exponent.
+distribution has a known power-law exponent, and `corrcoef_reference`
+is the correlation matrix as numpy's `np.corrcoef` gives it, made
+exactly symmetric.
 """
 
 from __future__ import annotations
@@ -58,6 +60,15 @@ class UnionFind:
         if self.rank[ra] == self.rank[rb]:
             self.rank[ra] += 1
         return True
+
+
+def corrcoef_reference(returns: np.ndarray) -> np.ndarray:
+    """np.corrcoef of the rows, its upper triangle mirrored, and a unit diagonal."""
+    rho = np.corrcoef(returns)
+    upper = np.triu(rho, 1)
+    rho = upper + upper.T
+    np.fill_diagonal(rho, 1.0)
+    return rho
 
 
 def kruskal_mst(tickers: list[str], d: np.ndarray) -> Tree:

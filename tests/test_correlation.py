@@ -8,6 +8,8 @@ from assettree.correlation import pearson_matrix, to_distance
 from assettree.errors import DegenerateSeriesError, InsufficientDataError
 from assettree.ingestion import PricePanel, log_returns
 
+from oracles import corrcoef_reference
+
 
 def panel_of(rows):
     """(tickers, returns), the arguments of pearson_matrix."""
@@ -39,6 +41,30 @@ def test_diagonal_is_exactly_one_and_matrix_symmetric(rng):
     assert np.all(np.diag(rho) == 1.0)
     assert np.array_equal(rho, rho.T)
     assert np.abs(rho).max() <= 1.0
+
+
+@pytest.mark.parametrize("n, w", [(2, 3), (150, 120), (400, 250)])
+def test_pearson_matrix_is_the_corrcoef_reference_to_the_bit(n, w):
+    rng = np.random.default_rng(n)
+    wide = 0.01 * (rng.standard_normal((n, w + 7)) + rng.standard_normal(w + 7))
+    rows = wide[:, 3 : 3 + w]  # a column slice of a panel, as windows take it
+    scaled = rows * 10.0 ** rng.choice([-8.0, 8.0], size=(n, 1))
+    twin = rows.copy()
+    twin[-1] = twin[0] * (1 + 1e-13 * rng.standard_normal(w))  # a near-duplicate row
+    tickers = ["R%d" % i for i in range(n)]
+    for returns in (rows, scaled, twin):
+        expected = corrcoef_reference(returns)
+        stack = np.full((3, n, n), np.nan)
+        slot = stack[1]
+        rho = pearson_matrix(tickers, returns, out=slot)
+        assert rho is slot
+        assert rho.tobytes() == expected.tobytes() == pearson_matrix(tickers, returns).tobytes()
+        assert np.isnan(stack[[0, 2]]).all()
+        assert np.array_equal(rho, rho.T) and np.all(np.diag(rho) == 1.0)
+        with pytest.raises(DegenerateSeriesError):
+            pearson_matrix(tickers, np.ones((n, w)), out=stack[0])
+        assert np.isnan(stack[0]).all()
+    assert pearson_matrix(tickers, twin)[0, -1] > 1 - 1e-12
 
 
 def test_zero_variance_row_raises_with_ticker():

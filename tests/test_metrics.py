@@ -243,7 +243,15 @@ def test_superhub_decision_invariant_under_relabeling():
     assert f1.slope == pytest.approx(f2.slope, abs=1e-12)
 
 
-@pytest.mark.parametrize("tree", [star_tree(20), preferential_attachment_tree(150, 7)])
+@pytest.mark.parametrize(
+    "tree",
+    [
+        star_tree(20),
+        preferential_attachment_tree(150, 7),
+        chain_tree(30),  # depth N-1 from vertex 0
+        Tree.from_edges(tickers_for(12), [7] * 11, [v for v in range(12) if v != 7], [0.5] * 11),
+    ],
+)
 def test_summarize_matches_the_chain_step_by_step(tree):
     summary = summarize(tree)
     dist = degree_distribution(tree)
@@ -261,3 +269,9 @@ def test_summarize_matches_the_chain_step_by_step(tree):
     assert summary.phase.k_max == int(tree.degrees().max())
     assert summary.ntl == normalized_tree_length(tree)
     assert summary.mol_dynamic == mean_occupation_layer(tree, center)
+
+
+@pytest.mark.parametrize("a, b", [([0, 1], [1, 2]), ([0, 1, 0], [1, 2, 2])])
+def test_summarize_rejects_edges_that_do_not_span_the_tickers(a, b):
+    with pytest.raises(InvariantError, match="do not span 4 vertices"):
+        summarize(Tree.from_edges(tickers_for(4), a, b, [1.0] * len(a)))

@@ -10,6 +10,7 @@ from assettree.errors import (
     ConfigurationError,
     InsufficientDataError,
     MissingVertexError,
+    UnderdeterminedFitError,
 )
 from assettree.ingestion import ReturnPanel
 from assettree.metrics import (
@@ -17,6 +18,9 @@ from assettree.metrics import (
     PHASE_POWER_LAW,
     PHASE_SUPERHUB,
     PhaseRule,
+    classify_phase,
+    degree_distribution,
+    fit_power_law,
     mean_occupation_layer,
     normalized_tree_length,
     summarize,
@@ -175,6 +179,45 @@ def test_window_trees_match_the_per_window_pipeline():
             assert np.array_equal(tree.i, expected.i)
             assert np.array_equal(tree.j, expected.j)
             assert tree.w.tobytes() == expected.w.tobytes()
+
+
+def test_evolve_rows_equal_the_per_tree_chain_over_three_chunks():
+    # 20 companies over 300 days, ticker order the reverse of vertex order,
+    # hub vertex 5 coupled on days 100-200, company 9 flat on [130, 175).
+    # Chunks hold 2 * 300 // 20 = 30 windows; 87 windows fill three, and
+    # windows 44 and 45 (starts 132 and 135) drop company 9 in the second.
+    base = regime_panel(seed=3, interval=(100, 200))
+    returns = base.returns.copy()
+    returns[9, 130:175] = -0.5
+    panel = ReturnPanel(base.tickers[::-1], base.dates, returns)
+    static = panel.tickers[5]
+    spec = WindowSpec(40, 3)
+    series = evolve(panel, spec, static)
+    ties = at_static = 0
+    for k, (start, end, tree, dropped) in enumerate(window_trees(panel, windows(panel, spec))):
+        dist = degree_distribution(tree)
+        try:
+            fit = fit_power_law(dist)
+        except UnderdeterminedFitError:
+            fit = None
+        row = (series.ntl[k], series.mol_static[k], series.mol_dynamic[k], series.k_max[k],
+               series.phase[k], series.dynamic_center[k], series.dropped[k])
+        assert row == (
+            normalized_tree_length(tree),
+            mean_occupation_layer(tree, static),
+            mean_occupation_layer(tree, dist.hub_ticker),
+            max(dist.counts),
+            classify_phase(dist, fit).phase,
+            dist.hub_ticker,
+            dropped,
+        )
+        deg = tree.degrees()
+        top = np.flatnonzero(deg == deg.max())
+        ties += tree.tickers[top[0]] != dist.hub_ticker  # not the first vertex of the top degree
+        at_static += dist.hub_ticker == static
+    assert len(series) == 87
+    assert [k for k, d in enumerate(series.dropped) if d] == [44, 45]
+    assert ties and at_static
 
 
 def test_window_errors_come_in_window_order():
