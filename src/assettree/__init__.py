@@ -39,8 +39,6 @@ from .metrics import (
     classify_phase,
     degree_distribution,
     fit_power_law,
-    mean_occupation_layer,
-    normalized_tree_length,
     summarize,
     summarize_batch,
 )

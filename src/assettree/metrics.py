@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantError, MissingVertexError, UnderdeterminedFitError
+from .errors import ConfigurationError, InvariantError, UnderdeterminedFitError
 from .mst import Tree, _ticker_ranks
 
 PHASE_POWER_LAW = "PowerLaw"
@@ -99,16 +99,26 @@ class TreeSummary:
     mol_dynamic: float
 
 
+def _distributions(tickers: list[str], rank: np.ndarray, deg: np.ndarray):
+    """The histogram of each row of degrees `deg`, shape (B, N), and each hub's index."""
+    nb, n = deg.shape
+    offset = np.arange(0, nb * n, n)[:, None]
+    hist = np.bincount((deg + offset).ravel(), minlength=nb * n).reshape(nb, n)
+    hub = np.argmax(deg * n - rank, axis=1)  # the smallest ticker on ties
+    dists = []
+    for b in range(nb):
+        ks = np.flatnonzero(hist[b])
+        dists.append(DegreeDistribution(n, dict(zip(ks.tolist(), hist[b, ks].tolist())), tickers[hub[b]]))
+    return dists, hub
+
+
 def degree_distribution(tree: Tree) -> DegreeDistribution:
     deg = tree.degrees()
-    n = tree.n
-    if int(deg.sum()) != 2 * (n - 1):
+    if int(deg.sum()) != 2 * (tree.n - 1):
         raise InvariantError(
-            "handshake identity violated: %d edges on %d vertices" % (len(tree.i), n)
+            "handshake identity violated: %d edges on %d vertices" % (len(tree.i), tree.n)
         )
-    ks, counts = np.unique(deg, return_counts=True)
-    hub = min(tree.tickers[v] for v in np.flatnonzero(deg == ks[-1]).tolist())
-    return DegreeDistribution(n, dict(zip(ks.tolist(), counts.tolist())), hub)
+    return _distributions(tree.tickers, _ticker_ranks(tree.tickers), deg[None])[0][0]
 
 
 def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
@@ -175,20 +185,6 @@ def fit_power_law(
     )
 
 
-def normalized_tree_length(tree: Tree) -> float:
-    """Mean edge weight: total tree length over N-1 edges."""
-    return tree.total_weight / (tree.n - 1)
-
-
-def mean_occupation_layer(tree: Tree, central: str) -> float:
-    """Mean hop count from every vertex to `central` (itself at level 0)."""
-    try:
-        root = tree.tickers.index(central)
-    except ValueError:
-        raise MissingVertexError("no vertex %r in tree" % central) from None
-    return sum(tree.levels(root)) / tree.n
-
-
 def classify_phase(
     dist: DegreeDistribution,
     fit: PowerLawFit | None,
@@ -228,22 +224,21 @@ def classify_phase(
 
 
 def summarize_batch(
-    tickers: list[str], src: np.ndarray, dst: np.ndarray, w: np.ndarray, static: int,
-    rule: PhaseRule = PhaseRule(),
+    tickers: list[str], rank: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+    static: int, rule: PhaseRule = PhaseRule(),
 ) -> list[tuple[TreeSummary, float]]:
     """The summary of each of B trees on `tickers`, with its MOL from vertex `static`.
 
     Tree b has edges src[b, e] - dst[b, e] of weight w[b, e], each of
     shape (B, N-1), and src[b, e] is the parent of dst[b, e], as in
-    `prim_batch`'s join order. Degrees, hubs and occupation layers take
-    numpy passes over all B trees; the fit, phase and NTL go tree by tree.
+    `prim_batch`'s join order; `rank` is as there. Degrees, hubs and
+    occupation layers take numpy passes over all B trees; the fit, phase
+    and NTL go tree by tree.
     """
     nb, n = src.shape[0], len(tickers)
     offset = np.arange(0, nb * n, n)[:, None]
-    ends = (np.concatenate((src, dst), axis=1) + offset).ravel()
-    deg = np.bincount(ends, minlength=nb * n).reshape(nb, n)
-    hist = np.bincount((deg + offset).ravel(), minlength=nb * n).reshape(nb, n)
-    hub = np.argmax(deg * n - _ticker_ranks(tickers), axis=1)  # the smallest ticker on ties
+    deg = np.bincount((np.concatenate((src, dst), axis=1) + offset).ravel(), minlength=nb * n)
+    dists, hub = _distributions(tickers, rank, deg.reshape(nb, n))
     # Each pass moves every vertex up to its next ancestor and counts it
     # into that ancestor's subtree; there is one pass per tree level.
     up = np.arange(nb * n)  # parent, the root its own
@@ -266,9 +261,7 @@ def summarize_batch(
         at, nxt = nxt, up[nxt]
     sums = (path + size.reshape(nb, n).sum(axis=1, keepdims=True) - n).tolist()
     rows = []
-    for b in range(nb):
-        ks = np.flatnonzero(hist[b])
-        dist = DegreeDistribution(n, dict(zip(ks.tolist(), hist[b, ks].tolist())), tickers[hub[b]])
+    for b, dist in enumerate(dists):
         try:
             fit = fit_power_law(dist, drop_threshold=rule.tau)
         except UnderdeterminedFitError:
@@ -288,4 +281,5 @@ def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
     if len(tree.i) != tree.n - 1 or level.min() < 0:
         raise InvariantError("%d edges do not span %d vertices" % (len(tree.i), tree.n))
     src, dst = np.where(level[tree.i] < level[tree.j], (tree.i, tree.j), (tree.j, tree.i))
-    return summarize_batch(tree.tickers, src[None], dst[None], tree.w[None], 0, rule)[0][0]
+    rank = _ticker_ranks(tree.tickers)
+    return summarize_batch(tree.tickers, rank, src[None], dst[None], tree.w[None], 0, rule)[0][0]

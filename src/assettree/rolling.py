@@ -5,10 +5,9 @@ trees (correlation, distance, Prim), a chunk of spans per batched Prim
 call. `evolve` summarizes each chunk's trees into series rows (metrics,
 phase label) from Prim's edge columns. Two occupation-layer series come
 out: one measured from a fixed static center, one from each window's own
-maximal-degree vertex. The
-transition report then locates the global minima of tree length and
-dynamic occupation layer, lists every phase change, and extracts
-maximal runs of the superhub phase.
+maximal-degree vertex. The transition report then locates the global
+minima of tree length and dynamic occupation layer, lists every phase
+change, and extracts maximal runs of the superhub phase.
 """
 
 from __future__ import annotations
@@ -29,14 +28,8 @@ from .errors import (
     MissingVertexError,
 )
 from .ingestion import ReturnPanel
-from .metrics import (
-    PHASE_SUPERHUB,
-    PhaseRule,
-    mean_occupation_layer,
-    summarize,
-    summarize_batch,
-)
-from .mst import Tree, _ticker_ranks, prim_batch, prim_mst
+from .metrics import PHASE_SUPERHUB, PhaseRule, summarize_batch
+from .mst import Tree, _ticker_ranks, prim_batch
 
 MIN_WINDOW_WIDTH = 30
 
@@ -111,18 +104,19 @@ def _window_correlations(
         return pearson_matrix(tickers, returns[keep], panel.log_scale[keep]), tickers, err.tickers
 
 
-def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
+def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]], rank: np.ndarray):
     """Yield (rows, edges) per chunk of spans; see `window_trees`.
 
-    Rows are (start, end, tree, dropped), tree None for the next row of
-    the chunk's `prim_batch` edges (None if no span of the chunk has one).
+    Rows are (start, end, dropped, own). `own` is None for the next row of
+    the chunk's `prim_batch` edges on the panel's tickers, whose ranks are
+    `rank` (edges None if no span of the chunk has one); a span that
+    leaves a company out has its own (tickers, rank, edges) of B = 1.
     """
     n, t = panel.returns.shape
     for start, end in spans:
         if not 0 <= start < end <= t:
             raise ConfigurationError("window [%d, %d) outside return columns [0, %d)" % (start, end, t))
     size = max(1, 2 * t // n)
-    rank = _ticker_ranks(panel.tickers)
     stack = np.empty((min(size, len(spans)), n, n))
     for first in range(0, len(spans), size):
         held = []
@@ -135,11 +129,13 @@ def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
                 failure = err
                 break
             d = to_distance(rho, out=rho)
+            own = None
             if dropped:
-                held.append((start, end, prim_mst(tickers, d), dropped))
+                own_rank = _ticker_ranks(tickers)
+                own = tickers, own_rank, prim_batch(d[None], own_rank)
             else:
                 filled += 1
-                held.append((start, end, None, dropped))
+            held.append((start, end, dropped, own))
         yield held, prim_batch(stack[:filled], rank) if filled else None
         if failure is not None:
             raise failure
@@ -157,15 +153,17 @@ def window_trees(
     so a chunk's (B, N, N) distance stack holds at most twice as many
     values as the returns; each span's correlations and then distances
     are written in place into its slot. One `prim_batch` call builds a
-    chunk's trees; a span that leaves a company out goes through
-    `prim_mst` on its own. A span that fails raises only after every span
+    chunk's trees; a span that leaves a company out gets a `prim_batch`
+    call of its own. A span that fails raises only after every span
     before it is yielded.
     """
-    for held, edges in _chunks(panel, spans):
+    for held, edges in _chunks(panel, spans, _ticker_ranks(panel.tickers)):
         batched = zip(*edges) if edges else None
-        for start, end, tree, dropped in held:
-            if tree is None:
+        for start, end, dropped, own in held:
+            if own is None:
                 tree = Tree.from_edges(panel.tickers, *next(batched))
+            else:
+                tree = Tree.from_edges(own[0], *(column[0] for column in own[2]))
             yield start, end, tree, dropped
 
 
@@ -178,26 +176,30 @@ def evolve(
     """Summarize every window tree of the panel into one series row.
 
     A chunk's full windows go through one `summarize_batch` call, and a
-    window that leaves a company out through `summarize`. A window that
-    drops the static center cannot honor the static series, so it raises
-    MissingVertexError instead of silently moving on.
+    window that leaves a company out through one of its own. A window
+    that drops the static center cannot honor the static series, so it
+    raises MissingVertexError instead of silently moving on.
     """
     if static_center not in panel.tickers:
         raise MissingVertexError("static center %r not in panel" % static_center)
     static = panel.tickers.index(static_center)
+    rank = _ticker_ranks(panel.tickers)
     series = MetricSeries([], [], [], [], [], [], [])
-    for held, edges in _chunks(panel, windows(panel, spec)):
-        batched = iter(summarize_batch(panel.tickers, *edges, static, rule) if edges else ())
-        for start, end, tree, dropped in held:
+    for held, edges in _chunks(panel, windows(panel, spec), rank):
+        batched = iter(summarize_batch(panel.tickers, rank, *edges, static, rule) if edges else ())
+        for start, end, dropped, own in held:
             if static_center in dropped:
                 raise MissingVertexError(
                     "static center %r has zero variance in window [%d, %d)"
                     % (static_center, start, end)
                 )
-            if tree is None:
+            if own is None:
                 summary, mol_static = next(batched)
             else:
-                summary, mol_static = summarize(tree, rule), mean_occupation_layer(tree, static_center)
+                tickers, own_rank, columns = own
+                [(summary, mol_static)] = summarize_batch(
+                    tickers, own_rank, *columns, tickers.index(static_center), rule
+                )
             series.window_end_dates.append(panel.dates[end - 1])
             series.ntl.append(summary.ntl)
             series.mol_static.append(mol_static)

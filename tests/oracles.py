@@ -11,7 +11,9 @@ identical edge sets even when weights tie.
 `preferential_attachment_tree` grows a random tree whose degree
 distribution has a known power-law exponent, and `corrcoef_reference`
 is the correlation matrix as numpy's `np.corrcoef` gives it, made
-exactly symmetric.
+exactly symmetric. `normalized_tree_length` and `mean_occupation_layer`
+read NTL and MOL off a `Tree` directly, its edge weights and its
+breadth-first levels, as references for `metrics.summarize_batch`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import functools
 
 import numpy as np
 
-from assettree.errors import ConfigurationError, InsufficientDataError
+from assettree.errors import ConfigurationError, InsufficientDataError, MissingVertexError
 from assettree.mst import Tree, _pair_key, _ticker_ranks
 from assettree.synth import _tickers
 
@@ -69,6 +71,20 @@ def corrcoef_reference(returns: np.ndarray) -> np.ndarray:
     rho = upper + upper.T
     np.fill_diagonal(rho, 1.0)
     return rho
+
+
+def normalized_tree_length(tree: Tree) -> float:
+    """Mean edge weight: total tree length over N-1 edges."""
+    return tree.total_weight / (tree.n - 1)
+
+
+def mean_occupation_layer(tree: Tree, central: str) -> float:
+    """Mean hop count from every vertex to `central` (itself at level 0)."""
+    try:
+        root = tree.tickers.index(central)
+    except ValueError:
+        raise MissingVertexError("no vertex %r in tree" % central) from None
+    return sum(tree.levels(root)) / tree.n
 
 
 def kruskal_mst(tickers: list[str], d: np.ndarray) -> Tree:

@@ -21,15 +21,19 @@ from assettree.metrics import (
     classify_phase,
     degree_distribution,
     fit_power_law,
-    mean_occupation_layer,
-    normalized_tree_length,
 )
 from assettree.mst import prim_mst
 from assettree.rolling import WindowSpec, detect_transitions, evolve, windows
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns
 
 from conftest import chain_tree, dist_from_array, edge_list, path_max_weights, random_dist, star_tree
-from oracles import brute_force_mst, kruskal_mst, preferential_attachment_tree
+from oracles import (
+    brute_force_mst,
+    kruskal_mst,
+    mean_occupation_layer,
+    normalized_tree_length,
+    preferential_attachment_tree,
+)
 
 
 def test_mst_algorithms_agree_with_exhaustive_oracle():

@@ -18,13 +18,11 @@ from assettree.metrics import (
     classify_phase,
     degree_distribution,
     fit_power_law,
-    mean_occupation_layer,
-    normalized_tree_length,
     summarize,
 )
 from assettree.mst import Tree
 from conftest import chain_tree, star_tree, tickers_for
-from oracles import preferential_attachment_tree
+from oracles import mean_occupation_layer, normalized_tree_length, preferential_attachment_tree
 
 
 def dist_of(counts: dict, hub: str | None = "HUB") -> DegreeDistribution:
@@ -163,6 +161,7 @@ def test_center_of_star_is_its_hub():
 def test_center_breaks_degree_ties_lexicographically():
     tree = Tree.from_edges(["C", "B", "A", "D"], [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0])
     assert summarize(tree).center == "A"
+    assert degree_distribution(tree).hub_ticker == "A"
 
 
 def test_mol_at_dynamic_center_is_bounded_below_by_best_vertex():

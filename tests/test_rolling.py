@@ -21,8 +21,6 @@ from assettree.metrics import (
     classify_phase,
     degree_distribution,
     fit_power_law,
-    mean_occupation_layer,
-    normalized_tree_length,
     summarize,
 )
 from assettree.mst import prim_mst
@@ -36,7 +34,7 @@ from assettree.rolling import (
 )
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
-from oracles import kruskal_mst
+from oracles import kruskal_mst, mean_occupation_layer, normalized_tree_length
 
 
 def flat_panel(n=5, days=120, seed=0, beta=0.6):
@@ -200,24 +198,44 @@ def test_evolve_rows_equal_the_per_tree_chain_over_three_chunks():
             fit = fit_power_law(dist)
         except UnderdeterminedFitError:
             fit = None
+        deg = tree.degrees()
+        top = np.flatnonzero(deg == deg.max())
+        hub = min(tree.tickers[v] for v in top)
         row = (series.ntl[k], series.mol_static[k], series.mol_dynamic[k], series.k_max[k],
                series.phase[k], series.dynamic_center[k], series.dropped[k])
         assert row == (
             normalized_tree_length(tree),
             mean_occupation_layer(tree, static),
-            mean_occupation_layer(tree, dist.hub_ticker),
+            mean_occupation_layer(tree, hub),
             max(dist.counts),
             classify_phase(dist, fit).phase,
-            dist.hub_ticker,
+            hub,
             dropped,
         )
-        deg = tree.degrees()
-        top = np.flatnonzero(deg == deg.max())
-        ties += tree.tickers[top[0]] != dist.hub_ticker  # not the first vertex of the top degree
-        at_static += dist.hub_ticker == static
+        ties += tree.tickers[top[0]] != hub  # not the first vertex of the top degree
+        at_static += hub == static
     assert len(series) == 87
     assert [k for k, d in enumerate(series.dropped) if d] == [44, 45]
     assert ties and at_static
+
+
+def test_windows_that_drop_a_company_match_the_per_tree_chain():
+    # Dropping E (vertex 4) moves the static center C from vertex 5 to 4,
+    # and vertex order unlike ticker order makes a first-vertex hub wrong.
+    panel = chunked_panel()
+    series = evolve(panel, WindowSpec(30, 1), "C")
+    ties = 0
+    for k, (_, _, tree, dropped) in enumerate(window_trees(panel, windows(panel, WindowSpec(30, 1)))):
+        deg = tree.degrees()
+        top = np.flatnonzero(deg == deg.max())
+        hub = min(tree.tickers[v] for v in top)
+        assert (series.dynamic_center[k], series.dropped[k]) == (hub, dropped)
+        assert series.mol_static[k] == mean_occupation_layer(tree, "C")
+        assert series.mol_dynamic[k] == mean_occupation_layer(tree, hub)
+        assert series.ntl[k] == normalized_tree_length(tree)
+        ties += bool(dropped) and tree.tickers[top[0]] != hub
+    assert [k for k, d in enumerate(series.dropped) if d] == [40, 41, 42, 43, 44, 45]
+    assert ties
 
 
 def test_window_errors_come_in_window_order():
