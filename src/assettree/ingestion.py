@@ -22,7 +22,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
-from itertools import chain, count
+from itertools import chain
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator
 
@@ -37,9 +37,10 @@ COLUMNS = ("date", "ticker", "close")
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # Edge lists, DOT and corr.csv write tickers unquoted, so a ticker may not
-# hold a field separator, a quote, an escape or an ASCII control character.
+# hold a field separator, a quote, an escape or an ASCII control character,
+# nor begin with "#", which starts an edge list's comment lines.
 # `exports.read_tree_edges` holds the tickers it reads to the same rule.
-BAD_TICKER = re.compile(r'[,"\\\x00-\x1f\x7f]')
+BAD_TICKER = re.compile(r'^#|[,"\\\x00-\x1f\x7f]')
 
 # Stripped from each field and header name. ASCII only, like the date and
 # price grammar: a non-ASCII space stays in the field and fails it.
@@ -193,6 +194,12 @@ def _text_lines(chunks: Iterable[bytes]) -> Iterator[str]:
             yield line.decode("utf-8")
 
 
+def _record_lines(reader, first: int) -> Iterator[int]:
+    """Endlessly, the line the next record of a csv.reader starts on, whose first line is line `first`."""
+    while True:
+        yield first + reader.line_num
+
+
 def _ordinals(ymd: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ordinals of YYYY-MM-DD dates, and which are dates, from the words at their bytes 0 and 8."""
     x = ymd ^ _DATE_WORD  # "YYYY-MM-"
@@ -213,12 +220,13 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
 
     The header row is required and must name the columns date, ticker
     and close once each; they are looked up by name, and other columns
-    are ignored. Rows with unparseable dates, empty tickers or tickers
-    holding `,`, `"`, `\\` or an ASCII control character, unparseable,
-    non-finite or non-positive prices, or a field count other than the
-    header's are rejected with a diagnostic naming the line; a duplicate
-    (ticker, date) pair is an error, not a rejection, naming the first
-    line that repeats one. Invalid UTF-8 raises UnicodeDecodeError.
+    are ignored. Rows with unparseable dates, empty tickers, tickers that
+    begin with `#` or hold `,`, `"`, `\\` or an ASCII control character,
+    unparseable, non-finite or non-positive prices, or a field count other
+    than the header's are rejected with a diagnostic naming the line the
+    record starts on; a duplicate (ticker, date) pair is an error, not a
+    rejection, naming the first line that repeats one. Invalid UTF-8
+    raises UnicodeDecodeError.
 
     A string is read as its UTF-8 bytes. Under the header
     `date,ticker,close` the bytes are read in chunks of whole lines; a
@@ -298,7 +306,7 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         values.append(price)
 
     def take_rows(lines: Iterable[int], rows: Iterable[list[str]]) -> None:
-        """take_row on each row, numbered by `lines`."""
+        """take_row on each row, numbered by `lines`, the next of which is taken before each row."""
         rows = iter(rows)
         for line in lines:
             try:
@@ -338,6 +346,7 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         starts = np.concatenate(([0], ends[:-1] + 1))
         ticker_len, price_len = second - first - 1, ends - second - 1
         plain &= (first - starts == 10) & (ticker_len >= 1) & (ticker_len <= _TICKER_BYTES)
+        plain &= a[first + 1] != ord("#")  # take_row rejects such a ticker
         plain &= (price_len >= 1) & (price_len <= _PRICE_BYTES) & (ends - starts <= limit)
         k = np.flatnonzero(plain)
 
@@ -384,11 +393,12 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
 
     line_number = 2
     if reader is not None:
-        take_rows(count(line_number), reader)
+        take_rows(_record_lines(reader, 1), reader)
     else:
         for chunk in chunks:
             if b'"' in chunk:  # a quoted field can span lines: csv.reader reads the rest
-                take_rows(count(line_number), csv.reader(_text_lines(chain([chunk], chunks))))
+                reader = csv.reader(_text_lines(chain([chunk], chunks)))
+                take_rows(_record_lines(reader, line_number), reader)
                 break
             if chunk:
                 line_number = take_chunk(line_number, chunk)

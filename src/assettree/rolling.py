@@ -1,13 +1,14 @@
 """Sliding-window pipeline: per-window trees, metrics, and transitions.
 
 `window_trees` turns [start, end) column spans of the return panel into
-trees (correlation, distance, Prim), a chunk of spans per batched Prim
-call. `evolve` summarizes each chunk's trees into series rows (metrics,
-phase label) from Prim's edge columns. Two occupation-layer series come
-out: one measured from a fixed static center, one from each window's own
-maximal-degree vertex. The transition report then locates the global
-minima of tree length and dynamic occupation layer, lists every phase
-change, and extracts maximal runs of the superhub phase.
+trees (correlation, distance, Prim) chunk by chunk. A chunk has one ticker
+set, one batched Prim call and one `summarize_batch` call in `evolve`: it
+is up to B consecutive spans that keep every company, or one span that
+leaves a company out. `evolve` gives each tree a series row (metrics,
+phase label), with two occupation layers: from a fixed static center and
+from the window's own maximal-degree vertex. The transition report finds
+the minima of tree length and dynamic occupation layer, every phase
+change, and the maximal runs of the superhub phase.
 """
 
 from __future__ import annotations
@@ -104,41 +105,42 @@ def _window_correlations(
         return pearson_matrix(tickers, returns[keep], panel.log_scale[keep]), tickers, err.tickers
 
 
-def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]], rank: np.ndarray):
-    """Yield (rows, edges) per chunk of spans; see `window_trees`.
+def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
+    """Yield (tickers, rank, rows, (src, dst, w)) per chunk of spans; see `window_trees`.
 
-    Rows are (start, end, dropped, own). `own` is None for the next row of
-    the chunk's `prim_batch` edges on the panel's tickers, whose ranks are
-    `rank` (edges None if no span of the chunk has one); a span that
-    leaves a company out has its own (tickers, rank, edges) of B = 1.
+    Row b of the `prim_batch` columns is the tree of rows[b] = (start, end, dropped).
     """
     n, t = panel.returns.shape
     for start, end in spans:
         if not 0 <= start < end <= t:
             raise ConfigurationError("window [%d, %d) outside return columns [0, %d)" % (start, end, t))
     size = max(1, 2 * t // n)
+    rank = _ticker_ranks(panel.tickers)
     stack = np.empty((min(size, len(spans)), n, n))
-    for first in range(0, len(spans), size):
-        held = []
-        filled = 0
-        failure = None
-        for start, end in spans[first : first + size]:
-            try:
-                rho, tickers, dropped = _window_correlations(panel, start, end, stack[filled])
-            except InsufficientDataError as err:
-                failure = err
-                break
-            d = to_distance(rho, out=rho)
-            own = None
-            if dropped:
-                own_rank = _ticker_ranks(tickers)
-                own = tickers, own_rank, prim_batch(d[None], own_rank)
-            else:
-                filled += 1
-            held.append((start, end, dropped, own))
-        yield held, prim_batch(stack[:filled], rank) if filled else None
-        if failure is not None:
-            raise failure
+    rows = []
+
+    def flush():
+        nonlocal rows
+        if rows:
+            yield panel.tickers, rank, rows, prim_batch(stack[: len(rows)], rank)
+        rows = []
+
+    for start, end in spans:
+        try:
+            rho, tickers, dropped = _window_correlations(panel, start, end, stack[len(rows)])
+        except InsufficientDataError:
+            yield from flush()
+            raise
+        d = to_distance(rho, out=rho)
+        if dropped:
+            yield from flush()
+            own = _ticker_ranks(tickers)
+            yield tickers, own, [(start, end, dropped)], prim_batch(d[None], own)
+        else:
+            rows.append((start, end, dropped))
+            if len(rows) == size:
+                yield from flush()
+    yield from flush()
 
 
 def window_trees(
@@ -148,23 +150,18 @@ def window_trees(
 
     This is the only place columns of a panel become trees, rolling
     windows and the full period (0, T) alike. Any span outside 0 <= start
-    < end <= T raises ConfigurationError before the first tree. Spans go
-    in chunks of B = max(1, 2T // N) for N companies and T return columns,
-    so a chunk's (B, N, N) distance stack holds at most twice as many
-    values as the returns; each span's correlations and then distances
-    are written in place into its slot. One `prim_batch` call builds a
-    chunk's trees; a span that leaves a company out gets a `prim_batch`
-    call of its own. A span that fails raises only after every span
-    before it is yielded.
+    < end <= T raises ConfigurationError before the first tree. A chunk is
+    up to B = max(1, 2T // N) consecutive spans that keep all N companies,
+    so its (B, N, N) distance stack holds at most twice as many values as
+    the T return columns; each span's correlations and then distances are
+    written in place into its slot, and one `prim_batch` call builds the
+    chunk's trees. A span that leaves a company out closes the running
+    chunk and is a chunk of its own. A span that fails raises only after
+    every span before it is yielded.
     """
-    for held, edges in _chunks(panel, spans, _ticker_ranks(panel.tickers)):
-        batched = zip(*edges) if edges else None
-        for start, end, dropped, own in held:
-            if own is None:
-                tree = Tree.from_edges(panel.tickers, *next(batched))
-            else:
-                tree = Tree.from_edges(own[0], *(column[0] for column in own[2]))
-            yield start, end, tree, dropped
+    for tickers, _, rows, edges in _chunks(panel, spans):
+        for (start, end, dropped), *columns in zip(rows, *edges):
+            yield start, end, Tree.from_edges(tickers, *columns), dropped
 
 
 def evolve(
@@ -175,31 +172,20 @@ def evolve(
 ) -> MetricSeries:
     """Summarize every window tree of the panel into one series row.
 
-    A chunk's full windows go through one `summarize_batch` call, and a
-    window that leaves a company out through one of its own. A window
-    that drops the static center cannot honor the static series, so it
-    raises MissingVertexError instead of silently moving on.
+    Each chunk of `window_trees` goes through one `summarize_batch` call.
+    A window that drops the static center cannot honor the static series,
+    so it raises MissingVertexError instead of silently moving on.
     """
     if static_center not in panel.tickers:
         raise MissingVertexError("static center %r not in panel" % static_center)
-    static = panel.tickers.index(static_center)
-    rank = _ticker_ranks(panel.tickers)
     series = MetricSeries([], [], [], [], [], [], [])
-    for held, edges in _chunks(panel, windows(panel, spec), rank):
-        batched = iter(summarize_batch(panel.tickers, rank, *edges, static, rule) if edges else ())
-        for start, end, dropped, own in held:
-            if static_center in dropped:
-                raise MissingVertexError(
-                    "static center %r has zero variance in window [%d, %d)"
-                    % (static_center, start, end)
-                )
-            if own is None:
-                summary, mol_static = next(batched)
-            else:
-                tickers, own_rank, columns = own
-                [(summary, mol_static)] = summarize_batch(
-                    tickers, own_rank, *columns, tickers.index(static_center), rule
-                )
+    for tickers, rank, rows, edges in _chunks(panel, windows(panel, spec)):
+        if static_center not in tickers:
+            raise MissingVertexError(
+                "static center %r has zero variance in window [%d, %d)" % (static_center, *rows[0][:2])
+            )
+        summaries = summarize_batch(tickers, rank, *edges, tickers.index(static_center), rule)
+        for (start, end, dropped), (summary, mol_static) in zip(rows, summaries):
             series.window_end_dates.append(panel.dates[end - 1])
             series.ntl.append(summary.ntl)
             series.mol_static.append(mol_static)

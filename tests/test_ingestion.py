@@ -127,10 +127,13 @@ def test_parse_strips_ascii_whitespace_only(space):
 
 @pytest.mark.parametrize(
     "field, ticker",
-    [('"C,D"', "C,D"), ('"A""B"', 'A"B'), ("A\\B", "A\\B"), ("A\tB", "A\tB"), ("A\x1fB", "A\x1fB"), ("A\x7fB", "A\x7fB")],
+    [
+        ('"C,D"', "C,D"), ('"A""B"', 'A"B'), ("A\\B", "A\\B"),
+        ("A\tB", "A\tB"), ("A\x1fB", "A\x1fB"), ("A\x7fB", "A\x7fB"), ("#A", "#A"),
+    ],
 )
 def test_parse_rejects_tickers_the_output_formats_cannot_hold(field, ticker):
-    # Edge lists, DOT and corr.csv write tickers unquoted.
+    # Edge lists, DOT and corr.csv write tickers unquoted, and "#" opens an edge list's comment line.
     text = HEADER + (
         "2005-01-03,%s,5\n"
         "2005-01-04,%s,x\n"
@@ -307,6 +310,21 @@ def test_parse_quoted_field_across_a_block_boundary(monkeypatch, chunk_bytes):
     _assert_same_parse(result, parse_price_table(REFERENCE_HEADER + body))
     assert [(r.line_number, r.reason) for r in result.rejected] == [(3, "unparseable ticker 'A\\nB'")]
     assert result.prices.tolist() == [[1.0, 3.0, 4.0]]
+
+
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+def test_parse_names_the_line_a_record_starts_on_after_a_record_that_spans_two(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
+    body = '2005-01-03,"A\nB",1.0\n2005-01-03,C,1.0\n2005-01-04,C,bad\n2005-01-04,C,2.0\n'
+    for header in (HEADER, REFERENCE_HEADER):
+        result = parse_price_table(header + body)
+        assert [(r.line_number, r.reason) for r in result.rejected] == [
+            (2, "unparseable ticker 'A\\nB'"),
+            (5, "unparseable price 'bad'"),
+        ]
+        assert result.prices.tolist() == [[1.0, 2.0]]
+        with pytest.raises(DuplicateRecordError, match=r"^duplicate record for \(C, 2005-01-04\) at line 7$"):
+            parse_price_table(header + body + "2005-01-04,C,3.0\n")
 
 
 @pytest.mark.parametrize("odd", ["2005-01-05\t,A,2\n", "2005-01-05,A,2\u3000\n", "2005-01-05,A,1_000\n"])

@@ -27,6 +27,7 @@ from assettree.mst import prim_mst
 from assettree.rolling import (
     MetricSeries,
     WindowSpec,
+    _chunks,
     detect_transitions,
     evolve,
     window_trees,
@@ -58,8 +59,8 @@ def one_flat_window_panel():
 def chunked_panel():
     """Six companies over 90 days, vertex order unlike ticker order; E is flat on [40, 75).
 
-    Chunks hold 2 * 90 // 6 = 30 windows, so 61 windows of width 30 and
-    step 1 fill three, and the windows from 40 to 45 drop E in the second.
+    Chunks hold 2 * 90 // 6 = 30 windows; of 61 windows of width 30 and
+    step 1, those from 40 to 45 drop E, each a chunk of its own.
     """
     rng = np.random.default_rng(11)
     returns = rng.standard_normal((6, 90))
@@ -182,8 +183,8 @@ def test_window_trees_match_the_per_window_pipeline():
 def test_evolve_rows_equal_the_per_tree_chain_over_three_chunks():
     # 20 companies over 300 days, ticker order the reverse of vertex order,
     # hub vertex 5 coupled on days 100-200, company 9 flat on [130, 175).
-    # Chunks hold 2 * 300 // 20 = 30 windows; 87 windows fill three, and
-    # windows 44 and 45 (starts 132 and 135) drop company 9 in the second.
+    # Chunks hold 2 * 300 // 20 = 30 windows; of 87 windows, 44 and 45
+    # (starts 132 and 135) drop company 9, each a chunk of its own.
     base = regime_panel(seed=3, interval=(100, 200))
     returns = base.returns.copy()
     returns[9, 130:175] = -0.5
@@ -219,23 +220,57 @@ def test_evolve_rows_equal_the_per_tree_chain_over_three_chunks():
     assert ties and at_static
 
 
-def test_windows_that_drop_a_company_match_the_per_tree_chain():
-    # Dropping E (vertex 4) moves the static center C from vertex 5 to 4,
-    # and vertex order unlike ticker order makes a first-vertex hub wrong.
-    panel = chunked_panel()
-    series = evolve(panel, WindowSpec(30, 1), "C")
+def _assert_rows_match_the_per_tree_chain(panel, spec, static):
+    """Hold each evolve row and window_trees tree to the oracles.
+
+    Returns the series and the count of dropped windows whose hub is not
+    the first vertex of the top degree.
+    """
+    series = evolve(panel, spec, static)
     ties = 0
-    for k, (_, _, tree, dropped) in enumerate(window_trees(panel, windows(panel, WindowSpec(30, 1)))):
+    for k, (start, end, tree, dropped) in enumerate(window_trees(panel, windows(panel, spec))):
+        keep = [v for v, t in enumerate(panel.tickers) if t not in dropped]
+        tickers = [panel.tickers[v] for v in keep]
+        expected = kruskal_mst(tickers, to_distance(pearson_matrix(tickers, panel.returns[keep, start:end])))
+        assert (tree.tickers, tree.i.tolist(), tree.j.tolist()) == (tickers, expected.i.tolist(), expected.j.tolist())
+        assert tree.w.tobytes() == expected.w.tobytes()
         deg = tree.degrees()
         top = np.flatnonzero(deg == deg.max())
         hub = min(tree.tickers[v] for v in top)
         assert (series.dynamic_center[k], series.dropped[k]) == (hub, dropped)
-        assert series.mol_static[k] == mean_occupation_layer(tree, "C")
+        assert series.mol_static[k] == mean_occupation_layer(tree, static)
         assert series.mol_dynamic[k] == mean_occupation_layer(tree, hub)
         assert series.ntl[k] == normalized_tree_length(tree)
         ties += bool(dropped) and tree.tickers[top[0]] != hub
+    assert len(series) == len(windows(panel, spec))
+    return series, ties
+
+
+def test_windows_that_drop_a_company_match_the_per_tree_chain():
+    # Dropping E (vertex 4) moves the static center C from vertex 5 to 4,
+    # and vertex order unlike ticker order makes a first-vertex hub wrong.
+    series, ties = _assert_rows_match_the_per_tree_chain(chunked_panel(), WindowSpec(30, 1), "C")
     assert [k for k, d in enumerate(series.dropped) if d] == [40, 41, 42, 43, 44, 45]
     assert ties
+
+
+def test_drops_at_chunk_boundaries_match_the_per_tree_chain():
+    # Chunks hold 2 * 90 // 6 = 30 windows. E is flat on [0, 30), A on
+    # [31, 62) and B on [60, 90), so windows 0, 31, 32 and 60 of width 30
+    # and step 1 drop a company: window 0 opens the first chunk, 31 comes
+    # right after a full chunk of 30, 32 right after 31, and 60 closes a
+    # running chunk and is the last window.
+    panel = chunked_panel()
+    panel.returns[4, 40:75] = np.random.default_rng(12).standard_normal(35)
+    panel.returns[4, :30] = 0.5
+    panel.returns[3, 31:62] = -0.5
+    panel.returns[1, 60:] = 0.25
+    spec = WindowSpec(30, 1)
+    assert [[start for start, _, _ in rows] for _, _, rows, _ in _chunks(panel, windows(panel, spec))] == [
+        [0], list(range(1, 31)), [31], [32], list(range(33, 60)), [60]
+    ]
+    series, _ = _assert_rows_match_the_per_tree_chain(panel, spec, "C")
+    assert {k: d for k, d in enumerate(series.dropped) if d} == {0: ("E",), 31: ("A",), 32: ("A",), 60: ("B",)}
 
 
 def test_window_errors_come_in_window_order():
