@@ -22,12 +22,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DuplicateRecordError, FormatError, InsufficientDataError
 
@@ -54,13 +54,28 @@ _PLAIN_HEADER = b"date,ticker,close"
 _BOM = b"\xef\xbb\xbf"
 
 # The longest ticker and price a chunk parses column-wise, in bytes;
-# longer ones go through the per-row rules. A chunk is padded so that a
-# window of _PRICE_BYTES fits after every line.
-_TICKER_BYTES, _PRICE_BYTES = 16, 32
-_PAD = bytes(_PRICE_BYTES)
+# longer ones go through the per-row rules. A chunk is padded with _PAD
+# on both sides, so that the 24 bytes before every line end and the 32
+# bytes after every line start can be read as words.
+_TICKER_BYTES, _PRICE_BYTES = 16, 24
+_PAD = bytes(32)
 
-# _KEEP[L] keeps the first L bytes of a 32-byte window, as 4 little-endian words.
-_KEEP = np.where(np.arange(32) < np.arange(33)[:, None], 255, 0).astype(np.uint8).view("<u8")
+# _KEEP[L] keeps the first L bytes of 16, as 2 little-endian words.
+_KEEP = np.where(np.arange(16) < np.arange(17)[:, None], 255, 0).astype(np.uint8).view("<u8")
+# _KEEP_TAIL[:, L] keeps the last L bytes of 24, as 3 little-endian words.
+_KEEP_TAIL = np.where(np.arange(24) >= 24 - np.arange(25)[:, None], 255, 0).astype(np.uint8).view("<u8").T.copy()
+
+# The decimal exponents q of the powers of ten the price conversion holds.
+# Above 10**-290 the rounding error of the low part stays below 2**-106 of
+# 10**q, and below 10**288 a mantissa under 2**64 cannot overflow.
+_Q_MIN, _Q_MAX = -290, 288
+_VELTKAMP = 2.0**27 + 1  # splits a double into two halves of at most 26 bits
+# A conversion r + e within 2**-102 * r of the exact value rounds to r when
+# |e| < h * _MARGIN, h being the power of two at or below r: the half gaps
+# around r are h * 2**-53 (the one below a power of two is half of it).
+_MARGIN = 2.0**-53 - 2.0**-97
+_EXPONENT_BITS = np.uint64(0x7FF0000000000000)
+_WORK_ROWS = 19  # rows of _decimal_values' working array
 
 # Days before month m (1-12) in a common year, and the month's length; 0 and
 # 13 stand for every out-of-range month and give it no valid day.
@@ -215,6 +230,172 @@ def _ordinals(ymd: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE[month] + (leap & (month > 2)) + day, ok
 
 
+@cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """10**q for q from _Q_MIN to _Q_MAX as hi + lo: the double nearest to it and the double nearest to the rest.
+
+    Built from Python integers, whose true division rounds correctly, on first use.
+    """
+    hi, lo = [], []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        h = num / den
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    return np.array(hi), np.array(lo)
+
+
+def _halves(x: np.ndarray, high: np.ndarray, low: np.ndarray) -> None:
+    """Veltkamp's split into high and low: x = high + low exactly, each of at most 26 significant bits."""
+    np.multiply(x, _VELTKAMP, out=high)
+    np.subtract(high, x, out=low)
+    high -= low
+    np.subtract(x, high, out=low)
+
+
+def _decimal_values(tails: np.ndarray, length: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Price fields as doubles, and where each is certainly the double float() gives.
+
+    tails[:, i] holds the 24 bytes that end field i as 3 little-endian words,
+    and length[i] <= 24 is its length. A field is certified when it reads
+    [digits][.digits][(e|E)[+|-]digits], with at least one digit before the
+    exponent, at most 19 significant digits, its exponent part within its
+    last 8 bytes, its value D * 10**q (D the digits as an integer) with q
+    from _Q_MIN to _Q_MAX, and a rounding the error bound below decides.
+
+    work is a uint64 array of _WORK_ROWS rows and at least len(length)
+    columns that the conversion computes in; the values returned are a
+    view into it. One serves every chunk: when each chunk allocated its
+    own working arrays, the allocator gave their pages back to the system
+    after every chunk and faulted them in again (about 50 thousand page
+    faults in parsing 1.2M fields, a tenth of a second of system time).
+    """
+    u8, u56, u64 = np.uint64(8), np.uint64(56), np.uint64(64)
+    w = work[:, : len(length)]
+    fields, dot, digits, rows = w[0:3], w[3:6], w[6:9], w[9:13]
+    e, from_e, after_e, minus, signs, before_e = w[13:19]
+
+    np.take(_KEEP_TAIL, length, axis=1, out=dot, mode="clip")
+    np.bitwise_and(tails, dot, out=fields)
+    b = fields.view(np.uint8)
+    # Bytes of the last word: its first e or E, the bytes from it on, and a sign right after it.
+    b2 = b[2]
+    np.bitwise_or(b2, np.uint8(32), out=minus.view(np.uint8))
+    np.equal(minus.view(np.uint8), 101, out=e.view(np.bool_))
+    np.negative(e, out=from_e)
+    np.bitwise_and(e, from_e, out=after_e)
+    after_e <<= u8
+    np.equal(b2, 45, out=minus.view(np.bool_))
+    minus &= after_e
+    np.equal(b2, 43, out=signs.view(np.bool_))
+    signs &= after_e
+    signs |= minus
+    np.invert(from_e, out=before_e)
+    np.equal(b, 46, out=dot.view(np.bool_))
+    np.subtract(b, np.uint8(48), out=digits.view(np.uint8))
+    digit = np.less(digits.view(np.uint8), 10, out=rows[:3].view(np.bool_))
+    n_digits = np.bitwise_count(rows[:3])
+    np.multiply(digits.view(np.uint8), digit.view(np.uint8), out=digits.view(np.uint8))  # 0 in every other byte
+
+    # The mantissa's bytes from its first dot on, none without one: -dot across the 3 words.
+    from_dot = np.invert(dot, out=fields)
+    from_dot[0] += np.uint64(1)
+    carry = dot[0] == 0
+    from_dot[1] += carry
+    carry &= dot[1] == 0
+    from_dot[2] += carry
+    from_dot[2] &= before_e
+    n_from_dot = np.bitwise_count(from_dot)
+    n_from_dot = (n_from_dot[0] + n_from_dot[1] + n_from_dot[2]) >> 3  # the dot and the fraction digits
+    n_dot = n_from_dot != 0
+    n_exponent = np.bitwise_count(from_e) >> 3
+    n_e, n_sign = (n_exponent != 0).view(np.uint8), np.bitwise_count(signs)
+    n_shift = n_exponent + n_dot
+    length = length.astype(np.uint8)
+    ok = n_digits[0] + n_digits[1] + n_digits[2] + n_dot + n_e + n_sign == length  # no other byte
+    ok &= (length > n_shift) & (n_shift <= 8) & (n_exponent >= 2 * n_e + n_sign)  # digits on both sides of e
+
+    # Rows 0-2: the mantissa digits without the dot, ending at the last byte; row 3: the exponent digits.
+    np.bitwise_and(digits[2], from_e, out=rows[3])
+    digits[2] &= before_e
+    # The fraction moves down one byte, over the dot, then the whole mantissa up past the exponent part.
+    fraction = np.bitwise_and(digits, from_dot, out=dot)
+    digits ^= fraction
+    np.left_shift(fraction[1:], u56, out=fields[:2])
+    digits[:2] |= fields[:2]
+    fraction >>= u8
+    digits |= fraction
+    shift = np.left_shift(n_shift, np.uint8(3), out=e)
+    np.left_shift(digits, shift, out=rows[:3])
+    np.subtract(u64, shift, out=shift)
+    np.right_shift(digits[:2], shift, out=fields[:2])
+    rows[1:3] |= fields[:2]
+    # Eight digits per word, the first in the lowest byte, to an integer.
+    low = w[0:4]
+    np.right_shift(rows, u8, out=low)
+    rows *= np.uint64(10)
+    rows += low
+    np.right_shift(rows, np.uint64(16), out=low)
+    low &= np.uint64(0x000000FF000000FF)
+    low *= np.uint64(1 + (10000 << 32))
+    rows &= np.uint64(0x000000FF000000FF)
+    rows *= np.uint64(100 + (1000000 << 32))
+    rows += low
+    rows >>= np.uint64(32)
+    d = np.multiply(rows[0], np.uint64(10**8), out=w[4])
+    d += rows[1]
+    d *= np.uint64(10**8)
+    d += rows[2]
+    d *= rows[0] < 1000  # over 19 significant digits: 0, which is not certified
+    q = rows[3].view(np.int64)
+    np.negative(q, out=q, where=minus != 0)
+    q += n_dot
+    q -= n_from_dot
+    q -= _Q_MIN
+    ok &= q.view(np.uint64) <= _Q_MAX - _Q_MIN
+
+    # D = dh + dl with dl the rounding error of dh, and 10**q = ph + pl to
+    # within 2**-106 of it. lo sums dl * ph and dh * pl, each below 2**-53 hi,
+    # then the error of hi = dh * ph, which Dekker's product finds exactly
+    # (numpy has no fused multiply-add). Dropping dl * pl and the table's
+    # error, and rounding the two products, each err by under 2**-106 hi, and
+    # the two sums by 2 and 3 times that: 9 * 2**-106 < 2**-102 of r in all.
+    # Products below the normal range err by under 2**-1074, less than
+    # 2**-111 of 10**_Q_MIN. r = hi + lo rounded, and err its exact error.
+    ph, pl, dh, lo, hi, ah, al, bh, bl, t, r, err, h = (  # rows 4 (D) and 12 (q) are still in use
+        w[i].view(np.float64) for i in (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 13, 14, 15)
+    )
+    table_hi, table_lo = _powers_of_ten()
+    np.take(table_hi, q, mode="clip", out=ph)
+    np.take(table_lo, q, mode="clip", out=pl)
+    dh[...] = d
+    t.view(np.uint64)[...] = dh
+    d -= t.view(np.uint64)
+    lo[...] = d.view(np.int64)
+    lo *= ph
+    pl *= dh
+    lo += pl
+    np.multiply(dh, ph, out=hi)
+    _halves(dh, ah, al)
+    _halves(ph, bh, bl)
+    np.multiply(ah, bh, out=t)
+    t -= hi
+    for x, y in ((ah, bl), (al, bh), (al, bl)):
+        np.multiply(x, y, out=ph)
+        t += ph
+    lo += t
+    np.add(hi, lo, out=r)
+    np.subtract(r, hi, out=err)
+    np.subtract(lo, err, out=err)
+    np.bitwise_and(r.view(np.uint64), _EXPONENT_BITS, out=h.view(np.uint64))
+    ok &= (r > h) | (err >= 0)  # below a power of two the half gap is smaller
+    np.abs(err, out=err)
+    h *= _MARGIN
+    ok &= err < h  # D = 0 gives h = 0
+    return r, ok
+
+
 def parse_price_table(source: str | BinaryIO) -> ParseResult:
     """Parse CSV price records, a string or a binary file, into a grid.
 
@@ -222,19 +403,24 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
     and close once each; they are looked up by name, and other columns
     are ignored. Rows with unparseable dates, empty tickers, tickers that
     begin with `#` or hold `,`, `"`, `\\` or an ASCII control character,
-    unparseable, non-finite or non-positive prices, or a field count other
-    than the header's are rejected with a diagnostic naming the line the
-    record starts on; a duplicate (ticker, date) pair is an error, not a
-    rejection, naming the first line that repeats one. Invalid UTF-8
-    raises UnicodeDecodeError.
+    unparseable, non-finite or non-positive prices, positive prices that
+    underflow to 0, or a field count other than the header's are rejected
+    with a diagnostic naming the line the record starts on; a duplicate
+    (ticker, date) pair is an error, not a rejection, naming the first
+    line that repeats one. Invalid UTF-8 raises UnicodeDecodeError.
 
     A string is read as its UTF-8 bytes. Under the header
     `date,ticker,close` the bytes are read in chunks of whole lines; a
     line of printable ASCII with a YYYY-MM-DD date, a ticker of up to 16
-    bytes and a short price is parsed column-wise, and every other line
-    goes through csv.reader and the per-row rules, in line order. Any
-    other header, or a `"` in a chunk, sends the rest through csv.reader.
-    The result does not depend on where the chunks split.
+    bytes and a price of up to 24 is parsed column-wise. Its price is
+    converted in numpy to the double float() gives, bit for bit, when it
+    reads [digits][.digits][(e|E)[+|-]digits] with at most 19 significant
+    digits and a decimal exponent the conversion's table holds (see
+    _decimal_values). Every other line, and every line whose price the
+    conversion does not certify, goes through csv.reader and the per-row
+    rules, in line order. Any other header, or a `"` in a chunk, sends the
+    rest through csv.reader. The result does not depend on where the
+    chunks split.
     """
     chunks = _chunks(io.BytesIO(source.encode("utf-8")) if isinstance(source, str) else source)
     head = next(chunks, b"").removeprefix(_BOM)
@@ -260,6 +446,7 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
     ticker_codes, ordinals, line_numbers, values = array("q"), array("q"), array("q"), array("d")
     rejected: list[RejectedRow] = []
     limit = csv.field_size_limit()
+    work = np.empty((_WORK_ROWS, 0), np.uint64)
 
     def reject(line_number: int, reason: str, row: list[str]) -> None:
         rejected.append(RejectedRow(line_number, reason, ",".join(row)))
@@ -295,8 +482,13 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
             reject(line_number, "unparseable price %r" % price_text, row)
             return
         if not (price > 0 and math.isfinite(price)):
-            kind = "non-positive" if math.isfinite(price) else "non-finite"
-            reject(line_number, "%s price %s" % (kind, price_text), row)
+            if not math.isfinite(price):
+                reason = "non-finite price %s"
+            elif price == 0 and math.copysign(1, price) > 0 and price_text.lower().partition("e")[0].strip("+.0"):
+                reason = "price %s underflows to 0"  # a positive value below the smallest double
+            else:
+                reason = "non-positive price %s"
+            reject(line_number, reason % price_text, row)
             return
         if code is None:
             code = code_of_ticker[ticker] = len(code_of_ticker)
@@ -319,12 +511,14 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
 
     def take_chunk(line_number: int, chunk: bytes) -> int:
         """Parse a chunk's plain lines column-wise and the rest with take_row; the next line number."""
+        nonlocal work
         if not chunk.endswith(b"\n"):
             chunk += b"\n"  # the last line of a file with no final newline
-        padded = chunk + _PAD
-        a = np.frombuffer(padded, np.uint8)
+        padded = b"".join([_PAD, chunk, _PAD])
+        a = np.frombuffer(padded, np.uint8, offset=len(_PAD))
         body = a[: len(chunk)]
-        words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))  # the 8 bytes from each byte on
+        words = np.ndarray((len(a) - 7,), "<u8", padded, len(_PAD), (1,))  # the 8 bytes from each byte on
+        tails = np.ndarray((3, len(chunk)), "<u8", padded, len(_PAD) - 24, (8, 1))  # the 24 bytes before each byte
         seps = np.flatnonzero(body <= 44)  # newlines and commas, and bytes such as space or "+"
         marks = body[seps]
         odd = seps[(marks <= 32) & (marks != 10)]  # whitespace or a control byte
@@ -351,19 +545,10 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         k = np.flatnonzero(plain)
 
         days, ok = _ordinals(words[starts[k]], words[starts[k] + 8])
-        price = sliding_window_view(a, _PRICE_BYTES)[second[k] + 1].view("<u8")
-        tokens = (price & _KEEP.take(price_len[k], axis=0)).view("S%d" % _PRICE_BYTES).ravel().tolist()
-        closes, rest = array("d"), iter(tokens)
-        while True:
-            try:
-                closes.extend(map(float, rest))
-                break
-            except ValueError:  # such as "n/a": the per-row rules judge it
-                closes.append(0.0)
-        closes = np.frombuffer(closes, dtype=np.float64)
-        if b"_" in chunk:  # float() alone would take "1_000"
-            closes = np.where([b"_" in token for token in tokens], 0.0, closes)
-        ok &= (closes > 0) & (closes < math.inf)
+        if len(k) > work.shape[1]:
+            work = np.empty((_WORK_ROWS, len(k)), np.uint64)
+        closes, exact = _decimal_values(tails[:, ends[k]], price_len[k], work)
+        ok &= exact  # the per-row rules judge the rest, such as "n/a", "0" or "1e999"
         k, days, closes = k[ok], days[ok], closes[ok]
 
         # A ticker's bytes 0-7 and 8-15 start at line bytes 11 and 19.
@@ -402,6 +587,7 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
                 break
             if chunk:
                 line_number = take_chunk(line_number, chunk)
+    del work  # before the grid, which sets the parse's peak memory
 
     tickers = list(code_of_ticker)
     days = np.frombuffer(ordinals, dtype=np.int64)
