@@ -37,7 +37,6 @@ from .metrics import (
     PHASE_POWER_LAW,
     PHASE_SUPERHUB,
     classify_phase,
-    degree_distribution,
     fit_power_law,
     summarize,
     summarize_batch,

@@ -25,11 +25,7 @@ from . import exports
 from .correlation import pearson_matrix, to_distance
 from .errors import AssetTreeError, ConfigurationError
 from .ingestion import align_and_filter, log_returns, parse_iso_date, parse_price_table
-from .metrics import (
-    PhaseRule,
-    degree_distribution,
-    summarize,
-)
+from .metrics import PhaseRule, summarize
 from .mst import prim_mst
 from .rolling import WindowSpec, detect_transitions, evolve, window_trees
 from .synth import EPOCH, FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
@@ -160,7 +156,7 @@ def cmd_evolve(args, stage: Stage) -> None:
     if center is None:
         # Data-driven default: the dominant vertex of the whole period.
         _, _, full_tree, _ = next(window_trees(returns, [(0, len(returns.dates))]))
-        center = degree_distribution(full_tree).hub_ticker
+        center = summarize(full_tree, rule).center
     series = evolve(returns, spec, center, rule)
     report = detect_transitions(series)
     stage.name = "export"

@@ -64,19 +64,20 @@ def read_tree_edges(path) -> Tree:
     one `parse_price_table` rejects), or when a `# n_vertices:` header
     disagrees with the tickers the edges name, and InvariantError if the
     edges do not form a spanning tree on those tickers. A file without
-    the header is accepted.
+    the header is accepted. A leading BOM is skipped, and each field is
+    stripped of ASCII whitespace, as `parse_price_table` does.
     """
     names: list[str] = []
     weights: list[float] = []
     declared = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip(ASCII_WHITESPACE)
             if line.startswith("# n_vertices:"):
                 declared = line.split(":", 1)[1].strip(ASCII_WHITESPACE)
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
+            parts = [field.strip(ASCII_WHITESPACE) for field in line.split(",")]
             if len(parts) != 3:
                 raise FormatError("bad edge line %r" % line)
             try:
@@ -137,8 +138,9 @@ def read_metric_series_csv(path) -> MetricSeries:
     """Read back a `series.csv`; FormatError names a bad header or row.
 
     A bad row has a field that does not parse, an unknown phase or a non-finite float.
+    A leading BOM is skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != SERIES_COLUMNS:

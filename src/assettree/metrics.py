@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantError, UnderdeterminedFitError
-from .mst import Tree, _ticker_ranks
+from .errors import ConfigurationError, UnderdeterminedFitError
+from .mst import Tree, _ticker_ranks, check_tree
 
 PHASE_POWER_LAW = "PowerLaw"
 PHASE_SUPERHUB = "SuperhubDecorated"
@@ -97,28 +97,6 @@ class TreeSummary:
     center: str
     ntl: float
     mol_dynamic: float
-
-
-def _distributions(tickers: list[str], rank: np.ndarray, deg: np.ndarray):
-    """The histogram of each row of degrees `deg`, shape (B, N), and each hub's index."""
-    nb, n = deg.shape
-    offset = np.arange(0, nb * n, n)[:, None]
-    hist = np.bincount((deg + offset).ravel(), minlength=nb * n).reshape(nb, n)
-    hub = np.argmax(deg * n - rank, axis=1)  # the smallest ticker on ties
-    dists = []
-    for b in range(nb):
-        ks = np.flatnonzero(hist[b])
-        dists.append(DegreeDistribution(n, dict(zip(ks.tolist(), hist[b, ks].tolist())), tickers[hub[b]]))
-    return dists, hub
-
-
-def degree_distribution(tree: Tree) -> DegreeDistribution:
-    deg = tree.degrees()
-    if int(deg.sum()) != 2 * (tree.n - 1):
-        raise InvariantError(
-            "handshake identity violated: %d edges on %d vertices" % (len(tree.i), tree.n)
-        )
-    return _distributions(tree.tickers, _ticker_ranks(tree.tickers), deg[None])[0][0]
 
 
 def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
@@ -238,7 +216,9 @@ def summarize_batch(
     nb, n = src.shape[0], len(tickers)
     offset = np.arange(0, nb * n, n)[:, None]
     deg = np.bincount((np.concatenate((src, dst), axis=1) + offset).ravel(), minlength=nb * n)
-    dists, hub = _distributions(tickers, rank, deg.reshape(nb, n))
+    deg = deg.reshape(nb, n)
+    hist = np.bincount((deg + offset).ravel(), minlength=nb * n).reshape(nb, n)
+    hub = np.argmax(deg * n - rank, axis=1)  # the smallest ticker on ties
     # Each pass moves every vertex up to its next ancestor and counts it
     # into that ancestor's subtree; there is one pass per tree level.
     up = np.arange(nb * n)  # parent, the root its own
@@ -261,7 +241,9 @@ def summarize_batch(
         at, nxt = nxt, up[nxt]
     sums = (path + size.reshape(nb, n).sum(axis=1, keepdims=True) - n).tolist()
     rows = []
-    for b, dist in enumerate(dists):
+    for b in range(nb):
+        ks = np.flatnonzero(hist[b])
+        dist = DegreeDistribution(n, dict(zip(ks.tolist(), hist[b, ks].tolist())), tickers[hub[b]])
         try:
             fit = fit_power_law(dist, drop_threshold=rule.tau)
         except UnderdeterminedFitError:
@@ -275,11 +257,11 @@ def summarize_batch(
 def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
     """Degrees, fit (None if underdetermined), phase, center, NTL, MOL.
 
-    The B = 1 call of `summarize_batch`, each edge pointed away from vertex 0.
+    The B = 1 call of `summarize_batch`, each edge pointed away from
+    vertex 0 by the walk of `check_tree`, which raises InvariantError if
+    the tree is not a spanning tree with finite, non-negative weights.
     """
-    level = np.array(tree.levels(0))
-    if len(tree.i) != tree.n - 1 or level.min() < 0:
-        raise InvariantError("%d edges do not span %d vertices" % (len(tree.i), tree.n))
+    level = np.array(check_tree(tree))
     src, dst = np.where(level[tree.i] < level[tree.j], (tree.i, tree.j), (tree.j, tree.i))
     rank = _ticker_ranks(tree.tickers)
     return summarize_batch(tree.tickers, rank, src[None], dst[None], tree.w[None], 0, rule)[0][0]

@@ -145,8 +145,12 @@ def prim_mst(tickers: list[str], d: np.ndarray) -> Tree:
     return Tree.from_edges(tickers, src[0], dst[0], w[0])
 
 
-def check_tree(tree: Tree) -> None:
-    """Raise if the edges do not form a spanning tree on its tickers."""
+def check_tree(tree: Tree) -> list[int]:
+    """Raise if the edges do not form a spanning tree on its tickers.
+
+    This is the package's one structural check of a `Tree`. It returns
+    `tree.levels(0)`, the walk it finds a cycle with.
+    """
     n = tree.n
     if len(tree.i) != n - 1:
         raise InvariantError("expected %d edges, got %d" % (n - 1, len(tree.i)))
@@ -159,3 +163,4 @@ def check_tree(tree: Tree) -> None:
     level = tree.levels(0)
     if -1 in level:
         raise InvariantError("cycle: the edges leave %r unreached" % tree.tickers[level.index(-1)])
+    return level

@@ -11,18 +11,21 @@ identical edge sets even when weights tie.
 `preferential_attachment_tree` grows a random tree whose degree
 distribution has a known power-law exponent, and `corrcoef_reference`
 is the correlation matrix as numpy's `np.corrcoef` gives it, made
-exactly symmetric. `normalized_tree_length` and `mean_occupation_layer`
-read NTL and MOL off a `Tree` directly, its edge weights and its
-breadth-first levels, as references for `metrics.summarize_batch`.
+exactly symmetric. `degree_histogram`, `normalized_tree_length` and
+`mean_occupation_layer` read the degree histogram and hub, NTL and MOL
+off a `Tree` directly, its degrees, edge weights and breadth-first
+levels, as references for `metrics.summarize_batch`.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 
 import numpy as np
 
 from assettree.errors import ConfigurationError, InsufficientDataError, MissingVertexError
+from assettree.metrics import DegreeDistribution
 from assettree.mst import Tree, _pair_key, _ticker_ranks
 from assettree.synth import _tickers
 
@@ -71,6 +74,14 @@ def corrcoef_reference(returns: np.ndarray) -> np.ndarray:
     rho = upper + upper.T
     np.fill_diagonal(rho, 1.0)
     return rho
+
+
+def degree_histogram(tree: Tree) -> DegreeDistribution:
+    """Count of each degree in `tree.degrees()`, and the smallest ticker of top degree."""
+    deg = tree.degrees().tolist()
+    top = max(deg)
+    hub = min(t for t, k in zip(tree.tickers, deg) if k == top)
+    return DegreeDistribution(tree.n, dict(Counter(deg)), hub)
 
 
 def normalized_tree_length(tree: Tree) -> float:

@@ -19,8 +19,8 @@ from assettree.metrics import (
     PHASE_MULTI_HUB,
     PHASE_SUPERHUB,
     classify_phase,
-    degree_distribution,
     fit_power_law,
+    summarize,
 )
 from assettree.mst import prim_mst
 from assettree.rolling import WindowSpec, detect_transitions, evolve, windows
@@ -104,7 +104,7 @@ def test_preferential_attachment_exponent_band():
     slopes = []
     for seed in range(20):
         tree = preferential_attachment_tree(10_000, seed)
-        fit = fit_power_law(degree_distribution(tree))
+        fit = fit_power_law(summarize(tree).distribution)
         slopes.append(fit.slope)
     mean_slope = float(np.mean(slopes))
     assert -3.3 <= mean_slope <= -2.7, "mean fitted slope %.3f" % mean_slope

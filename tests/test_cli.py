@@ -472,6 +472,23 @@ def test_tree_edges_keep_a_non_ascii_space_in_a_ticker(tmp_path):
     assert vertices[0] == vertices[1] == ["BB", "\u3000AA"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("\ufeffA,B,0.5\nB,C,0.25\n", id="bom"),
+        pytest.param("\ufeff# n_vertices: 3\nA,B,0.5\nB,C,0.25\n", id="bom-header"),
+        pytest.param("A , B , 0.5\nB\t,C,\t0.25\n", id="padded-fields"),
+    ],
+)
+def test_edge_list_reader_skips_a_bom_and_strips_fields_like_ingestion(tmp_path, text):
+    (tmp_path / "plain.edges").write_text("A,B,0.5\nB,C,0.25\n", encoding="utf-8")
+    (tmp_path / "odd.edges").write_text(text, encoding="utf-8")
+    for name in ("plain", "odd"):
+        assert main(["export-dot", str(tmp_path / (name + ".edges")), "--out", str(tmp_path / "conv")]) == 0
+    assert read_tree_edges(tmp_path / "odd.edges").tickers == ["A", "B", "C"]
+    assert (tmp_path / "conv" / "odd.dot").read_bytes() == (tmp_path / "conv" / "plain.dot").read_bytes()
+
+
 SERIES_HEADER = "end_date,ntl,mol_static,mol_dynamic,k_max,phase,dynamic_center\n"
 
 
@@ -495,6 +512,12 @@ def test_series_reader_names_the_line_of_a_bad_row(tmp_path, row):
     with pytest.raises(FormatError, match="bad series row at line 3"):
         read_metric_series_csv(path)
     path.write_text(SERIES_HEADER + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n")
+    assert read_metric_series_csv(path).window_end_dates == [date(2006, 1, 2)]
+
+
+def test_series_reader_skips_a_bom(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (SERIES_HEADER + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n").encode())
     assert read_metric_series_csv(path).window_end_dates == [date(2006, 1, 2)]
 
 

@@ -56,3 +56,12 @@ def test_every_public_definition_is_used_by_the_package_or_the_readme():
                 used |= _named(node)
     assert defined
     assert ["%s.%s" % (module, name) for module, name in defined if name not in used] == []
+
+
+def test_tree_structure_is_judged_by_check_tree_alone():
+    # `summarize` holds a Tree to `mst.check_tree`; metrics raises no
+    # structural error of its own.
+    source = (Path(assettree.__file__).parent / "metrics.py").read_text(encoding="utf-8")
+    named = _named(ast.parse(source))
+    assert "InvariantError" not in named
+    assert "check_tree" in named

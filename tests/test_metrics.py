@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ from assettree.metrics import (
     PHASE_SUPERHUB,
     PhaseRule,
     classify_phase,
-    degree_distribution,
     fit_power_law,
     summarize,
 )
 from assettree.mst import Tree
 from conftest import chain_tree, star_tree, tickers_for
-from oracles import mean_occupation_layer, normalized_tree_length, preferential_attachment_tree
+from oracles import (
+    degree_histogram,
+    mean_occupation_layer,
+    normalized_tree_length,
+    preferential_attachment_tree,
+)
 
 
 def dist_of(counts: dict, hub: str | None = "HUB") -> DegreeDistribution:
@@ -38,13 +43,13 @@ LONE_HUB = {1: 109, 2: 18, 3: 6, 4: 3, 5: 2, 6: 1, 7: 1, 8: 1, 53: 1}
 SIX_HUBS = {1: 210, 2: 35, 3: 12, 4: 6, 5: 3, 6: 2, 18: 1, 20: 1, 23: 1, 25: 1, 27: 1, 30: 1}
 
 
-def test_degree_distribution_of_path():
-    dist = degree_distribution(chain_tree(4))
+def test_summary_distribution_of_path():
+    dist = summarize(chain_tree(4)).distribution
     assert dist.counts == {1: 2, 2: 2}
 
 
-def test_degree_distribution_of_large_star():
-    dist = degree_distribution(star_tree(142))
+def test_summary_distribution_of_large_star():
+    dist = summarize(star_tree(142)).distribution
     assert dist.counts == {1: 141, 141: 1}
     assert dist.hub_ticker == "T00"
 
@@ -58,15 +63,9 @@ def test_lone_hub_frequency_normalization():
 def test_handshake_identity_on_generated_trees():
     for seed in range(10):
         tree = preferential_attachment_tree(200, seed)
-        dist = degree_distribution(tree)
+        dist = summarize(tree).distribution
         assert sum(k * c for k, c in dist.counts.items()) == 2 * (tree.n - 1)
         assert sum(dist.counts.values()) == tree.n
-
-
-def test_degree_distribution_rejects_wrong_edge_count():
-    tree = Tree.from_edges(tickers_for(4), [0, 1], [1, 2], [1.0, 1.0])
-    with pytest.raises(InvariantError, match="handshake"):
-        degree_distribution(tree)
 
 
 def exact_power_counts(exponent: float, ks, scale: float = 1000.0) -> dict:
@@ -161,7 +160,7 @@ def test_center_of_star_is_its_hub():
 def test_center_breaks_degree_ties_lexicographically():
     tree = Tree.from_edges(["C", "B", "A", "D"], [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0])
     assert summarize(tree).center == "A"
-    assert degree_distribution(tree).hub_ticker == "A"
+    assert summarize(tree).distribution.hub_ticker == "A"
 
 
 def test_mol_at_dynamic_center_is_bounded_below_by_best_vertex():
@@ -204,7 +203,7 @@ def test_six_near_hubs_are_not_a_superhub():
 
 
 def test_path_graph_is_never_a_superhub():
-    dist = degree_distribution(chain_tree(40))
+    dist = summarize(chain_tree(40)).distribution
     report = classify_phase(dist, None)
     assert not report.is_superhub
     assert report.phase == PHASE_POWER_LAW
@@ -212,8 +211,7 @@ def test_path_graph_is_never_a_superhub():
 
 def test_pure_star_classifies_as_superhub_without_a_fit():
     for n in (20, 50, 142):
-        tree = star_tree(n)
-        dist = degree_distribution(tree)
+        dist = summarize(star_tree(n)).distribution
         with pytest.raises(UnderdeterminedFitError):
             fit_power_law(dist)
         report = classify_phase(dist, None)
@@ -233,7 +231,7 @@ def test_exact_power_law_classifies_as_power_law():
 def test_superhub_decision_invariant_under_relabeling():
     tree = preferential_attachment_tree(150, 7)
     renamed = Tree.from_edges(["Z%03d" % (149 - i) for i in range(150)], tree.i, tree.j, tree.w)
-    d1, d2 = degree_distribution(tree), degree_distribution(renamed)
+    d1, d2 = summarize(tree).distribution, summarize(renamed).distribution
     f1, f2 = fit_power_law(d1), fit_power_law(d2)
     r1, r2 = classify_phase(d1, f1), classify_phase(d2, f2)
     assert d1.counts == d2.counts
@@ -253,7 +251,7 @@ def test_superhub_decision_invariant_under_relabeling():
 )
 def test_summarize_matches_the_chain_step_by_step(tree):
     summary = summarize(tree)
-    dist = degree_distribution(tree)
+    dist = degree_histogram(tree)
     try:
         fit = fit_power_law(dist)
     except UnderdeterminedFitError:
@@ -270,7 +268,21 @@ def test_summarize_matches_the_chain_step_by_step(tree):
     assert summary.mol_dynamic == mean_occupation_layer(tree, center)
 
 
-@pytest.mark.parametrize("a, b", [([0, 1], [1, 2]), ([0, 1, 0], [1, 2, 2])])
-def test_summarize_rejects_edges_that_do_not_span_the_tickers(a, b):
-    with pytest.raises(InvariantError, match="do not span 4 vertices"):
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        pytest.param([0, 1], [1, 2], "expected 3 edges, got 2", id="a0-b0"),
+        pytest.param([0, 1, 0], [1, 2, 2], "cycle: the edges leave 'T03' unreached", id="a1-b1"),
+    ],
+)
+def test_summarize_rejects_edges_that_do_not_span_the_tickers(a, b, message):
+    # The messages are check_tree's: summarize judges no structure itself.
+    with pytest.raises(InvariantError, match="^%s$" % re.escape(message)):
         summarize(Tree.from_edges(tickers_for(4), a, b, [1.0] * len(a)))
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -0.5])
+def test_summarize_rejects_a_weight_check_tree_rejects(weight):
+    tree = Tree.from_edges(tickers_for(3), [0, 1], [1, 2], [0.5, weight])
+    with pytest.raises(InvariantError, match=r"^edge weight %s outside \[0, inf\)$" % re.escape(repr(weight))):
+        summarize(tree)

@@ -19,7 +19,6 @@ from assettree.metrics import (
     PHASE_SUPERHUB,
     PhaseRule,
     classify_phase,
-    degree_distribution,
     fit_power_law,
     summarize,
 )
@@ -35,7 +34,7 @@ from assettree.rolling import (
 )
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
-from oracles import kruskal_mst, mean_occupation_layer, normalized_tree_length
+from oracles import degree_histogram, kruskal_mst, mean_occupation_layer, normalized_tree_length
 
 
 def flat_panel(n=5, days=120, seed=0, beta=0.6):
@@ -194,7 +193,7 @@ def test_evolve_rows_equal_the_per_tree_chain_over_three_chunks():
     series = evolve(panel, spec, static)
     ties = at_static = 0
     for k, (start, end, tree, dropped) in enumerate(window_trees(panel, windows(panel, spec))):
-        dist = degree_distribution(tree)
+        dist = degree_histogram(tree)
         try:
             fit = fit_power_law(dist)
         except UnderdeterminedFitError:
