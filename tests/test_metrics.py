@@ -68,6 +68,14 @@ def test_handshake_identity_on_generated_trees():
         assert sum(dist.counts.values()) == tree.n
 
 
+def test_degree_distribution_rejects_wrong_edge_count():
+    # The degree distribution is read only through summarize, which leaves the
+    # edge count to check_tree.
+    tree = Tree.from_edges(tickers_for(4), [0, 1], [1, 2], [1.0, 1.0])
+    with pytest.raises(InvariantError, match="^expected 3 edges, got 2$"):
+        summarize(tree)
+
+
 def exact_power_counts(exponent: float, ks, scale: float = 1000.0) -> dict:
     return {k: scale * k**exponent for k in ks}
 
