@@ -24,7 +24,7 @@ import numpy as np
 from . import exports
 from .correlation import pearson_matrix, to_distance
 from .errors import AssetTreeError, ConfigurationError
-from .ingestion import align_and_filter, log_returns, parse_iso_date, parse_price_table
+from .ingestion import align_and_filter, ascii_decimal, log_returns, parse_iso_date, parse_price_table
 from .metrics import PhaseRule, summarize
 from .mst import prim_mst
 from .rolling import WindowSpec, detect_transitions, evolve, window_trees
@@ -220,6 +220,7 @@ def _synth_panel(params: dict):
     # Any hub key selects the hub-regime generator, which then needs all four.
     hub_regime = any(key in params for key in _HUB_KEYS)
     try:
+        params = {key: ascii_decimal(value) for key, value in params.items()}
         n_companies = int(params["n_companies"])
         n_price_days = int(params["n_days"])
         sigma = float(params.get("noise_sigma", "1.0"))

@@ -16,7 +16,7 @@ from datetime import date as Date
 import numpy as np
 
 from .errors import FormatError, InvariantError
-from .ingestion import ASCII_WHITESPACE, BAD_TICKER, parse_iso_date
+from .ingestion import ASCII_WHITESPACE, BAD_TICKER, ascii_decimal, parse_iso_date
 from .metrics import PHASE_MULTI_HUB, PHASE_POWER_LAW, PHASE_SUPERHUB
 from .mst import Tree, check_tree
 from .rolling import MetricSeries, TransitionReport
@@ -81,7 +81,7 @@ def read_tree_edges(path) -> Tree:
             if len(parts) != 3:
                 raise FormatError("bad edge line %r" % line)
             try:
-                weights.append(float(parts[2]))
+                weights.append(float(ascii_decimal(parts[2])))
             except ValueError:
                 raise FormatError("bad edge weight in %r" % line) from None
             for ticker in parts[:2]:
@@ -149,8 +149,8 @@ def read_metric_series_csv(path) -> MetricSeries:
         for row in reader:
             try:
                 day, ntl, mol_static, mol_dynamic, k_max, phase, center = row
-                day, k_max = parse_iso_date(day), int(k_max)
-                ntl, mol_static, mol_dynamic = float(ntl), float(mol_static), float(mol_dynamic)
+                day, k_max = parse_iso_date(day), int(ascii_decimal(k_max))
+                ntl, mol_static, mol_dynamic = (float(ascii_decimal(x)) for x in (ntl, mol_static, mol_dynamic))
                 finite = all(map(math.isfinite, (ntl, mol_static, mol_dynamic)))
                 if not finite or phase not in (PHASE_POWER_LAW, PHASE_SUPERHUB, PHASE_MULTI_HUB):
                     raise ValueError(row)

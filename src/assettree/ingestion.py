@@ -5,11 +5,11 @@ names the columns `date` (YYYY-MM-DD), `ticker` and `close`, in any
 order; other columns are ignored. Fields and header names are stripped
 of ASCII whitespace only. A leading byte-order mark is skipped, and
 "\\r\\n" and a lone "\\r" end a line like "\\n". The file is read as bytes,
-CHUNK_BYTES at a time, into one ticker x date grid of prices, NaN where a
-ticker has no record, and the grid and the rejected rows do not depend on
-where the chunks split. A company enters an aligned panel only if it has
-a price on every trading day of the requested period, where the
-trading-day axis is the set of dates observed in that period.
+CHUNK_BYTES at a time, and each chunk's records land in one ticker x date
+grid of prices, NaN where a ticker has no record; the grid and the rejected
+rows do not depend on where the chunks split. A company enters an aligned
+panel only if it has a price on every trading day of the requested period,
+where the trading-day axis is the set of dates observed in that period.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import csv
 import io
 import math
 import re
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
@@ -47,7 +46,7 @@ BAD_TICKER = re.compile(r'^#|[,"\\\x00-\x1f\x7f]')
 ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
 # Bytes read at a time. A chunk's arrays are alive at once: peak RSS of a
-# rolling run read 45-46 MB with 64-256 KiB chunks and 53 MB with 1 MiB.
+# rolling run read 43-44 MB with 64-256 KiB chunks and 53 MB with 1 MiB.
 CHUNK_BYTES = 1 << 18
 
 _PLAIN_HEADER = b"date,ticker,close"
@@ -171,14 +170,6 @@ def parse_iso_date(text: str) -> Date:
     return Date(int(text[:4]), int(text[5:7]), int(text[8:]))
 
 
-def _date_ordinal(text: str) -> int:
-    """Proleptic Gregorian ordinal of a YYYY-MM-DD text; 0 if it is not one."""
-    try:
-        return parse_iso_date(text).toordinal()
-    except ValueError:
-        return 0
-
-
 def _chunks(stream: BinaryIO) -> Iterator[bytes]:
     """The stream's bytes in chunks of whole lines, each line ending in "\\n".
 
@@ -200,19 +191,6 @@ def _chunks(stream: BinaryIO) -> Iterator[bytes]:
             carried.append(data)
     if rest := b"".join(carried):
         yield rest
-
-
-def _text_lines(chunks: Iterable[bytes]) -> Iterator[str]:
-    """The lines of the chunks as strict UTF-8 text, each with its "\\n", decoded one at a time."""
-    for chunk in chunks:
-        for line in chunk.splitlines(keepends=True):  # "\n" is the only line end left
-            yield line.decode("utf-8")
-
-
-def _record_lines(reader, first: int) -> Iterator[int]:
-    """Endlessly, the line the next record of a csv.reader starts on, whose first line is line `first`."""
-    while True:
-        yield first + reader.line_num
 
 
 def _ordinals(ymd: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,6 +374,13 @@ def _decimal_values(tails: np.ndarray, length: np.ndarray, work: np.ndarray) -> 
     return r, ok
 
 
+def ascii_decimal(text: str) -> str:
+    """text if it has no "_" and is ASCII, else ValueError: float() and int() alone take "1_0" and non-ASCII digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError("not an ASCII decimal number: %r" % text)
+    return text
+
+
 def parse_price_table(source: str | BinaryIO) -> ParseResult:
     """Parse CSV price records, a string or a binary file, into a grid.
 
@@ -422,49 +407,35 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
     rest through csv.reader. The result does not depend on where the
     chunks split.
     """
-    chunks = _chunks(io.BytesIO(source.encode("utf-8")) if isinstance(source, str) else source)
-    head = next(chunks, b"").removeprefix(_BOM)
-    if not head:
-        raise FormatError("missing header row")
-    cut = head.find(b"\n") + 1 or len(head)
-    if head[:cut] in (_PLAIN_HEADER, _PLAIN_HEADER + b"\n"):
-        reader, width, pick = None, len(COLUMNS), itemgetter(0, 1, 2)
-        chunks = chain([head[cut:]], chunks)
-    else:
-        reader = csv.reader(_text_lines(chain([head], chunks)))
-        try:
-            header = next(reader)
-        except csv.Error as err:
-            raise FormatError("line 1: %s" % err) from None
-        names = [h.strip(ASCII_WHITESPACE) for h in header]
-        if any(names.count(c) != 1 for c in COLUMNS):
-            raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
-        width, pick = len(header), itemgetter(*(names.index(c) for c in COLUMNS))
-
-    code_of_ticker: dict[str, int] = {}  # accepted tickers, in first-seen order
+    code_of_ticker: dict[str, int] = {}  # accepted tickers, a grid row each, in the order first met
+    first_lines: list[int] = []  # each landed row's first accepted line
+    days = np.empty(0, np.int64)  # the accepted dates' ordinals, a grid column each, in the order first met
+    by_day = days  # the columns in date order
     ordinal_of_text: dict[str, int] = {}  # each distinct date text parsed once; 0 if unparseable
-    ticker_codes, ordinals, line_numbers, values = array("q"), array("q"), array("q"), array("d")
+    grid = np.empty((0, 0))  # prices by row and column, NaN where no record; grown by doubling
+    staged: list[tuple[int, int, int, float]] = []  # take_row's records: row, ordinal, line and price
+    duplicate = ""  # the error that names the first record that repeats one
     rejected: list[RejectedRow] = []
-    limit = csv.field_size_limit()
     work = np.empty((_WORK_ROWS, 0), np.uint64)
 
     def reject(line_number: int, reason: str, row: list[str]) -> None:
         rejected.append(RejectedRow(line_number, reason, ",".join(row)))
 
     def take_row(line_number: int, row: list[str]) -> None:
-        """The per-row rules: append the record or reject the row."""
+        """The per-row rules: stage the record or reject the row."""
         if not row:
             return
         if len(row) != width:
             reject(line_number, "expected %d fields, got %d" % (width, len(row)), row)
             return
-        date_text, ticker, price_text = pick(row)
-        date_text = date_text.strip(ASCII_WHITESPACE)
-        ticker = ticker.strip(ASCII_WHITESPACE)
-        price_text = price_text.strip(ASCII_WHITESPACE)
+        date_text, ticker, price_text = (field.strip(ASCII_WHITESPACE) for field in pick(row))
         ordinal = ordinal_of_text.get(date_text)
         if ordinal is None:
-            ordinal = ordinal_of_text[date_text] = _date_ordinal(date_text)
+            try:
+                ordinal = parse_iso_date(date_text).toordinal()
+            except ValueError:
+                ordinal = 0
+            ordinal_of_text[date_text] = ordinal
         if not ordinal:
             reject(line_number, "unparseable date %r" % date_text, row)
             return
@@ -474,10 +445,7 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
             reject(line_number, reason, row)
             return
         try:
-            # float() alone would also take "1_000" and non-ASCII digits.
-            if "_" in price_text or not price_text.isascii():
-                raise ValueError
-            price = float(price_text)
+            price = float(ascii_decimal(price_text))
         except ValueError:
             reject(line_number, "unparseable price %r" % price_text, row)
             return
@@ -492,25 +460,63 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
             return
         if code is None:
             code = code_of_ticker[ticker] = len(code_of_ticker)
-        ticker_codes.append(code)
-        ordinals.append(ordinal)
-        line_numbers.append(line_number)
-        values.append(price)
+        staged.append((code, ordinal, line_number, price))
 
-    def take_rows(lines: Iterable[int], rows: Iterable[list[str]]) -> None:
-        """take_row on each row, numbered by `lines`, the next of which is taken before each row."""
-        rows = iter(rows)
-        for line in lines:
-            try:
-                row = next(rows, None)
-            except csv.Error as err:  # such as a field over csv.field_size_limit()
-                raise FormatError("line %d: %s" % (line, err)) from None
-            if row is None:
-                return
-            take_row(line, row)
+    def take_rows(reader, first: int) -> None:
+        """take_row on each record of a csv.reader whose first line is line `first`."""
+        line = first + reader.line_num  # the line the next record starts on
+        try:
+            for row in reader:
+                take_row(line, row)
+                line = first + reader.line_num
+        except csv.Error as err:  # such as a field over csv.field_size_limit()
+            raise FormatError("line %d: %s" % (line, err)) from None
+
+    def land(codes=(), ordinals=(), lines=(), prices=()) -> None:
+        """Write the staged rows and the given column-wise ones into the grid, unless one repeats a record."""
+        nonlocal days, by_day, grid, duplicate
+        dtypes = (np.int64, np.int64, np.int64, np.float64)
+        slow = list(zip(*staged)) or [()] * 4
+        codes, ordinals, lines, prices = (
+            np.concatenate([np.asarray(given, dtype), np.array(column, dtype)])
+            for given, column, dtype in zip((codes, ordinals, lines, prices), slow, dtypes)
+        )
+        staged.clear()
+        if duplicate:
+            return
+        by_line = np.argsort(lines, kind="stable")  # the column-wise rows and take_row's, merged
+        codes, ordinals, lines, prices = codes[by_line], ordinals[by_line], lines[by_line], prices[by_line]
+        if len(code_of_ticker) > len(first_lines):  # new tickers, each with a record here
+            rows, first = np.unique(codes, return_index=True)
+            first_lines.extend(lines[first[rows >= len(first_lines)]].tolist())
+        new = np.unique(ordinals[np.isin(ordinals, days, invert=True)])
+        days = np.concatenate([days, new])
+        by_day = np.argsort(days)
+        columns = by_day[np.searchsorted(days, ordinals, sorter=by_day)]
+        need = (len(code_of_ticker), len(days))
+        grow = [0 if n <= size else max(n - size, size) for n, size in zip(need, grid.shape)]  # doubling
+        if any(grow):
+            grid = np.pad(grid, [(0, extra) for extra in grow], constant_values=np.nan)
+        cells = codes * grid.shape[1] + columns
+        repeats = ~np.isnan(grid.take(cells))  # filled by earlier landings, which hold earlier lines
+        _, first = np.unique(cells, return_index=True)
+        repeats[np.delete(np.arange(len(cells)), first)] = True  # or by an earlier line here
+        if repeats.any():
+            k = int(np.argmax(repeats))
+            ticker, day = list(code_of_ticker)[codes[k]], Date.fromordinal(int(ordinals[k]))
+            duplicate = "duplicate record for (%s, %s) at line %d" % (ticker, day, lines[k])
+        else:
+            np.put(grid, cells, prices)
+
+    def text_lines(chunks: Iterable[bytes]) -> Iterator[str]:
+        """The chunks' lines as strict UTF-8 text, each with its "\\n"; lands the staged rows before each chunk."""
+        for chunk in chunks:
+            land()
+            for line in chunk.splitlines(keepends=True):  # "\n" is the only line end left
+                yield line.decode("utf-8")
 
     def take_chunk(line_number: int, chunk: bytes) -> int:
-        """Parse a chunk's plain lines column-wise and the rest with take_row; the next line number."""
+        """Parse a chunk's plain lines column-wise and the rest with take_row, and land them; the next line number."""
         nonlocal work
         if not chunk.endswith(b"\n"):
             chunk += b"\n"  # the last line of a file with no final newline
@@ -541,15 +547,17 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         ticker_len, price_len = second - first - 1, ends - second - 1
         plain &= (first - starts == 10) & (ticker_len >= 1) & (ticker_len <= _TICKER_BYTES)
         plain &= a[first + 1] != ord("#")  # take_row rejects such a ticker
-        plain &= (price_len >= 1) & (price_len <= _PRICE_BYTES) & (ends - starts <= limit)
+        plain &= (price_len >= 1) & (price_len <= _PRICE_BYTES) & (ends - starts <= csv.field_size_limit())
         k = np.flatnonzero(plain)
 
-        days, ok = _ordinals(words[starts[k]], words[starts[k] + 8])
+        ordinals, ok = _ordinals(words[starts[k]], words[starts[k] + 8])
         if len(k) > work.shape[1]:
             work = np.empty((_WORK_ROWS, len(k)), np.uint64)
         closes, exact = _decimal_values(tails[:, ends[k]], price_len[k], work)
         ok &= exact  # the per-row rules judge the rest, such as "n/a", "0" or "1e999"
-        k, days, closes = k[ok], days[ok], closes[ok]
+        k, ordinals, closes = k[ok], ordinals[ok], closes[ok]
+        for s in np.delete(np.arange(n), k).tolist():  # each a line of its own: the chunk holds no quote
+            take_rows(csv.reader([chunk[starts[s] : ends[s] + 1].decode("utf-8")]), line_number + s)
 
         # A ticker's bytes 0-7 and 8-15 start at line bytes 11 and 19.
         ticker_len = ticker_len[k]
@@ -557,58 +565,48 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         if len(k) and ticker_len.max() > 8:
             high = words[starts[k] + 19] & _KEEP[ticker_len, 1]
             keys = np.stack([keys, high], axis=1).view("S16").ravel()
-        keys, inverse = np.unique(keys, return_inverse=True)
+        keys, tickers = np.unique(keys, return_inverse=True)
         names = [name.decode() for name in keys.view("S%d" % keys.itemsize).tolist()]
-        # take_row gives codes in line order, so a new ticker's first line goes through it.
-        fresh = [u for u, name in enumerate(names) if name not in code_of_ticker]
-        if fresh:
-            seen = np.full(len(names), n)
-            np.minimum.at(seen, inverse, k)
-            fast = np.isin(k, seen[fresh], invert=True)
-            k, days, closes, inverse = k[fast], days[fast], closes[fast], inverse[fast]
-        slow = np.delete(np.arange(n), k).tolist()
-        rows = csv.reader(chunk[starts[s] : ends[s] + 1].decode("utf-8") for s in slow)
-        take_rows([line_number + s for s in slow], rows)
-        codes = np.array([code_of_ticker[name] for name in names], dtype=np.int64)
-        ticker_codes.frombytes(codes[inverse].tobytes())
-        ordinals.frombytes(days.tobytes())
-        line_numbers.frombytes((k + line_number).tobytes())
-        values.frombytes(closes.tobytes())
+        codes = [code_of_ticker.setdefault(name, len(code_of_ticker)) for name in names]
+        land(np.array(codes, np.int64)[tickers], ordinals, k + line_number, closes)
         return line_number + n
 
-    line_number = 2
-    if reader is not None:
-        take_rows(_record_lines(reader, 1), reader)
+    chunks = _chunks(io.BytesIO(source.encode("utf-8")) if isinstance(source, str) else source)
+    head = next(chunks, b"").removeprefix(_BOM)
+    if not head:
+        raise FormatError("missing header row")
+    cut = head.find(b"\n") + 1 or len(head)
+    if head[:cut] in (_PLAIN_HEADER, _PLAIN_HEADER + b"\n"):
+        width, pick = len(COLUMNS), itemgetter(0, 1, 2)
+        chunks = chain([head[cut:]], chunks)
     else:
-        for chunk in chunks:
-            if b'"' in chunk:  # a quoted field can span lines: csv.reader reads the rest
-                reader = csv.reader(_text_lines(chain([chunk], chunks)))
-                take_rows(_record_lines(reader, line_number), reader)
-                break
-            if chunk:
-                line_number = take_chunk(line_number, chunk)
-    del work  # before the grid, which sets the parse's peak memory
+        reader = csv.reader(text_lines(chain([head], chunks)))
+        try:
+            header = next(reader)
+        except csv.Error as err:
+            raise FormatError("line 1: %s" % err) from None
+        names = [h.strip(ASCII_WHITESPACE) for h in header]
+        if any(names.count(c) != 1 for c in COLUMNS):
+            raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
+        width, pick = len(header), itemgetter(*(names.index(c) for c in COLUMNS))
+        take_rows(reader, 1)  # which reads every chunk
 
-    tickers = list(code_of_ticker)
-    days = np.frombuffer(ordinals, dtype=np.int64)
-    lo, hi = (int(days.min()), int(days.max())) if len(days) else (0, -1)
-    present = np.zeros(hi - lo + 1, dtype=bool)  # the date axis, as a mask over [lo, hi]
-    present[days - lo] = True
-    dates = [Date.fromordinal(lo + day) for day in np.flatnonzero(present).tolist()]
-    column = (np.cumsum(present) - 1)[days - lo]
-    cell = np.frombuffer(ticker_codes, dtype=np.int64) * len(dates) + column
-    if len(cell) and np.bincount(cell).max() > 1:
-        order = np.argsort(np.frombuffer(line_numbers, dtype=np.int64))
-        _, first_rows = np.unique(cell[order], return_index=True)
-        again = np.ones(len(cell), dtype=bool)
-        again[first_rows] = False
-        k = int(order[np.argmax(again)])
-        raise DuplicateRecordError(
-            "duplicate record for (%s, %s) at line %d"
-            % (tickers[ticker_codes[k]], dates[column[k]], line_numbers[k])
-        )
-    prices = np.full((len(tickers), len(dates)), np.nan)
-    prices.reshape(-1)[cell] = values
+    line_number = 2
+    for chunk in chunks:
+        if b'"' in chunk:  # a quoted field can span lines: csv.reader reads the rest
+            take_rows(csv.reader(text_lines(chain([chunk], chunks))), line_number)
+            break
+        if chunk:
+            line_number = take_chunk(line_number, chunk)
+    land()
+    del work  # before the result, which with the grid sets the parse's peak memory
+
+    if duplicate:
+        raise DuplicateRecordError(duplicate)
+    rows = np.argsort(first_lines)  # tickers by first accepted line
+    prices = grid[np.ix_(rows, by_day)]
+    tickers = sorted(code_of_ticker, key=lambda ticker: first_lines[code_of_ticker[ticker]])
+    dates = [Date.fromordinal(day) for day in days[by_day].tolist()]
     return ParseResult(tickers, dates, prices, rejected)
 
 

@@ -339,6 +339,10 @@ CLI_FAILURES = [
     pytest.param(
         ["export-dot", "{tmp}/blank.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-empty-ticker"
     ),
+    # float() alone reads an Arabic-Indic three as 3.
+    pytest.param(
+        ["export-dot", "{tmp}/digit.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-non-ascii-weight"
+    ),
 ]
 
 
@@ -372,6 +376,7 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     (tmp_path / "long.csv").write_text(FLAT_PRICES + "2005-01-07,%s,1.0\n" % ("X" * 140_000))
     (tmp_path / "quote.edges").write_text('# n_vertices: 2\nA"x,B,0.5\n')
     (tmp_path / "blank.edges").write_text("# n_vertices: 2\n,B,0.5\n")
+    (tmp_path / "digit.edges").write_text("A,B,\u0663\nB,C,0.25\n", encoding="utf-8")
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()
@@ -398,6 +403,21 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
             ["synth"],
             "generate: 2 prices overflow or underflow the float range",
             id="synth-underflow",
+        ),
+        # float() and int() alone read "0_5" as 5 and "1_0" as 10.
+        pytest.param(
+            "under.edges",
+            "A,B,0_5\nB,C,0.25\n",
+            ["export-dot"],
+            "read: bad edge weight in 'A,B,0_5'",
+            id="export-dot-underscore-weight",
+        ),
+        pytest.param(
+            "under.txt",
+            "n_companies = 1_0\nn_days = 20\n",
+            ["synth"],
+            "generate: not an ASCII decimal number: '1_0'",
+            id="synth-underscore-count",
         ),
     ],
 )
@@ -504,6 +524,8 @@ SERIES_HEADER = "end_date,ntl,mol_static,mol_dynamic,k_max,phase,dynamic_center\
         "2006-01-03,nan,2.0,3.0,4,PowerLaw,H",
         "2006-01-03,1.0,inf,3.0,4,PowerLaw,H",
         "2006-01-03,1.0,2.0,-inf,4,PowerLaw,H",
+        "2006-01-03,0_5,2.0,3.0,4,PowerLaw,H",
+        "2006-01-03,1.0,2.0,3.0,1_0,PowerLaw,H",
     ],
 )
 def test_series_reader_names_the_line_of_a_bad_row(tmp_path, row):

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 from datetime import date, timedelta
 from fractions import Fraction
 
@@ -296,19 +297,57 @@ def test_block_parse_matches_the_csv_reader_loop(monkeypatch, seed, chunk_bytes)
     _assert_same_parse(parse_price_table(HEADER + body), reference)
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 4, 97, ingestion.CHUNK_BYTES])
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 4, 7, 97, 256, ingestion.CHUNK_BYTES])
 def test_parse_duplicate_across_blocks_names_the_first_repeating_line(monkeypatch, chunk_bytes):
     monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
-    text = HEADER + (
-        "2005-01-03,A,1.0\n"
-        "2005-01-03,B,1.0\n"
-        "2005-01-04,A,1.0\n"
-        "2005-01-04,B,2.0\n"
-        "2005-01-03,B,3E0\n"  # line 6 repeats line 3; the per-row rules take 3E0
-        "2005-01-03,A,3.0\n"  # line 7 repeats line 2, a cell that sorts first
-    )
-    with pytest.raises(DuplicateRecordError, match=r"^duplicate record for \(B, 2005-01-03\) at line 6$"):
-        parse_price_table(text)
+    # The prices of lines 3, 6 and 7; a padded one takes the per-row rules. At
+    # the smallest sizes line 6 sits in a later chunk than line 3, at the
+    # largest in the same chunk, after lines parsed column-wise.
+    for line_3, line_6, line_7 in [("1.0", "3E0", "3.0"), ("1.0", " 3", "3.0"), (" 1", "3.0", " 3")]:
+        text = HEADER + (
+            "2005-01-03,A,1.0\n"
+            "2005-01-03,B,%s\n"
+            "2005-01-04,A,1.0\n"
+            "2005-01-04,B,2.0\n"
+            "2005-01-03,B,%s\n"  # line 6 repeats line 3
+            "2005-01-03,A,%s\n"  # line 7 repeats line 2, a cell that sorts first
+        ) % (line_3, line_6, line_7)
+        with pytest.raises(DuplicateRecordError, match=r"^duplicate record for \(B, 2005-01-03\) at line 6$"):
+            parse_price_table(text)
+
+
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+def test_parse_orders_tickers_by_first_accepted_line_and_dates_by_day(monkeypatch, chunk_bytes):
+    # AAA's first line is rejected, so its first accepted line comes after
+    # those of ZZZ and of MMM (whose padded price takes the per-row rules),
+    # though its name sorts first; the dates arrive newest first.
+    days = [date(2005, 1, 3) + timedelta(days=d) for d in range(20)]
+    body = "%s,AAA,n/a\n%s,ZZZ,1\n%s,MMM, 2\n%s,AAA,3\n" % ((days[-1],) * 4)
+    body += "".join("%s,ZZZ,1\n%s,MMM,2\n%s,AAA,3\n" % (day, day, day) for day in days[-2::-1])
+    monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
+    result = parse_price_table(HEADER + body)
+    _assert_same_parse(result, parse_price_table(REFERENCE_HEADER + body))
+    assert result.tickers == ["ZZZ", "MMM", "AAA"]
+    assert result.dates == days
+    assert result.prices.tolist() == [[1.0] * 20, [2.0] * 20, [3.0] * 20]
+    assert [(r.line_number, r.reason) for r in result.rejected] == [(2, "unparseable price 'n/a'")]
+
+
+def test_parse_memory_follows_the_records_not_the_calendar():
+    # Four records 9,999 years apart: the parse holds the grid, grown by
+    # doubling to under 4 times the result's cells, the result, and one
+    # chunk's arrays, which stay under 64 bytes per chunk byte (about 28 on a
+    # chunk of the shortest lines a chunk parses column-wise, 15 bytes each).
+    # A date axis over the calendar span would hold 3.65 million columns.
+    text = HEADER + "0001-01-01,A,1\n9999-12-31,A,2\n0001-01-01,B,3\n9999-12-31,B,4\n"
+    tracemalloc.start()
+    try:
+        result = parse_price_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.prices.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert peak < 5 * result.prices.nbytes + 64 * ingestion.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 7, 97, ingestion.CHUNK_BYTES])
