@@ -489,18 +489,19 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         if len(code_of_ticker) > len(first_lines):  # new tickers, each with a record here
             rows, first = np.unique(codes, return_index=True)
             first_lines.extend(lines[first[rows >= len(first_lines)]].tolist())
-        new = np.unique(ordinals[np.isin(ordinals, days, invert=True)])
+        distinct, at = np.unique(ordinals, return_inverse=True)
+        new = distinct[np.isin(distinct, days, invert=True)]
         days = np.concatenate([days, new])
         by_day = np.argsort(days)
-        columns = by_day[np.searchsorted(days, ordinals, sorter=by_day)]
+        columns = by_day[np.searchsorted(days, distinct, sorter=by_day)][at]
         need = (len(code_of_ticker), len(days))
         grow = [0 if n <= size else max(n - size, size) for n, size in zip(need, grid.shape)]  # doubling
         if any(grow):
             grid = np.pad(grid, [(0, extra) for extra in grow], constant_values=np.nan)
         cells = codes * grid.shape[1] + columns
         repeats = ~np.isnan(grid.take(cells))  # filled by earlier landings, which hold earlier lines
-        _, first = np.unique(cells, return_index=True)
-        repeats[np.delete(np.arange(len(cells)), first)] = True  # or by an earlier line here
+        order = np.argsort(cells, kind="stable")  # each cell's lines in line order
+        repeats[order[1:][cells[order[1:]] == cells[order[:-1]]]] = True  # or by an earlier line here
         if repeats.any():
             k = int(np.argmax(repeats))
             ticker, day = list(code_of_ticker)[codes[k]], Date.fromordinal(int(ordinals[k]))
