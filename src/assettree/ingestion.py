@@ -486,9 +486,8 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
             return
         by_line = np.argsort(lines, kind="stable")  # the column-wise rows and take_row's, merged
         codes, ordinals, lines, prices = codes[by_line], ordinals[by_line], lines[by_line], prices[by_line]
-        if len(code_of_ticker) > len(first_lines):  # new tickers, each with a record here
-            rows, first = np.unique(codes, return_index=True)
-            first_lines.extend(lines[first[rows >= len(first_lines)]].tolist())
+        rows, first = np.unique(codes, return_index=True)  # each ticker's first line here
+        first_lines.extend(lines[first[rows >= len(first_lines)]].tolist())  # new tickers all have one
         distinct, at = np.unique(ordinals, return_inverse=True)
         new = distinct[np.isin(distinct, days, invert=True)]
         days = np.concatenate([days, new])
