@@ -16,7 +16,6 @@ from .errors import (
     InsufficientDataError,
     InvariantError,
     MissingVertexError,
-    UnderdeterminedFitError,
 )
 from .ingestion import (
     AlignResult,

@@ -24,8 +24,8 @@ import numpy as np
 from . import exports
 from .correlation import pearson_matrix, to_distance
 from .errors import AssetTreeError, ConfigurationError
-from .ingestion import align_and_filter, ascii_decimal, log_returns, parse_iso_date, parse_price_table
-from .metrics import PhaseRule, summarize
+from .ingestion import ASCII_WHITESPACE, align_and_filter, ascii_decimal, log_returns, parse_iso_date, parse_price_table
+from .metrics import PHASE_SUPERHUB, PhaseRule, summarize
 from .mst import prim_mst
 from .rolling import WindowSpec, detect_transitions, evolve, window_trees
 from .synth import EPOCH, FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
@@ -95,7 +95,7 @@ def cmd_analyze(args, stage: Stage) -> None:
     tree = prim_mst(panel.tickers, to_distance(rho))
     stage.name = "metrics"
     summary = summarize(tree, rule)
-    fit, label = summary.fit, summary.phase
+    fit, label = summary.phase.fit, summary.phase
     config = {
         "input": path,
         "start": period[0].isoformat(),
@@ -122,7 +122,7 @@ def cmd_analyze(args, stage: Stage) -> None:
             "excluded_degrees": list(fit.excluded_degrees),
         },
         "superhub": {
-            "is_superhub": label.is_superhub,
+            "is_superhub": label.phase == PHASE_SUPERHUB,
             "hub_ticker": summary.center,
             "k_max": label.k_max,
             "k_second": label.k_second,
@@ -198,15 +198,16 @@ _PARAM_KEYS = {
 
 
 def _parse_params(path: str) -> dict:
-    """Flat key=value file; '#' comments, blank lines and a leading BOM ignored."""
+    """Flat key=value file; '#' comments, blank lines, a leading BOM and ASCII whitespace ignored."""
     params: dict[str, str] = {}
-    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+    # Universal newlines make "\r\n" and "\r" a "\n"; splitlines() would also break at U+2028.
+    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8-sig").split("\n"), 1):
+        line = line.split("#", 1)[0].strip(ASCII_WHITESPACE)
         if not line:
             continue
         if "=" not in line:
             raise ConfigurationError("line %d of %s is not key=value" % (line_number, path))
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = (part.strip(ASCII_WHITESPACE) for part in line.split("=", 1))
         if key not in _PARAM_KEYS:
             raise ConfigurationError("unknown parameter %r" % key)
         if key in params:
@@ -219,6 +220,8 @@ def _synth_panel(params: dict):
     """Build the return panel described by a params mapping."""
     # Any hub key selects the hub-regime generator, which then needs all four.
     hub_regime = any(key in params for key in _HUB_KEYS)
+    if "beta" in params and "betas" in params:
+        raise ConfigurationError("give beta or betas, not both")
     try:
         params = {key: ascii_decimal(value) for key, value in params.items()}
         n_companies = int(params["n_companies"])

@@ -39,9 +39,5 @@ class MissingVertexError(AssetTreeError):
     """A requested ticker is not a vertex of the tree or panel."""
 
 
-class UnderdeterminedFitError(AssetTreeError):
-    """Fewer than three distinct degree values; no line can be assessed."""
-
-
 class InvariantError(AssetTreeError):
     """A structural invariant failed: not a spanning tree, or a weight outside [0, inf)."""

@@ -137,8 +137,9 @@ def write_metric_series_csv(path, series: MetricSeries) -> None:
 def read_metric_series_csv(path) -> MetricSeries:
     """Read back a `series.csv`; FormatError names a bad header or row.
 
-    A bad row has a field that does not parse, an unknown phase or a non-finite float.
-    A leading BOM is skipped.
+    A bad row has a field that does not parse, an unknown phase, a non-finite
+    float, a k_max below 1, or a center that is empty or that
+    `parse_price_table` rejects as a ticker. A leading BOM is skipped.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -153,6 +154,8 @@ def read_metric_series_csv(path) -> MetricSeries:
                 ntl, mol_static, mol_dynamic = (float(ascii_decimal(x)) for x in (ntl, mol_static, mol_dynamic))
                 finite = all(map(math.isfinite, (ntl, mol_static, mol_dynamic)))
                 if not finite or phase not in (PHASE_POWER_LAW, PHASE_SUPERHUB, PHASE_MULTI_HUB):
+                    raise ValueError(row)
+                if k_max < 1 or not center or BAD_TICKER.search(center):
                     raise ValueError(row)
             except ValueError:
                 raise FormatError("bad series row at line %d: %r" % (reader.line_num, row)) from None

@@ -5,7 +5,7 @@ in log10-log10 space. Points are weighted by their vertex counts, which
 keeps the line anchored to the body of the distribution where almost all
 vertices live, instead of letting a handful of single-vertex points at
 large k tilt it. The fit is two-pass: fit, drop points sitting at least
-`drop_threshold` decades above the line, refit, and report residuals of
+`PhaseRule.tau` decades above the line, refit, and report residuals of
 every degree against the final line. A lone maximal-degree vertex is
 judged against the line fitted without it, since a big enough outlier
 can otherwise mask itself by dragging the first-pass line upward.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UnderdeterminedFitError
+from .errors import ConfigurationError
 from .mst import Tree, _ticker_ranks, check_tree
 
 PHASE_POWER_LAW = "PowerLaw"
@@ -52,16 +52,10 @@ class PhaseRule:
 
 @dataclass
 class DegreeDistribution:
-    """Histogram of vertex degrees: counts[k] of the n_vertices have degree k.
-
-    hub_ticker names a vertex of maximal degree (ties broken by the
-    lexicographically smallest ticker) so downstream reports can name
-    the hub without holding on to the tree itself.
-    """
+    """Histogram of vertex degrees: counts[k] of the n_vertices have degree k."""
 
     n_vertices: int
     counts: dict[int, float]
-    hub_ticker: str | None = None
 
 
 @dataclass
@@ -76,11 +70,11 @@ class PowerLawFit:
 
 @dataclass
 class PhaseLabel:
-    """One tree's phase and every number that decided it."""
+    """One tree's phase and every number that decided it; fit is None when underdetermined."""
 
     phase: str
+    fit: PowerLawFit | None
     n_outlier_hubs: int
-    is_superhub: bool
     k_max: int
     k_second: int
     log_residual: float
@@ -92,7 +86,6 @@ class TreeSummary:
     """What one tree reports; center is its maximal-degree vertex."""
 
     distribution: DegreeDistribution
-    fit: PowerLawFit | None
     phase: PhaseLabel
     center: str
     ntl: float
@@ -110,21 +103,16 @@ def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, 
     return float(slope), float(yb - slope * xb), float(sxx)
 
 
-def fit_power_law(
-    dist: DegreeDistribution,
-    drop_threshold: float = PhaseRule.tau,
-) -> PowerLawFit:
-    """Count-weighted least squares of log10 f(k) on log10 k.
+def fit_power_law(dist: DegreeDistribution, rule: PhaseRule = PhaseRule()) -> PowerLawFit | None:
+    """Count-weighted least squares of log10 f(k) on log10 k, dropping points `rule.tau` above it.
 
-    Raises UnderdeterminedFitError with fewer than 3 distinct degrees.
-    The final line always rests on at least 3 points; if dropping
-    outliers would leave fewer, the first-pass line stands.
+    None with fewer than 3 distinct degrees. The final line always rests
+    on at least 3 points; if dropping outliers would leave fewer, the
+    first-pass line stands.
     """
     ks = sorted(dist.counts)
     if len(ks) < 3:
-        raise UnderdeterminedFitError(
-            "%d distinct degrees, need at least 3" % len(ks)
-        )
+        return None
     x = np.log10(np.array(ks, dtype=float))
     w = np.array([dist.counts[k] for k in ks], dtype=float)
     y = np.log10(w / dist.n_vertices)
@@ -136,8 +124,8 @@ def fit_power_law(
         # Lone top point: measure it against the line it had no part in.
         s_loo, i_loo, _ = _weighted_line(x[:-1], y[:-1], w[:-1])
         top_resid = y[-1] - (i_loo + s_loo * x[-1])
-    drop = resid1 >= drop_threshold
-    drop[-1] = top_resid >= drop_threshold
+    drop = resid1 >= rule.tau
+    drop[-1] = top_resid >= rule.tau
 
     if drop.any() and np.count_nonzero(~drop) >= 3:
         kept = ~drop
@@ -163,12 +151,8 @@ def fit_power_law(
     )
 
 
-def classify_phase(
-    dist: DegreeDistribution,
-    fit: PowerLawFit | None,
-    rule: PhaseRule = PhaseRule(),
-) -> PhaseLabel:
-    """Label the tree topology for one window.
+def classify_phase(dist: DegreeDistribution, rule: PhaseRule = PhaseRule()) -> PhaseLabel:
+    """Label the tree topology for one window, from `fit_power_law(dist, rule)`.
 
     A superhub must both sit `rule.tau` decades above the fitted line
     and lead the runner-up degree by `rule.gap`; a hub sits
@@ -184,21 +168,22 @@ def classify_phase(
     else:
         k_second = ks[-2]
     ratio = k_max / k_second
+    fit = fit_power_law(dist, rule)
     if fit is not None:
         log_residual = fit.residuals[k_max]
-        is_superhub = log_residual >= rule.tau and ratio >= rule.gap
+        superhub = log_residual >= rule.tau and ratio >= rule.gap
         n_hubs = sum(1 for r in fit.residuals.values() if r >= rule.tau_hub)
     else:
         log_residual = float("nan")
-        is_superhub = ratio >= rule.gap and k_max >= max(4, 0.25 * (dist.n_vertices - 1))
+        superhub = ratio >= rule.gap and k_max >= max(4, 0.25 * (dist.n_vertices - 1))
         n_hubs = 0
-    if is_superhub:
+    if superhub:
         phase = PHASE_SUPERHUB
     elif n_hubs >= 2:
         phase = PHASE_MULTI_HUB
     else:
         phase = PHASE_POWER_LAW
-    return PhaseLabel(phase, n_hubs, is_superhub, k_max, k_second, log_residual, ratio)
+    return PhaseLabel(phase, fit, n_hubs, k_max, k_second, log_residual, ratio)
 
 
 def summarize_batch(
@@ -243,19 +228,15 @@ def summarize_batch(
     rows = []
     for b in range(nb):
         ks = np.flatnonzero(hist[b])
-        dist = DegreeDistribution(n, dict(zip(ks.tolist(), hist[b, ks].tolist())), tickers[hub[b]])
-        try:
-            fit = fit_power_law(dist, drop_threshold=rule.tau)
-        except UnderdeterminedFitError:
-            fit = None
+        dist = DegreeDistribution(n, dict(zip(ks.tolist(), hist[b, ks].tolist())))
         ntl = math.fsum(w[b].tolist()) / (n - 1)
-        summary = TreeSummary(dist, fit, classify_phase(dist, fit, rule), dist.hub_ticker, ntl, sums[b][0] / n)
+        summary = TreeSummary(dist, classify_phase(dist, rule), tickers[hub[b]], ntl, sums[b][0] / n)
         rows.append((summary, sums[b][1] / n))
     return rows
 
 
 def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
-    """Degrees, fit (None if underdetermined), phase, center, NTL, MOL.
+    """Degrees, phase (with its fit, None if underdetermined), center, NTL, MOL.
 
     The B = 1 call of `summarize_batch`, each edge pointed away from
     vertex 0 by the walk of `check_tree`, which raises InvariantError if

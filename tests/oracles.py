@@ -12,7 +12,7 @@ identical edge sets even when weights tie.
 distribution has a known power-law exponent, and `corrcoef_reference`
 is the correlation matrix as numpy's `np.corrcoef` gives it, made
 exactly symmetric. `degree_histogram`, `normalized_tree_length` and
-`mean_occupation_layer` read the degree histogram and hub, NTL and MOL
+`mean_occupation_layer` read the degree histogram, NTL and MOL
 off a `Tree` directly, its degrees, edge weights and breadth-first
 levels, as references for `metrics.summarize_batch`.
 """
@@ -77,11 +77,8 @@ def corrcoef_reference(returns: np.ndarray) -> np.ndarray:
 
 
 def degree_histogram(tree: Tree) -> DegreeDistribution:
-    """Count of each degree in `tree.degrees()`, and the smallest ticker of top degree."""
-    deg = tree.degrees().tolist()
-    top = max(deg)
-    hub = min(t for t, k in zip(tree.tickers, deg) if k == top)
-    return DegreeDistribution(tree.n, dict(Counter(deg)), hub)
+    """Count of each degree in `tree.degrees()`."""
+    return DegreeDistribution(tree.n, dict(Counter(tree.degrees().tolist())))
 
 
 def normalized_tree_length(tree: Tree) -> float:

@@ -419,10 +419,39 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
             "generate: not an ASCII decimal number: '1_0'",
             id="synth-underscore-count",
         ),
+        # The params file is stripped of ASCII whitespace only, like a price field.
+        pytest.param(
+            "space.txt",
+            "n_companies = 4\u3000\nn_days = 20\n",
+            ["synth"],
+            "generate: not an ASCII decimal number: '4\\u3000'",
+            id="synth-non-ascii-space-in-value",
+        ),
+        pytest.param(
+            "key.txt",
+            "n_companies\u3000= 4\nn_days = 20\n",
+            ["synth"],
+            "params: unknown parameter 'n_companies\\u3000'",
+            id="synth-non-ascii-space-in-key",
+        ),
+        pytest.param(
+            "separator.txt",
+            "n_companies = 4\u2028n_days = 20\n",
+            ["synth"],
+            "generate: not an ASCII decimal number: '4\\u2028n_days = 20'",
+            id="synth-non-ascii-line-separator",
+        ),
+        pytest.param(
+            "both.txt",
+            "n_companies = 4\nn_days = 20\nbeta = 0.6\nbetas = 1,1,1,1\n",
+            ["synth"],
+            "generate: give beta or betas, not both",
+            id="synth-beta-and-betas",
+        ),
     ],
 )
 def test_cli_failure_names_its_cause_and_writes_nothing(tmp_path, capsys, name, text, argv, message):
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_text(text, encoding="utf-8")
     capsys.readouterr()
     assert main([argv[0], str(tmp_path / name), *argv[1:], "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
@@ -526,6 +555,12 @@ SERIES_HEADER = "end_date,ntl,mol_static,mol_dynamic,k_max,phase,dynamic_center\
         "2006-01-03,1.0,2.0,-inf,4,PowerLaw,H",
         "2006-01-03,0_5,2.0,3.0,4,PowerLaw,H",
         "2006-01-03,1.0,2.0,3.0,1_0,PowerLaw,H",
+        # evolve writes a k_max of at least 1 and a center that is a ticker.
+        "2006-01-03,1.0,2.0,3.0,-3,PowerLaw,H",
+        "2006-01-03,1.0,2.0,3.0,0,PowerLaw,H",
+        "2006-01-03,1.0,2.0,3.0,4,PowerLaw,",
+        "2006-01-03,1.0,2.0,3.0,4,PowerLaw,#x",
+        "2006-01-03,1.0,2.0,3.0,4,PowerLaw,A\\B",
     ],
 )
 def test_series_reader_names_the_line_of_a_bad_row(tmp_path, row):

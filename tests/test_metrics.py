@@ -8,7 +8,6 @@ from assettree.errors import (
     ConfigurationError,
     InvariantError,
     MissingVertexError,
-    UnderdeterminedFitError,
 )
 from assettree.metrics import (
     DegreeDistribution,
@@ -30,10 +29,10 @@ from oracles import (
 )
 
 
-def dist_of(counts: dict, hub: str | None = "HUB") -> DegreeDistribution:
+def dist_of(counts: dict) -> DegreeDistribution:
     n = sum(counts.values())
     counts = dict(sorted(counts.items()))
-    return DegreeDistribution(n, counts, hub)
+    return DegreeDistribution(n, counts)
 
 
 # Degree histograms shaped like the two market regimes the detector must
@@ -49,9 +48,9 @@ def test_summary_distribution_of_path():
 
 
 def test_summary_distribution_of_large_star():
-    dist = summarize(star_tree(142)).distribution
-    assert dist.counts == {1: 141, 141: 1}
-    assert dist.hub_ticker == "T00"
+    summary = summarize(star_tree(142))
+    assert summary.distribution.counts == {1: 141, 141: 1}
+    assert summary.center == "T00"
 
 
 def test_lone_hub_frequency_normalization():
@@ -82,7 +81,7 @@ def exact_power_counts(exponent: float, ks, scale: float = 1000.0) -> dict:
 
 @pytest.mark.parametrize("exponent", [-2.0, -2.62, -3.0])
 def test_fit_recovers_exact_exponent(exponent):
-    dist = dist_of(exact_power_counts(exponent, range(1, 21)), hub=None)
+    dist = dist_of(exact_power_counts(exponent, range(1, 21)))
     fit = fit_power_law(dist)
     assert fit.slope == pytest.approx(exponent, abs=1e-6)
     assert fit.slope_stderr == pytest.approx(0.0, abs=1e-9)
@@ -91,15 +90,14 @@ def test_fit_recovers_exact_exponent(exponent):
 
 
 def test_fit_exact_on_sparse_degree_set():
-    dist = dist_of(exact_power_counts(-2.0, [1, 2, 4, 8]), hub=None)
+    dist = dist_of(exact_power_counts(-2.0, [1, 2, 4, 8]))
     fit = fit_power_law(dist)
     assert fit.slope == pytest.approx(-2.0, abs=1e-6)
     assert fit.k_range == (1, 8)
 
 
 def test_fit_needs_three_distinct_degrees():
-    with pytest.raises(UnderdeterminedFitError):
-        fit_power_law(dist_of({1: 141, 141: 1}))
+    assert fit_power_law(dist_of({1: 141, 141: 1})) is None
 
 
 def test_fit_matches_weighted_polyfit_when_nothing_is_dropped():
@@ -119,6 +117,16 @@ def test_fit_excludes_lone_outlier_from_final_line():
     assert fit.excluded_degrees == (53,)
     assert fit.k_range == (1, 8)
     assert fit.residuals[53] > 0.8
+
+
+def test_fit_takes_its_drop_threshold_from_the_phase_rule():
+    dist = dist_of(LONE_HUB)
+    assert fit_power_law(dist, PhaseRule(tau=0.8)).excluded_degrees == (53,)
+    residual = fit_power_law(dist).residuals[53]
+    kept = fit_power_law(dist, PhaseRule(tau=residual + 1.0))
+    assert kept.excluded_degrees == ()
+    assert kept.k_range == (1, 53)
+    assert classify_phase(dist, PhaseRule(tau=residual + 1.0)).fit == kept
 
 
 def test_ntl_constant_weights():
@@ -168,7 +176,6 @@ def test_center_of_star_is_its_hub():
 def test_center_breaks_degree_ties_lexicographically():
     tree = Tree.from_edges(["C", "B", "A", "D"], [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0])
     assert summarize(tree).center == "A"
-    assert summarize(tree).distribution.hub_ticker == "A"
 
 
 def test_mol_at_dynamic_center_is_bounded_below_by_best_vertex():
@@ -188,9 +195,8 @@ def test_phase_rule_rejects_a_non_finite_threshold(field, value):
 
 def test_lone_dominant_hub_is_a_superhub():
     dist = dist_of(LONE_HUB)
-    fit = fit_power_law(dist)
-    report = classify_phase(dist, fit)
-    assert report.is_superhub
+    report = classify_phase(dist)
+    assert report.fit == fit_power_law(dist)
     assert report.k_max == 53
     assert report.k_second == 8
     assert report.degree_gap_ratio == pytest.approx(53 / 8)
@@ -200,9 +206,8 @@ def test_lone_dominant_hub_is_a_superhub():
 
 def test_six_near_hubs_are_not_a_superhub():
     dist = dist_of(SIX_HUBS)
-    fit = fit_power_law(dist)
-    label = classify_phase(dist, fit)
-    assert not label.is_superhub
+    label = classify_phase(dist)
+    assert label.fit == fit_power_law(dist)
     assert label.k_max == 30
     assert label.k_second == 27
     assert label.degree_gap_ratio < 1.6
@@ -212,26 +217,24 @@ def test_six_near_hubs_are_not_a_superhub():
 
 def test_path_graph_is_never_a_superhub():
     dist = summarize(chain_tree(40)).distribution
-    report = classify_phase(dist, None)
-    assert not report.is_superhub
+    report = classify_phase(dist)
+    assert report.fit is None
     assert report.phase == PHASE_POWER_LAW
 
 
 def test_pure_star_classifies_as_superhub_without_a_fit():
     for n in (20, 50, 142):
         dist = summarize(star_tree(n)).distribution
-        with pytest.raises(UnderdeterminedFitError):
-            fit_power_law(dist)
-        report = classify_phase(dist, None)
-        assert report.is_superhub
+        assert fit_power_law(dist) is None
+        report = classify_phase(dist)
+        assert report.fit is None
         assert report.phase == PHASE_SUPERHUB
 
 
 def test_exact_power_law_classifies_as_power_law():
-    dist = dist_of(exact_power_counts(-2.62, range(1, 16)), hub=None)
-    fit = fit_power_law(dist)
-    label = classify_phase(dist, fit)
-    assert not label.is_superhub
+    dist = dist_of(exact_power_counts(-2.62, range(1, 16)))
+    label = classify_phase(dist)
+    assert label.fit == fit_power_law(dist)
     assert label.phase == PHASE_POWER_LAW
     assert label.n_outlier_hubs == 0
 
@@ -240,12 +243,11 @@ def test_superhub_decision_invariant_under_relabeling():
     tree = preferential_attachment_tree(150, 7)
     renamed = Tree.from_edges(["Z%03d" % (149 - i) for i in range(150)], tree.i, tree.j, tree.w)
     d1, d2 = summarize(tree).distribution, summarize(renamed).distribution
-    f1, f2 = fit_power_law(d1), fit_power_law(d2)
-    r1, r2 = classify_phase(d1, f1), classify_phase(d2, f2)
+    r1, r2 = classify_phase(d1), classify_phase(d2)
     assert d1.counts == d2.counts
-    assert r1.is_superhub == r2.is_superhub
+    assert (r1.phase == PHASE_SUPERHUB) == (r2.phase == PHASE_SUPERHUB)
     assert r1.degree_gap_ratio == r2.degree_gap_ratio
-    assert f1.slope == pytest.approx(f2.slope, abs=1e-12)
+    assert r1.fit.slope == pytest.approx(r2.fit.slope, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -260,15 +262,11 @@ def test_superhub_decision_invariant_under_relabeling():
 def test_summarize_matches_the_chain_step_by_step(tree):
     summary = summarize(tree)
     dist = degree_histogram(tree)
-    try:
-        fit = fit_power_law(dist)
-    except UnderdeterminedFitError:
-        fit = None
-    label = classify_phase(dist, fit)
+    label = classify_phase(dist)
     deg = tree.degrees()
     center = min(t for t, k in zip(tree.tickers, deg) if k == deg.max())
     assert summary.distribution == dist
-    assert summary.fit == fit
+    assert summary.phase.fit == fit_power_law(dist)
     assert repr(summary.phase) == repr(label)  # log_residual is NaN without a fit
     assert summary.center == center
     assert summary.phase.k_max == int(tree.degrees().max())

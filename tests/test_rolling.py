@@ -10,7 +10,6 @@ from assettree.errors import (
     ConfigurationError,
     InsufficientDataError,
     MissingVertexError,
-    UnderdeterminedFitError,
 )
 from assettree.ingestion import ReturnPanel
 from assettree.metrics import (
@@ -19,7 +18,6 @@ from assettree.metrics import (
     PHASE_SUPERHUB,
     PhaseRule,
     classify_phase,
-    fit_power_law,
     summarize,
 )
 from assettree.mst import prim_mst
@@ -194,10 +192,6 @@ def test_evolve_rows_equal_the_per_tree_chain_over_three_chunks():
     ties = at_static = 0
     for k, (start, end, tree, dropped) in enumerate(window_trees(panel, windows(panel, spec))):
         dist = degree_histogram(tree)
-        try:
-            fit = fit_power_law(dist)
-        except UnderdeterminedFitError:
-            fit = None
         deg = tree.degrees()
         top = np.flatnonzero(deg == deg.max())
         hub = min(tree.tickers[v] for v in top)
@@ -208,7 +202,7 @@ def test_evolve_rows_equal_the_per_tree_chain_over_three_chunks():
             mean_occupation_layer(tree, static),
             mean_occupation_layer(tree, hub),
             max(dist.counts),
-            classify_phase(dist, fit).phase,
+            classify_phase(dist).phase,
             hub,
             dropped,
         )
