@@ -28,7 +28,7 @@ from .ingestion import ASCII_WHITESPACE, align_and_filter, ascii_decimal, log_re
 from .metrics import PHASE_SUPERHUB, PhaseRule, summarize
 from .mst import prim_mst
 from .rolling import WindowSpec, detect_transitions, evolve, window_trees
-from .synth import EPOCH, FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
+from .synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
 DEFAULT_WINDOW = 250
 DEFAULT_STEP = 5
@@ -59,8 +59,15 @@ def _resolve_input(args) -> str:
     return given[0]
 
 
-def _load_returns(path: str, start: str | None, end: str | None):
-    """Price file to ReturnPanel; returns (panel, dropped, period)."""
+def _load_run(args, stage: Stage, windowed: bool = False):
+    """Check the input path, `evolve`'s window and the thresholds, then read the prices.
+
+    Returns (panel, dropped, rule, spec, config); `config` names the run for `config_hash`.
+    """
+    path = _resolve_input(args)
+    spec = WindowSpec(args.window, args.step) if windowed else None
+    rule = PhaseRule(args.tau, args.gap, args.tau_hub)
+    stage.name = "ingestion"
     with open(path, "rb") as source:
         parsed = parse_price_table(source)
     for reject in parsed.rejected:
@@ -70,12 +77,16 @@ def _load_returns(path: str, start: str | None, end: str | None):
         )
     if not parsed.dates:
         raise ConfigurationError("no parseable records in %s" % path)
-    period = (
-        _parse_date(start) if start else parsed.dates[0],
-        _parse_date(end) if end else parsed.dates[-1],
-    )
-    aligned = align_and_filter(parsed, period)
-    return log_returns(aligned.panel), aligned.dropped, period
+    start = _parse_date(args.start) if args.start else parsed.dates[0]
+    end = _parse_date(args.end) if args.end else parsed.dates[-1]
+    aligned = align_and_filter(parsed, (start, end))
+    config = {
+        "input": path,
+        "start": start.isoformat(),
+        "end": end.isoformat(),
+        **vars(rule),
+    }
+    return log_returns(aligned.panel), aligned.dropped, rule, spec, config
 
 
 def _jf(x: float):
@@ -84,11 +95,7 @@ def _jf(x: float):
 
 
 def cmd_analyze(args, stage: Stage) -> None:
-    path = _resolve_input(args)
-    rule = PhaseRule(args.tau, args.gap, args.tau_hub)
-    out = Path(args.out)
-    stage.name = "ingestion"
-    panel, dropped, period = _load_returns(path, args.start, args.end)
+    panel, dropped, rule, _, config = _load_run(args, stage)
     stage.name = "correlation"
     rho = pearson_matrix(panel.tickers, panel.returns, panel.log_scale)
     stage.name = "mst"
@@ -96,15 +103,9 @@ def cmd_analyze(args, stage: Stage) -> None:
     stage.name = "metrics"
     summary = summarize(tree, rule)
     fit, label = summary.phase.fit, summary.phase
-    config = {
-        "input": path,
-        "start": period[0].isoformat(),
-        "end": period[1].isoformat(),
-        **vars(rule),
-    }
     payload = {
         "n_companies": tree.n,
-        "period": {"start": period[0].isoformat(), "end": period[1].isoformat()},
+        "period": {"start": config["start"], "end": config["end"]},
         "dropped_companies": dropped,
         "config_hash": exports.config_hash(config),
         "ntl": summary.ntl,
@@ -133,24 +134,21 @@ def cmd_analyze(args, stage: Stage) -> None:
         "n_outlier_hubs": label.n_outlier_hubs,
     }
     stage.name = "export"
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    meta = {"period": "%s..%s" % period, "config_hash": payload["config_hash"]}
-    if "edges" in args.formats:
+    meta = {"period": "%(start)s..%(end)s" % config, "config_hash": payload["config_hash"]}
+    formats = args.formats or ["edges", "dot"]
+    if "edges" in formats:
         exports.write_tree_edges(out / "tree.edges", tree, meta)
-    if "dot" in args.formats:
+    if "dot" in formats:
         exports.write_dot(out / "tree.dot", tree)
-    if "csv" in args.formats:
+    if "csv" in formats:
         exports.write_correlation_matrix(out / "corr.csv", panel.tickers, rho)
     exports.write_json(out / "analysis.json", payload)
 
 
 def cmd_evolve(args, stage: Stage) -> None:
-    path = _resolve_input(args)
-    out = Path(args.out)
-    spec = WindowSpec(args.window, args.step)
-    rule = PhaseRule(args.tau, args.gap, args.tau_hub)
-    stage.name = "ingestion"
-    returns, dropped, period = _load_returns(path, args.start, args.end)
+    returns, dropped, rule, spec, config = _load_run(args, stage, windowed=True)
     stage.name = "rolling"
     center = args.center
     if center is None:
@@ -160,15 +158,8 @@ def cmd_evolve(args, stage: Stage) -> None:
     series = evolve(returns, spec, center, rule)
     report = detect_transitions(series)
     stage.name = "export"
-    config = {
-        "input": path,
-        "start": period[0].isoformat(),
-        "end": period[1].isoformat(),
-        "window": spec.width,
-        "step": spec.step,
-        "center": center,
-        **vars(rule),
-    }
+    config.update(window=spec.width, step=spec.step, center=center)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     exports.write_metric_series_csv(out / "series.csv", series)
     exports.write_transition_report(
@@ -329,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "formats", None) is None and args.command == "analyze":
-        args.formats = ["edges", "dot"]
     stage = Stage()
     try:
         args.func(args, stage)

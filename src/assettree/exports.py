@@ -138,8 +138,10 @@ def read_metric_series_csv(path) -> MetricSeries:
     """Read back a `series.csv`; FormatError names a bad header or row.
 
     A bad row has a field that does not parse, an unknown phase, a non-finite
-    float, a k_max below 1, or a center that is empty or that
-    `parse_price_table` rejects as a ticker. A leading BOM is skipped.
+    float, a k_max below 1, a center that is empty or that
+    `parse_price_table` rejects as a ticker, or a value `evolve` cannot
+    write: an NTL outside [0, 2], a MOL below 1/2, or an end date not after
+    the previous row's. A leading BOM is skipped.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -156,6 +158,9 @@ def read_metric_series_csv(path) -> MetricSeries:
                 if not finite or phase not in (PHASE_POWER_LAW, PHASE_SUPERHUB, PHASE_MULTI_HUB):
                     raise ValueError(row)
                 if k_max < 1 or not center or BAD_TICKER.search(center):
+                    raise ValueError(row)
+                ordered = not series.window_end_dates or series.window_end_dates[-1] < day
+                if not (ordered and 0 <= ntl <= 2 and min(mol_static, mol_dynamic) >= 0.5):
                     raise ValueError(row)
             except ValueError:
                 raise FormatError("bad series row at line %d: %r" % (reader.line_num, row)) from None

@@ -148,16 +148,17 @@ def window_trees(
 ) -> Iterator[tuple[int, int, Tree, tuple[str, ...]]]:
     """Yield (start, end, tree, dropped) per [start, end) column span, in order.
 
-    This is the only place columns of a panel become trees, rolling
-    windows and the full period (0, T) alike. Any span outside 0 <= start
-    < end <= T raises ConfigurationError before the first tree. A chunk is
-    up to B = max(1, 2T // N) consecutive spans that keep all N companies,
-    so its (B, N, N) distance stack holds at most twice as many values as
-    the T return columns; each span's correlations and then distances are
-    written in place into its slot, and one `prim_batch` call builds the
-    chunk's trees. A span that leaves a company out closes the running
-    chunk and is a chunk of its own. A span that fails raises only after
-    every span before it is yielded.
+    It serves callers that want the trees themselves, such as the CLI's
+    full-period tree (0, T); `evolve` summarizes the same `_chunks` without
+    building a `Tree`, and `analyze` builds its tree with `prim_mst`. Any
+    span outside 0 <= start < end <= T raises ConfigurationError before the
+    first tree. A chunk is up to B = max(1, 2T // N) consecutive spans that
+    keep all N companies, so its (B, N, N) distance stack holds at most
+    twice as many values as the T return columns; each span's correlations
+    and then distances are written in place into its slot, and one
+    `prim_batch` call builds the chunk's trees. A span that leaves a company
+    out closes the running chunk and is a chunk of its own. A span that
+    fails raises only after every span before it is yielded.
     """
     for tickers, _, rows, edges in _chunks(panel, spans):
         for (start, end, dropped), *columns in zip(rows, *edges):

@@ -56,6 +56,8 @@ class FactorModelParams:
             raise ConfigurationError("betas must be finite")
         if not 0 < self.noise_sigma < math.inf:
             raise ConfigurationError("noise_sigma must be finite and positive")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative, got %d" % self.seed)
 
 
 @dataclass(frozen=True)

@@ -448,6 +448,21 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
             "generate: give beta or betas, not both",
             id="synth-beta-and-betas",
         ),
+        pytest.param(
+            "seed.txt",
+            "n_companies = 5\nn_days = 50\nseed = -1\n",
+            ["synth"],
+            "generate: seed must be non-negative, got -1",
+            id="synth-negative-seed",
+        ),
+        pytest.param(
+            "flat.csv",
+            FLAT_PRICES,
+            ["analyze", "--start", "2005-01-05", "--end", "2005-01-04"],
+            "ingestion: period end 2005-01-04 before start 2005-01-05",
+            id="analyze-end-before-start",
+        ),
+        pytest.param("pair.edges", "A,B\n", ["export-dot"], "read: bad edge line 'A,B'", id="export-dot-two-fields"),
     ],
 )
 def test_cli_failure_names_its_cause_and_writes_nothing(tmp_path, capsys, name, text, argv, message):
@@ -561,6 +576,15 @@ SERIES_HEADER = "end_date,ntl,mol_static,mol_dynamic,k_max,phase,dynamic_center\
         "2006-01-03,1.0,2.0,3.0,4,PowerLaw,",
         "2006-01-03,1.0,2.0,3.0,4,PowerLaw,#x",
         "2006-01-03,1.0,2.0,3.0,4,PowerLaw,A\\B",
+        # evolve writes an NTL in [0, 2], MOLs of at least 1/2 and increasing end dates.
+        "2006-01-03,-1.0,2.0,3.0,4,PowerLaw,H",
+        "2006-01-03,2.5,2.0,3.0,4,PowerLaw,H",
+        "2006-01-03,1.0,0.25,3.0,4,PowerLaw,H",
+        "2006-01-03,1.0,2.0,0.25,4,PowerLaw,H",
+        "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H",
+        "2006-01-01,1.0,2.0,3.0,4,PowerLaw,H",
+        "2006-01-02,-1.0,-2.0,0.0,4,PowerLaw,H",
+        "2006-01-01,3.5,1e300,0.25,4,SuperhubDecorated,H",
     ],
 )
 def test_series_reader_names_the_line_of_a_bad_row(tmp_path, row):

@@ -105,6 +105,11 @@ def test_distance_into_out_matches_the_formula(rng):
     assert out.tobytes() == np.sqrt(2.0 * (1.0 - rho)).tobytes() == to_distance(rho).tobytes()
 
 
+def test_one_return_row_raises():
+    with pytest.raises(InsufficientDataError, match="^need at least 2 return rows$"):
+        pearson_matrix(*panel_of([[0.1, 0.2, 0.3]]))
+
+
 def test_short_window_raises():
     with pytest.raises(InsufficientDataError):
         pearson_matrix(*panel_of([[0.1, 0.2], [0.3, -0.1]]))

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import re
 import tracemalloc
 from datetime import date, timedelta
 from fractions import Fraction
@@ -671,6 +672,20 @@ def test_align_keeps_all_complete_companies():
     result = align_and_filter(_parsed({t: DAYS for t in ("A", "B", "C")}), (DAYS[0], DAYS[-1]))
     assert result.panel.tickers == ["A", "B", "C"]
     assert result.dropped == []
+
+
+@pytest.mark.parametrize(
+    "tickers, prices, error, message",
+    [
+        (["A"], [[1.0, 2.0, 3.0]], InsufficientDataError, "panel needs at least 2 companies"),
+        (["A", "A"], [[1.0, 2.0, 3.0]] * 2, FormatError, "duplicate tickers in panel"),
+        (["A", "B"], [[1.0, 2.0, 3.0, 4.0]] * 2, FormatError, "price matrix shape (2, 4) does not match 2 tickers x 3 dates"),
+        (["A", "B"], [[1.0, 2.0, 3.0], [1.0, 0.0, 3.0]], FormatError, "panel contains non-positive prices"),
+    ],
+)
+def test_price_panel_rejects_a_malformed_panel(tickers, prices, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        PricePanel(tickers, DAYS[:3], np.array(prices))
 
 
 def test_align_empty_period_raises():

@@ -27,6 +27,23 @@ def test_package_sources_use_no_assert_or_assertion_error():
     assert found == []
 
 
+def test_every_module_level_import_is_read():
+    # `__init__.py` imports names to re-export them.
+    unread = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert unread == []
+
+
 def _named(tree: ast.AST) -> set[str]:
     """Every name a piece of code loads, imports or reads as an attribute."""
     names = set()

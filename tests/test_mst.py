@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from assettree.errors import InvariantError
+from assettree.errors import InsufficientDataError, InvariantError
 from assettree.exports import read_tree_edges, write_tree_edges
 from assettree.mst import Tree, check_tree, _ticker_ranks, prim_batch, prim_mst
 
@@ -102,6 +102,11 @@ def test_batched_prim_resolves_ties_like_the_references(rng):
             for expected in references:
                 assert edge_list(tree) == edge_list(expected)
                 assert tree.w.tobytes() == expected.w.tobytes()
+
+
+def test_batched_prim_needs_two_vertices():
+    with pytest.raises(InsufficientDataError, match="^spanning tree needs at least 2 vertices$"):
+        prim_batch(np.zeros((1, 1, 1)), _ticker_ranks(["A"]))
 
 
 def test_distinct_weights_give_identical_edge_sets(rng):

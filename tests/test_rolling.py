@@ -355,6 +355,11 @@ def _manual_series(phases, centers=None, ntl=None, mol=None):
     )
 
 
+def test_transitions_of_an_empty_series_raise():
+    with pytest.raises(InsufficientDataError, match="^empty metric series$"):
+        detect_transitions(_manual_series([]))
+
+
 def test_transitions_on_unimodal_series():
     ntl = [0.9, 0.7, 0.4, 0.6, 0.8]
     series = _manual_series([PHASE_POWER_LAW] * 5, ntl=ntl)

@@ -57,6 +57,11 @@ def test_parameter_validation():
         FactorModelParams(3, 100, (1.0, 1.0), 1.0, 0)
     with pytest.raises(ConfigurationError):
         FactorModelParams(3, 100, (1.0,) * 3, 0.0, 0)
+    with pytest.raises(ConfigurationError, match="^n_days must be positive$"):
+        FactorModelParams(3, 0, (1.0,) * 3, 1.0, 0)
+    # numpy's default_rng raises a bare ValueError on a negative seed.
+    with pytest.raises(ConfigurationError, match="^seed must be non-negative, got -1$"):
+        FactorModelParams(3, 100, (1.0,) * 3, 1.0, -1)
     for betas, sigma in [((1.0, math.nan, 1.0), 1.0), ((1.0, 1.0, -math.inf), 1.0), ((1.0,) * 3, math.inf)]:
         with pytest.raises(ConfigurationError, match="must be finite"):
             FactorModelParams(3, 100, betas, sigma, 0)
