@@ -27,7 +27,6 @@ from .ingestion import (
     parse_price_table,
 )
 from .metrics import (
-    DegreeDistribution,
     PhaseLabel,
     PhaseRule,
     PowerLawFit,

@@ -60,13 +60,14 @@ def _resolve_input(args) -> str:
 
 
 def _load_run(args, stage: Stage, windowed: bool = False):
-    """Check the input path, `evolve`'s window and the thresholds, then read the prices.
+    """Check the input path, `evolve`'s window, the thresholds and the period, then read the prices.
 
     Returns (panel, dropped, rule, spec, config); `config` names the run for `config_hash`.
     """
     path = _resolve_input(args)
     spec = WindowSpec(args.window, args.step) if windowed else None
     rule = PhaseRule(args.tau, args.gap, args.tau_hub)
+    bounds = [_parse_date(text) if text else None for text in (args.start, args.end)]
     stage.name = "ingestion"
     with open(path, "rb") as source:
         parsed = parse_price_table(source)
@@ -77,8 +78,8 @@ def _load_run(args, stage: Stage, windowed: bool = False):
         )
     if not parsed.dates:
         raise ConfigurationError("no parseable records in %s" % path)
-    start = _parse_date(args.start) if args.start else parsed.dates[0]
-    end = _parse_date(args.end) if args.end else parsed.dates[-1]
+    start = bounds[0] or parsed.dates[0]
+    end = bounds[1] or parsed.dates[-1]
     aligned = align_and_filter(parsed, (start, end))
     config = {
         "input": path,
@@ -111,7 +112,7 @@ def cmd_analyze(args, stage: Stage) -> None:
         "ntl": summary.ntl,
         "mol_dynamic": summary.mol_dynamic,
         "dynamic_center": summary.center,
-        "degree_counts": {str(k): int(c) for k, c in summary.distribution.counts.items()},
+        "degree_counts": {str(k): c for k, c in enumerate(summary.distribution.tolist()) if c},
         "fit": None
         if fit is None
         else {

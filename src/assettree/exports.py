@@ -1,8 +1,11 @@
 """File formats: edge lists, DOT graphs, price and metric CSVs, JSON reports.
 
-Everything is plain UTF-8 text with explicit "\n" newlines, floats at 17
-significant digits (round-trip exact), and deterministic ordering, so
-repeated runs on identical inputs are byte-identical.
+Everything is plain UTF-8 text with explicit "\n" newlines, round-trip
+exact floats and deterministic ordering, so repeated runs on identical
+inputs are byte-identical. The CSV, edge-list and DOT writers print
+floats at 17 significant digits (`%.17g`); the JSON reports are written
+by `json.dump`, which prints Python's shortest round-trip `repr` (0.1,
+not 0.10000000000000001).
 """
 
 from __future__ import annotations
@@ -61,11 +64,11 @@ def read_tree_edges(path) -> Tree:
     """Rebuild a Tree from an edge-list file written by write_tree_edges.
 
     Raises FormatError on a malformed line, weight or ticker (empty, or
-    one `parse_price_table` rejects), or when a `# n_vertices:` header
-    disagrees with the tickers the edges name, and InvariantError if the
-    edges do not form a spanning tree on those tickers. A file without
-    the header is accepted. A leading BOM is skipped, and each field is
-    stripped of ASCII whitespace, as `parse_price_table` does.
+    one `parse_price_table` rejects), on a self-loop, or when a
+    `# n_vertices:` header disagrees with the tickers the edges name, and
+    InvariantError if the edges do not form a spanning tree on them. A
+    file without the header is accepted. A leading BOM is skipped, and
+    each field is stripped of ASCII whitespace, as `parse_price_table` does.
     """
     names: list[str] = []
     weights: list[float] = []
@@ -87,6 +90,8 @@ def read_tree_edges(path) -> Tree:
             for ticker in parts[:2]:
                 if not ticker or BAD_TICKER.search(ticker):
                     raise FormatError("bad ticker %r in %r" % (ticker, line))
+            if parts[0] == parts[1]:
+                raise FormatError("self-loop in %r" % line)
             names += parts[:2]
     if not weights:
         raise FormatError("no edge lines")

@@ -51,14 +51,6 @@ class PhaseRule:
 
 
 @dataclass
-class DegreeDistribution:
-    """Histogram of vertex degrees: counts[k] of the n_vertices have degree k."""
-
-    n_vertices: int
-    counts: dict[int, float]
-
-
-@dataclass
 class PowerLawFit:
     slope: float
     intercept: float
@@ -83,9 +75,9 @@ class PhaseLabel:
 
 @dataclass
 class TreeSummary:
-    """What one tree reports; center is its maximal-degree vertex."""
+    """What one tree reports; distribution[k] vertices have degree k, center has the most."""
 
-    distribution: DegreeDistribution
+    distribution: np.ndarray
     phase: PhaseLabel
     center: str
     ntl: float
@@ -103,19 +95,20 @@ def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, 
     return float(slope), float(yb - slope * xb), float(sxx)
 
 
-def fit_power_law(dist: DegreeDistribution, rule: PhaseRule = PhaseRule()) -> PowerLawFit | None:
+def fit_power_law(counts: np.ndarray, rule: PhaseRule = PhaseRule()) -> PowerLawFit | None:
     """Count-weighted least squares of log10 f(k) on log10 k, dropping points `rule.tau` above it.
 
-    None with fewer than 3 distinct degrees. The final line always rests
-    on at least 3 points; if dropping outliers would leave fewer, the
-    first-pass line stands.
+    f(k) = counts[k] / counts.sum(), where counts[k] vertices, or a
+    fractional weight, have degree k; a zero count is no point. None with
+    fewer than 3 distinct degrees. The final line always rests on at least
+    3 points; if dropping outliers would leave fewer, the first-pass line stands.
     """
-    ks = sorted(dist.counts)
+    ks = np.flatnonzero(counts)
     if len(ks) < 3:
         return None
-    x = np.log10(np.array(ks, dtype=float))
-    w = np.array([dist.counts[k] for k in ks], dtype=float)
-    y = np.log10(w / dist.n_vertices)
+    x = np.log10(ks.astype(float))
+    w = counts[ks].astype(float)
+    y = np.log10(w / counts.sum())
 
     slope1, icpt1, sxx1 = _weighted_line(x, y, w)
     resid1 = y - (icpt1 + slope1 * x)
@@ -140,19 +133,19 @@ def fit_power_law(dist: DegreeDistribution, rule: PhaseRule = PhaseRule()) -> Po
     sigma2 = (w[kept] @ (rk * rk)) / (int(kept.sum()) - 2)
     stderr = math.sqrt(sigma2 / sxx)
 
-    kept_ks = [k for k, keep in zip(ks, kept) if keep]
+    kept_ks = ks[kept].tolist()
     return PowerLawFit(
         slope=slope,
         intercept=icpt,
         slope_stderr=stderr,
-        k_range=(min(kept_ks), max(kept_ks)),
-        residuals={k: float(r) for k, r in zip(ks, resid)},
-        excluded_degrees=tuple(k for k, keep in zip(ks, kept) if not keep),
+        k_range=(kept_ks[0], kept_ks[-1]),
+        residuals=dict(zip(ks.tolist(), resid.tolist())),
+        excluded_degrees=tuple(ks[~kept].tolist()),
     )
 
 
-def classify_phase(dist: DegreeDistribution, rule: PhaseRule = PhaseRule()) -> PhaseLabel:
-    """Label the tree topology for one window, from `fit_power_law(dist, rule)`.
+def classify_phase(counts: np.ndarray, rule: PhaseRule = PhaseRule()) -> PhaseLabel:
+    """Label the tree topology for one window, from `fit_power_law(counts, rule)`.
 
     A superhub must both sit `rule.tau` decades above the fitted line
     and lead the runner-up degree by `rule.gap`; a hub sits
@@ -161,21 +154,21 @@ def classify_phase(dist: DegreeDistribution, rule: PhaseRule = PhaseRule()) -> P
     requiring k_max to be large in absolute terms: at least 4 and at
     least a quarter of N-1, and no degree counts as an outlier hub.
     """
-    ks = sorted(dist.counts)
+    ks = np.flatnonzero(counts).tolist()
     k_max = ks[-1]
-    if dist.counts[k_max] >= 2 or len(ks) == 1:
+    if counts[k_max] >= 2 or len(ks) == 1:
         k_second = k_max
     else:
         k_second = ks[-2]
     ratio = k_max / k_second
-    fit = fit_power_law(dist, rule)
+    fit = fit_power_law(counts, rule)
     if fit is not None:
         log_residual = fit.residuals[k_max]
         superhub = log_residual >= rule.tau and ratio >= rule.gap
         n_hubs = sum(1 for r in fit.residuals.values() if r >= rule.tau_hub)
     else:
         log_residual = float("nan")
-        superhub = ratio >= rule.gap and k_max >= max(4, 0.25 * (dist.n_vertices - 1))
+        superhub = ratio >= rule.gap and k_max >= max(4, 0.25 * (counts.sum() - 1))
         n_hubs = 0
     if superhub:
         phase = PHASE_SUPERHUB
@@ -187,23 +180,23 @@ def classify_phase(dist: DegreeDistribution, rule: PhaseRule = PhaseRule()) -> P
 
 
 def summarize_batch(
-    tickers: list[str], rank: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
+    tickers: list[str], src: np.ndarray, dst: np.ndarray, w: np.ndarray,
     static: int, rule: PhaseRule = PhaseRule(),
 ) -> list[tuple[TreeSummary, float]]:
     """The summary of each of B trees on `tickers`, with its MOL from vertex `static`.
 
     Tree b has edges src[b, e] - dst[b, e] of weight w[b, e], each of
     shape (B, N-1), and src[b, e] is the parent of dst[b, e], as in
-    `prim_batch`'s join order; `rank` is as there. Degrees, hubs and
-    occupation layers take numpy passes over all B trees; the fit, phase
-    and NTL go tree by tree.
+    `prim_batch`'s join order. Degrees, the (B, N) degree histogram whose
+    row b is tree b's `distribution`, hubs and occupation layers take
+    numpy passes over all B trees; the fit, phase and NTL go tree by tree.
     """
     nb, n = src.shape[0], len(tickers)
     offset = np.arange(0, nb * n, n)[:, None]
     deg = np.bincount((np.concatenate((src, dst), axis=1) + offset).ravel(), minlength=nb * n)
     deg = deg.reshape(nb, n)
     hist = np.bincount((deg + offset).ravel(), minlength=nb * n).reshape(nb, n)
-    hub = np.argmax(deg * n - rank, axis=1)  # the smallest ticker on ties
+    hub = np.argmax(deg * n - _ticker_ranks(tickers), axis=1)  # the smallest ticker on ties
     # Each pass moves every vertex up to its next ancestor and counts it
     # into that ancestor's subtree; there is one pass per tree level.
     up = np.arange(nb * n)  # parent, the root its own
@@ -227,10 +220,8 @@ def summarize_batch(
     sums = (path + size.reshape(nb, n).sum(axis=1, keepdims=True) - n).tolist()
     rows = []
     for b in range(nb):
-        ks = np.flatnonzero(hist[b])
-        dist = DegreeDistribution(n, dict(zip(ks.tolist(), hist[b, ks].tolist())))
         ntl = math.fsum(w[b].tolist()) / (n - 1)
-        summary = TreeSummary(dist, classify_phase(dist, rule), tickers[hub[b]], ntl, sums[b][0] / n)
+        summary = TreeSummary(hist[b], classify_phase(hist[b], rule), tickers[hub[b]], ntl, sums[b][0] / n)
         rows.append((summary, sums[b][1] / n))
     return rows
 
@@ -244,5 +235,4 @@ def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
     """
     level = np.array(check_tree(tree))
     src, dst = np.where(level[tree.i] < level[tree.j], (tree.i, tree.j), (tree.j, tree.i))
-    rank = _ticker_ranks(tree.tickers)
-    return summarize_batch(tree.tickers, rank, src[None], dst[None], tree.w[None], 0, rule)[0][0]
+    return summarize_batch(tree.tickers, src[None], dst[None], tree.w[None], 0, rule)[0][0]

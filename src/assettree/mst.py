@@ -93,21 +93,22 @@ def _pair_key(rank: np.ndarray, a, b):
 
 
 def prim_batch(
-    d: np.ndarray, rank: np.ndarray
+    tickers: list[str], d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense O(N^2) Prim on a stack of B distance matrices at once.
 
-    `d` has shape (B, N, N); all B graphs share the vertex ranks `rank`
-    (see `_ticker_ranks`), so each tree starts from the lexicographically
-    first ticker and breaks ties by (weight, ticker pair). Returns
-    (src, dst, w), each of shape (B, N-1), in join order: edge e of tree
-    b brings in dst[b, e] from src[b, e], which joined before it (or is
-    the first ticker), with weight w[b, e] = d[b, src[b, e], dst[b, e]].
+    `d` has shape (B, N, N); all B graphs are on `tickers`, so each tree
+    starts from the lexicographically first ticker and breaks ties by
+    (weight, ticker pair). Returns (src, dst, w), each of shape (B, N-1),
+    in join order: edge e of tree b brings in dst[b, e] from src[b, e],
+    which joined before it (or is the first ticker), with weight
+    w[b, e] = d[b, src[b, e], dst[b, e]].
     """
     nb, n, _ = d.shape
     if n < 2:
         raise InsufficientDataError("spanning tree needs at least 2 vertices")
     rows = np.arange(nb)
+    rank = _ticker_ranks(tickers)
     start = int(np.argmin(rank))
     # Cheapest known edge into the tree per vertex, NaN once the vertex is
     # in it: NaN never compares true, and fmin skips it.
@@ -141,7 +142,7 @@ def prim_batch(
 
 def prim_mst(tickers: list[str], d: np.ndarray) -> Tree:
     """Prim on the distances d of `tickers`: the B = 1 call of `prim_batch`."""
-    src, dst, w = prim_batch(d[None], _ticker_ranks(tickers))
+    src, dst, w = prim_batch(tickers, d[None])
     return Tree.from_edges(tickers, src[0], dst[0], w[0])
 
 

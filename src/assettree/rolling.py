@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ingestion import ReturnPanel
 from .metrics import PHASE_SUPERHUB, PhaseRule, summarize_batch
-from .mst import Tree, _ticker_ranks, prim_batch
+from .mst import Tree, prim_batch
 
 MIN_WINDOW_WIDTH = 30
 
@@ -106,7 +106,7 @@ def _window_correlations(
 
 
 def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
-    """Yield (tickers, rank, rows, (src, dst, w)) per chunk of spans; see `window_trees`.
+    """Yield (tickers, rows, (src, dst, w)) per chunk of spans; see `window_trees`.
 
     Row b of the `prim_batch` columns is the tree of rows[b] = (start, end, dropped).
     """
@@ -115,14 +115,13 @@ def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
         if not 0 <= start < end <= t:
             raise ConfigurationError("window [%d, %d) outside return columns [0, %d)" % (start, end, t))
     size = max(1, 2 * t // n)
-    rank = _ticker_ranks(panel.tickers)
     stack = np.empty((min(size, len(spans)), n, n))
     rows = []
 
     def flush():
         nonlocal rows
         if rows:
-            yield panel.tickers, rank, rows, prim_batch(stack[: len(rows)], rank)
+            yield panel.tickers, rows, prim_batch(panel.tickers, stack[: len(rows)])
         rows = []
 
     for start, end in spans:
@@ -134,8 +133,7 @@ def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
         d = to_distance(rho, out=rho)
         if dropped:
             yield from flush()
-            own = _ticker_ranks(tickers)
-            yield tickers, own, [(start, end, dropped)], prim_batch(d[None], own)
+            yield tickers, [(start, end, dropped)], prim_batch(tickers, d[None])
         else:
             rows.append((start, end, dropped))
             if len(rows) == size:
@@ -160,7 +158,7 @@ def window_trees(
     out closes the running chunk and is a chunk of its own. A span that
     fails raises only after every span before it is yielded.
     """
-    for tickers, _, rows, edges in _chunks(panel, spans):
+    for tickers, rows, edges in _chunks(panel, spans):
         for (start, end, dropped), *columns in zip(rows, *edges):
             yield start, end, Tree.from_edges(tickers, *columns), dropped
 
@@ -180,12 +178,12 @@ def evolve(
     if static_center not in panel.tickers:
         raise MissingVertexError("static center %r not in panel" % static_center)
     series = MetricSeries([], [], [], [], [], [], [])
-    for tickers, rank, rows, edges in _chunks(panel, windows(panel, spec)):
+    for tickers, rows, edges in _chunks(panel, windows(panel, spec)):
         if static_center not in tickers:
             raise MissingVertexError(
                 "static center %r has zero variance in window [%d, %d)" % (static_center, *rows[0][:2])
             )
-        summaries = summarize_batch(tickers, rank, *edges, tickers.index(static_center), rule)
+        summaries = summarize_batch(tickers, *edges, tickers.index(static_center), rule)
         for (start, end, dropped), (summary, mol_static) in zip(rows, summaries):
             series.window_end_dates.append(panel.dates[end - 1])
             series.ntl.append(summary.ntl)

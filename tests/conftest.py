@@ -32,6 +32,19 @@ def edge_list(tree: Tree) -> list[tuple[int, int, float]]:
     return list(zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()))
 
 
+def degree_row(counts: dict) -> np.ndarray:
+    """The degree-count row of {degree: count}: row[k] vertices have degree k, zeros elsewhere."""
+    values = np.array(list(counts.values()))
+    row = np.zeros(max(counts) + 1, dtype=values.dtype)
+    row[list(counts)] = values
+    return row
+
+
+def nonzero_counts(row: np.ndarray) -> dict:
+    """{degree: count} of the nonzero entries of a degree-count row."""
+    return {k: c for k, c in enumerate(row.tolist()) if c}
+
+
 def star_tree(n: int, weight: float = 1.0) -> Tree:
     return Tree.from_edges(tickers_for(n), [0] * (n - 1), range(1, n), [weight] * (n - 1))
 

@@ -20,12 +20,10 @@ levels, as references for `metrics.summarize_batch`.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 
 import numpy as np
 
 from assettree.errors import ConfigurationError, InsufficientDataError, MissingVertexError
-from assettree.metrics import DegreeDistribution
 from assettree.mst import Tree, _pair_key, _ticker_ranks
 from assettree.synth import _tickers
 
@@ -76,9 +74,9 @@ def corrcoef_reference(returns: np.ndarray) -> np.ndarray:
     return rho
 
 
-def degree_histogram(tree: Tree) -> DegreeDistribution:
-    """Count of each degree in `tree.degrees()`."""
-    return DegreeDistribution(tree.n, dict(Counter(tree.degrees().tolist())))
+def degree_histogram(tree: Tree) -> np.ndarray:
+    """Count of each degree in `tree.degrees()`: row[k] vertices have degree k, for k < N."""
+    return np.bincount(tree.degrees(), minlength=tree.n)
 
 
 def normalized_tree_length(tree: Tree) -> float:

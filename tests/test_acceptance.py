@@ -15,7 +15,6 @@ import pytest
 from assettree.cli import main
 from assettree.correlation import to_distance
 from assettree.metrics import (
-    DegreeDistribution,
     PHASE_MULTI_HUB,
     PHASE_SUPERHUB,
     classify_phase,
@@ -26,7 +25,7 @@ from assettree.mst import prim_mst
 from assettree.rolling import WindowSpec, detect_transitions, evolve, windows
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns
 
-from conftest import chain_tree, dist_from_array, edge_list, path_max_weights, random_dist, star_tree
+from conftest import chain_tree, degree_row, dist_from_array, edge_list, path_max_weights, random_dist, star_tree
 from oracles import (
     brute_force_mst,
     kruskal_mst,
@@ -92,12 +91,12 @@ def test_analytic_occupation_layer_and_tree_length_fixtures():
 
 @pytest.mark.parametrize("exponent", [-2.0, -2.62, -3.0])
 def test_power_law_fit_recovers_known_exponents_exactly(exponent):
-    ks = list(range(1, 21))
-    counts = {k: 1000.0 * k**exponent for k in ks}
-    n = sum(counts.values())
-    dist = DegreeDistribution(n, counts)
-    fit = fit_power_law(dist)
-    assert abs(fit.slope - exponent) <= 1e-6
+    # Float weights: 1000 k^exponent, and k^exponent itself, below 1 past k = 1.
+    for scale in (1000.0, 1.0):
+        counts = degree_row({k: scale * k**exponent for k in range(1, 21)})
+        assert counts.dtype == np.float64
+        fit = fit_power_law(counts)
+        assert abs(fit.slope - exponent) <= 1e-6
 
 
 def test_preferential_attachment_exponent_band():
@@ -111,19 +110,14 @@ def test_preferential_attachment_exponent_band():
 
 
 def test_superhub_detector_splits_market_shaped_histograms():
-    def dist_of(counts):
-        n = sum(counts.values())
-        counts = dict(sorted(counts.items()))
-        return DegreeDistribution(n, counts)
-
-    lone = dist_of({1: 109, 2: 18, 3: 6, 4: 3, 5: 2, 6: 1, 7: 1, 8: 1, 53: 1})
-    assert lone.n_vertices == 142
+    lone = degree_row({1: 109, 2: 18, 3: 6, 4: 3, 5: 2, 6: 1, 7: 1, 8: 1, 53: 1})
+    assert lone.sum() == 142
     assert classify_phase(lone).phase == PHASE_SUPERHUB
 
-    spread = dist_of(
+    spread = degree_row(
         {1: 210, 2: 35, 3: 12, 4: 6, 5: 3, 6: 2, 18: 1, 20: 1, 23: 1, 25: 1, 27: 1, 30: 1}
     )
-    assert spread.n_vertices == 274
+    assert spread.sum() == 274
     assert classify_phase(spread).phase == PHASE_MULTI_HUB
 
 

@@ -296,8 +296,11 @@ CLI_FAILURES = [
     pytest.param(["analyze", "{tmp}/flat.csv", "--out", "{tmp}/out"], 2, "correlation", id="analyze-correlation"),
     pytest.param(["analyze", "{tmp}/two.csv", "--out", "{tmp}/empty.csv"], 3, "export", id="analyze-export"),
     pytest.param(["evolve", "{tmp}/absent.csv", "--out", "{tmp}/out"], 3, "ingestion", id="evolve-ingestion"),
-    # Thresholds are checked before ingestion, so the absent input is never opened.
+    # Thresholds and period bounds are checked before ingestion, so the absent input is never opened.
     pytest.param(["analyze", "{tmp}/absent.csv", "--gap", "nan", "--out", "{tmp}/out"], 2, "setup", id="analyze-nan-gap"),
+    pytest.param(
+        ["evolve", "{tmp}/absent.csv", "--start", "2005x", "--out", "{tmp}/out"], 2, "setup", id="evolve-bad-start"
+    ),
     pytest.param(["evolve", "{tmp}/absent.csv", "--tau", "nan", "--out", "{tmp}/out"], 2, "setup", id="evolve-nan-tau"),
     pytest.param(
         ["evolve", "{tmp}/absent.csv", "--tau-hub", "inf", "--out", "{tmp}/out"], 2, "setup", id="evolve-inf-tau-hub"
@@ -394,7 +397,7 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
             id="analyze-two-trading-days",
         ),
         pytest.param(
-            "loop.edges", "A,A,0.5\nB,C,0.5\n", ["export-dot"], "read: bad edge endpoints (0, 0)", id="export-dot-self-loop"
+            "loop.edges", "A,A,0.5\nB,C,0.5\n", ["export-dot"], "read: self-loop in 'A,A,0.5'", id="export-dot-self-loop"
         ),
         # Seed 8 draws two returns below -1300, so both prices underflow to 0.
         pytest.param(
@@ -490,6 +493,7 @@ def test_synth_params_comments_blank_lines_and_a_bom_read_alike(tmp_path):
 
 @pytest.mark.parametrize("bound", ["20050103", "2005-W01-1", "2005-1-03"])
 def test_period_bounds_must_be_yyyy_mm_dd(tmp_path, capsys, bound):
+    # The bounds are parsed before the price file is opened.
     (tmp_path / "two.csv").write_text(
         "\n".join(line for line in FLAT_PRICES.splitlines() if ",FLAT," not in line) + "\n"
     )
@@ -497,7 +501,7 @@ def test_period_bounds_must_be_yyyy_mm_dd(tmp_path, capsys, bound):
     argv = ["analyze", str(tmp_path / "two.csv"), "--start", bound, "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "ingestion: bad date %r, expected YYYY-MM-DD" % bound
+        "setup: bad date %r, expected YYYY-MM-DD" % bound
     ]
     assert not (tmp_path / "out").exists()
 

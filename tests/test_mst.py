@@ -3,7 +3,7 @@ import pytest
 
 from assettree.errors import InsufficientDataError, InvariantError
 from assettree.exports import read_tree_edges, write_tree_edges
-from assettree.mst import Tree, check_tree, _ticker_ranks, prim_batch, prim_mst
+from assettree.mst import Tree, check_tree, prim_batch, prim_mst
 
 from conftest import dist_from_array, edge_list, path_max_weights, random_dist, tickers_for
 from oracles import UnionFind, brute_force_mst, kruskal_mst, preferential_attachment_tree
@@ -93,7 +93,7 @@ def test_batched_prim_resolves_ties_like_the_references(rng):
         upper = np.triu(stack, 1)
         stack = upper + upper.transpose(0, 2, 1)
         tickers = ["T%02d" % k for k in rng.permutation(n)]
-        src, dst, w = prim_batch(stack, _ticker_ranks(tickers))
+        src, dst, w = prim_batch(tickers, stack)
         for b, d in enumerate(stack):
             tree = Tree.from_edges(tickers, src[b], dst[b], w[b])
             references = [kruskal_mst(tickers, d)]
@@ -106,7 +106,7 @@ def test_batched_prim_resolves_ties_like_the_references(rng):
 
 def test_batched_prim_needs_two_vertices():
     with pytest.raises(InsufficientDataError, match="^spanning tree needs at least 2 vertices$"):
-        prim_batch(np.zeros((1, 1, 1)), _ticker_ranks(["A"]))
+        prim_batch(["A"], np.zeros((1, 1, 1)))
 
 
 def test_distinct_weights_give_identical_edge_sets(rng):

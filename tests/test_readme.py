@@ -1,10 +1,12 @@
-"""The README's Library example runs as written."""
+"""The README's Library example runs as written, and its prose names real parameters."""
 
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 
+import assettree
 from assettree.exports import write_price_csv
 from assettree.synth import FactorModelParams, one_factor_returns
 
@@ -24,3 +26,22 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(library_block(), str(README), "exec"), {})
     assert (tmp_path / "series.csv").exists()
     assert capsys.readouterr().out
+
+
+def test_readme_call_spans_name_the_leading_parameters_in_order():
+    # `name(a, b, ...)` in the prose, for a public callable of the package,
+    # spells the first parameters of its signature, in order.
+    checked, wrong = set(), []
+    for name, quoted in re.findall(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", README.read_text(encoding="utf-8")):
+        target = assettree
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if name.startswith("_") or not callable(target):
+            continue  # float(), np.dot(x, x.T), tree.levels(root)
+        given = [arg.strip() for arg in quoted.split(",")] if quoted.strip() else []
+        leading = list(inspect.signature(target).parameters)[: len(given)]
+        if given != leading:
+            wrong.append("%s(%s), signature starts %s" % (name, quoted, leading))
+        checked.add(name)
+    assert {"prim_batch", "summarize_batch", "Tree.from_edges", "PhaseRule"} <= checked
+    assert wrong == []
