@@ -43,7 +43,6 @@ from .mst import (
     Tree,
     check_tree,
     prim_batch,
-    prim_mst,
 )
 from .rolling import (
     MetricSeries,
@@ -51,7 +50,7 @@ from .rolling import (
     WindowSpec,
     detect_transitions,
     evolve,
-    window_trees,
+    period_center,
     windows,
 )
 from .synth import (

@@ -25,9 +25,9 @@ from . import exports
 from .correlation import pearson_matrix, to_distance
 from .errors import AssetTreeError, ConfigurationError
 from .ingestion import ASCII_WHITESPACE, align_and_filter, ascii_decimal, log_returns, parse_iso_date, parse_price_table
-from .metrics import PHASE_SUPERHUB, PhaseRule, summarize
-from .mst import prim_mst
-from .rolling import WindowSpec, detect_transitions, evolve, window_trees
+from .metrics import PHASE_SUPERHUB, PhaseRule, summarize_batch
+from .mst import Tree, prim_batch
+from .rolling import WindowSpec, detect_transitions, evolve, period_center
 from .synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
 DEFAULT_WINDOW = 250
@@ -68,6 +68,8 @@ def _load_run(args, stage: Stage, windowed: bool = False):
     spec = WindowSpec(args.window, args.step) if windowed else None
     rule = PhaseRule(args.tau, args.gap, args.tau_hub)
     bounds = [_parse_date(text) if text else None for text in (args.start, args.end)]
+    if None not in bounds and bounds[1] < bounds[0]:
+        raise ConfigurationError("period end %s before start %s" % (bounds[1], bounds[0]))
     stage.name = "ingestion"
     with open(path, "rb") as source:
         parsed = parse_price_table(source)
@@ -100,12 +102,12 @@ def cmd_analyze(args, stage: Stage) -> None:
     stage.name = "correlation"
     rho = pearson_matrix(panel.tickers, panel.returns, panel.log_scale)
     stage.name = "mst"
-    tree = prim_mst(panel.tickers, to_distance(rho))
+    src, dst, w = prim_batch(panel.tickers, to_distance(rho)[None])
     stage.name = "metrics"
-    summary = summarize(tree, rule)
+    summary = summarize_batch(panel.tickers, src, dst, w, 0, rule)[0][0]
     fit, label = summary.phase.fit, summary.phase
     payload = {
-        "n_companies": tree.n,
+        "n_companies": len(panel.tickers),
         "period": {"start": config["start"], "end": config["end"]},
         "dropped_companies": dropped,
         "config_hash": exports.config_hash(config),
@@ -139,6 +141,7 @@ def cmd_analyze(args, stage: Stage) -> None:
     out.mkdir(parents=True, exist_ok=True)
     meta = {"period": "%(start)s..%(end)s" % config, "config_hash": payload["config_hash"]}
     formats = args.formats or ["edges", "dot"]
+    tree = Tree.from_edges(panel.tickers, src[0], dst[0], w[0])
     if "edges" in formats:
         exports.write_tree_edges(out / "tree.edges", tree, meta)
     if "dot" in formats:
@@ -151,11 +154,7 @@ def cmd_analyze(args, stage: Stage) -> None:
 def cmd_evolve(args, stage: Stage) -> None:
     returns, dropped, rule, spec, config = _load_run(args, stage, windowed=True)
     stage.name = "rolling"
-    center = args.center
-    if center is None:
-        # Data-driven default: the dominant vertex of the whole period.
-        _, _, full_tree, _ = next(window_trees(returns, [(0, len(returns.dates))]))
-        center = summarize(full_tree, rule).center
+    center = period_center(returns, rule) if args.center is None else args.center
     series = evolve(returns, spec, center, rule)
     report = detect_transitions(series)
     stage.name = "export"

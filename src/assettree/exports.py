@@ -13,14 +13,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from datetime import date as Date
 
 import numpy as np
 
 from .errors import FormatError, InvariantError
-from .ingestion import ASCII_WHITESPACE, BAD_TICKER, ascii_decimal, parse_iso_date
-from .metrics import PHASE_MULTI_HUB, PHASE_POWER_LAW, PHASE_SUPERHUB
+from .ingestion import ASCII_WHITESPACE, BAD_TICKER, ascii_decimal
 from .mst import Tree, check_tree
 from .rolling import MetricSeries, TransitionReport
 
@@ -137,46 +135,6 @@ def write_metric_series_csv(path, series: MetricSeries) -> None:
                     series.dynamic_center[k],
                 ]
             )
-
-
-def read_metric_series_csv(path) -> MetricSeries:
-    """Read back a `series.csv`; FormatError names a bad header or row.
-
-    A bad row has a field that does not parse, an unknown phase, a non-finite
-    float, a k_max below 1, a center that is empty or that
-    `parse_price_table` rejects as a ticker, or a value `evolve` cannot
-    write: an NTL outside [0, 2], a MOL below 1/2, or an end date not after
-    the previous row's. A leading BOM is skipped.
-    """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SERIES_COLUMNS:
-            raise FormatError("unexpected series header %r" % (header,))
-        series = MetricSeries([], [], [], [], [], [], [])
-        for row in reader:
-            try:
-                day, ntl, mol_static, mol_dynamic, k_max, phase, center = row
-                day, k_max = parse_iso_date(day), int(ascii_decimal(k_max))
-                ntl, mol_static, mol_dynamic = (float(ascii_decimal(x)) for x in (ntl, mol_static, mol_dynamic))
-                finite = all(map(math.isfinite, (ntl, mol_static, mol_dynamic)))
-                if not finite or phase not in (PHASE_POWER_LAW, PHASE_SUPERHUB, PHASE_MULTI_HUB):
-                    raise ValueError(row)
-                if k_max < 1 or not center or BAD_TICKER.search(center):
-                    raise ValueError(row)
-                ordered = not series.window_end_dates or series.window_end_dates[-1] < day
-                if not (ordered and 0 <= ntl <= 2 and min(mol_static, mol_dynamic) >= 0.5):
-                    raise ValueError(row)
-            except ValueError:
-                raise FormatError("bad series row at line %d: %r" % (reader.line_num, row)) from None
-            series.window_end_dates.append(day)
-            series.ntl.append(ntl)
-            series.mol_static.append(mol_static)
-            series.mol_dynamic.append(mol_dynamic)
-            series.k_max.append(k_max)
-            series.phase.append(phase)
-            series.dynamic_center.append(center)
-    return series
 
 
 def write_transition_report(path, report: TransitionReport, extra: dict | None = None) -> None:

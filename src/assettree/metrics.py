@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantError
 from .mst import Tree, _ticker_ranks, check_tree
 
 PHASE_POWER_LAW = "PowerLaw"
@@ -95,6 +95,16 @@ def _weighted_line(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, 
     return float(slope), float(yb - slope * xb), float(sxx)
 
 
+def _check_counts(counts: np.ndarray) -> None:
+    """Raise InvariantError unless `counts` is one row of finite, non-negative counts, one of them positive."""
+    if counts.ndim != 1:
+        raise InvariantError("degree counts of shape %r are not one row" % (counts.shape,))
+    if not np.isfinite(counts).all() or (counts < 0).any():
+        raise InvariantError("degree counts %r are not all finite and non-negative" % (counts.tolist(),))
+    if not counts.any():
+        raise InvariantError("degree counts hold no vertex")
+
+
 def fit_power_law(counts: np.ndarray, rule: PhaseRule = PhaseRule()) -> PowerLawFit | None:
     """Count-weighted least squares of log10 f(k) on log10 k, dropping points `rule.tau` above it.
 
@@ -102,7 +112,9 @@ def fit_power_law(counts: np.ndarray, rule: PhaseRule = PhaseRule()) -> PowerLaw
     fractional weight, have degree k; a zero count is no point. None with
     fewer than 3 distinct degrees. The final line always rests on at least
     3 points; if dropping outliers would leave fewer, the first-pass line stands.
+    A bad row raises InvariantError (`_check_counts`).
     """
+    _check_counts(counts)
     ks = np.flatnonzero(counts)
     if len(ks) < 3:
         return None
@@ -153,7 +165,9 @@ def classify_phase(counts: np.ndarray, rule: PhaseRule = PhaseRule()) -> PhaseLa
     distinct degrees, e.g. a pure star) the residual test is replaced by
     requiring k_max to be large in absolute terms: at least 4 and at
     least a quarter of N-1, and no degree counts as an outlier hub.
+    A bad row raises InvariantError (`_check_counts`).
     """
+    _check_counts(counts)
     ks = np.flatnonzero(counts).tolist()
     k_max = ks[-1]
     if counts[k_max] >= 2 or len(ks) == 1:

@@ -1,13 +1,13 @@
 """Minimal spanning tree construction over complete distance graphs.
 
 Prim is the one builder: `prim_batch` builds the trees of a stack of B
-dense distance matrices in one call, and `prim_mst` is its B = 1 call.
-Edges are ordered by (weight, ticker pair), where the ticker pair is
-compared lexicographically with the smaller ticker first (`_pair_key`).
-That refinement makes the minimum tree unique even when many weights
-coincide. The tests check Prim edge for edge against Kruskal and an
-exhaustive oracle in `tests/oracles.py`, which take the same order from
-`_pair_key`.
+dense distance matrices in one call, and one tree is its B = 1 call on
+`d[None]`. Edges are ordered by (weight, ticker pair), where the ticker
+pair is compared lexicographically with the smaller ticker first
+(`_pair_key`). That refinement makes the minimum tree unique even when
+many weights coincide. The tests check Prim edge for edge against
+Kruskal and an exhaustive oracle in `tests/oracles.py`, which take the
+same order from `_pair_key`.
 """
 
 from __future__ import annotations
@@ -138,12 +138,6 @@ def prim_batch(
     # A vertex's best_from is frozen once it joins: its NaN best_w never compares true.
     src = best_from[rows[:, None], dst]
     return src, dst, d[rows[:, None], src, dst]
-
-
-def prim_mst(tickers: list[str], d: np.ndarray) -> Tree:
-    """Prim on the distances d of `tickers`: the B = 1 call of `prim_batch`."""
-    src, dst, w = prim_batch(tickers, d[None])
-    return Tree.from_edges(tickers, src[0], dst[0], w[0])
 
 
 def check_tree(tree: Tree) -> list[int]:

@@ -1,20 +1,18 @@
 """Sliding-window pipeline: per-window trees, metrics, and transitions.
 
-`window_trees` turns [start, end) column spans of the return panel into
-trees (correlation, distance, Prim) chunk by chunk. A chunk has one ticker
-set, one batched Prim call and one `summarize_batch` call in `evolve`: it
-is up to B consecutive spans that keep every company, or one span that
-leaves a company out. `evolve` gives each tree a series row (metrics,
-phase label), with two occupation layers: from a fixed static center and
-from the window's own maximal-degree vertex. The transition report finds
-the minima of tree length and dynamic occupation layer, every phase
-change, and the maximal runs of the superhub phase.
+`_chunks` turns [start, end) column spans of the return panel into the
+edge columns of their trees (correlation, distance, Prim), one chunk of
+spans at a time. `evolve` summarizes each window's tree into a series
+row (metrics, phase label), with two occupation layers: from a fixed
+static center and from the window's own maximal-degree vertex;
+`period_center` gives the hub of the span (0, T). The transition report
+finds the minima of tree length and dynamic occupation layer, every
+phase change, and the maximal runs of the superhub phase.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date as Date
 from itertools import groupby
@@ -30,7 +28,7 @@ from .errors import (
 )
 from .ingestion import ReturnPanel
 from .metrics import PHASE_SUPERHUB, PhaseRule, summarize_batch
-from .mst import Tree, prim_batch
+from .mst import prim_batch
 
 MIN_WINDOW_WIDTH = 30
 
@@ -106,14 +104,17 @@ def _window_correlations(
 
 
 def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
-    """Yield (tickers, rows, (src, dst, w)) per chunk of spans; see `window_trees`.
+    """Yield (tickers, rows, (src, dst, w)) per chunk of [start, end) column spans.
 
-    Row b of the `prim_batch` columns is the tree of rows[b] = (start, end, dropped).
+    Row b of the `prim_batch` columns is the tree of rows[b] = (start, end,
+    dropped); `dropped` names the companies flat in those columns, which
+    the tree leaves out. A chunk is up to B = max(1, 2T // N) consecutive
+    spans that keep all N companies, whose correlations and then distances
+    are written in place into one (B, N, N) stack for one `prim_batch`
+    call. A span that leaves a company out is a chunk of its own. A span
+    that fails raises only after every span before it is yielded.
     """
     n, t = panel.returns.shape
-    for start, end in spans:
-        if not 0 <= start < end <= t:
-            raise ConfigurationError("window [%d, %d) outside return columns [0, %d)" % (start, end, t))
     size = max(1, 2 * t // n)
     stack = np.empty((min(size, len(spans)), n, n))
     rows = []
@@ -141,28 +142,6 @@ def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
     yield from flush()
 
 
-def window_trees(
-    panel: ReturnPanel, spans: list[tuple[int, int]]
-) -> Iterator[tuple[int, int, Tree, tuple[str, ...]]]:
-    """Yield (start, end, tree, dropped) per [start, end) column span, in order.
-
-    It serves callers that want the trees themselves, such as the CLI's
-    full-period tree (0, T); `evolve` summarizes the same `_chunks` without
-    building a `Tree`, and `analyze` builds its tree with `prim_mst`. Any
-    span outside 0 <= start < end <= T raises ConfigurationError before the
-    first tree. A chunk is up to B = max(1, 2T // N) consecutive spans that
-    keep all N companies, so its (B, N, N) distance stack holds at most
-    twice as many values as the T return columns; each span's correlations
-    and then distances are written in place into its slot, and one
-    `prim_batch` call builds the chunk's trees. A span that leaves a company
-    out closes the running chunk and is a chunk of its own. A span that
-    fails raises only after every span before it is yielded.
-    """
-    for tickers, rows, edges in _chunks(panel, spans):
-        for (start, end, dropped), *columns in zip(rows, *edges):
-            yield start, end, Tree.from_edges(tickers, *columns), dropped
-
-
 def evolve(
     panel: ReturnPanel,
     spec: WindowSpec,
@@ -171,7 +150,7 @@ def evolve(
 ) -> MetricSeries:
     """Summarize every window tree of the panel into one series row.
 
-    Each chunk of `window_trees` goes through one `summarize_batch` call.
+    Each chunk that `_chunks` yields goes through one `summarize_batch` call.
     A window that drops the static center cannot honor the static series,
     so it raises MissingVertexError instead of silently moving on.
     """
@@ -194,6 +173,12 @@ def evolve(
             series.dynamic_center.append(summary.center)
             series.dropped.append(dropped)
     return series
+
+
+def period_center(panel: ReturnPanel, rule: PhaseRule = PhaseRule()) -> str:
+    """The hub of the whole period's tree, built like every window's, so without its flat companies."""
+    tickers, _, edges = next(_chunks(panel, [(0, panel.returns.shape[1])]))
+    return summarize_batch(tickers, *edges, 0, rule)[0][0].center
 
 
 def detect_transitions(series: MetricSeries) -> TransitionReport:

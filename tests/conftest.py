@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from assettree.mst import Tree
+from assettree.mst import Tree, prim_batch
+from assettree.rolling import _chunks
 
 
 def tickers_for(n: int) -> list[str]:
@@ -25,6 +26,19 @@ def random_dist(rng: np.random.Generator, n: int) -> tuple[list[str], np.ndarray
     d = np.triu(upper, 1)
     d = d + d.T
     return dist_from_array(d)
+
+
+def prim_mst(tickers: list[str], d: np.ndarray) -> Tree:
+    """The Prim tree of one distance matrix: `prim_batch`'s B = 1 call as a `Tree`."""
+    src, dst, w = prim_batch(tickers, d[None])
+    return Tree.from_edges(tickers, src[0], dst[0], w[0])
+
+
+def window_trees(panel, spans):
+    """Yield (start, end, tree, dropped) per [start, end) column span, in order, from `rolling._chunks`."""
+    for tickers, rows, edges in _chunks(panel, spans):
+        for (start, end, dropped), *columns in zip(rows, *edges):
+            yield start, end, Tree.from_edges(tickers, *columns), dropped
 
 
 def edge_list(tree: Tree) -> list[tuple[int, int, float]]:

@@ -21,11 +21,12 @@ from assettree.metrics import (
     fit_power_law,
     summarize,
 )
-from assettree.mst import prim_mst
 from assettree.rolling import WindowSpec, detect_transitions, evolve, windows
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns
 
-from conftest import chain_tree, degree_row, dist_from_array, edge_list, path_max_weights, random_dist, star_tree
+from conftest import (
+    chain_tree, degree_row, dist_from_array, edge_list, path_max_weights, prim_mst, random_dist, star_tree,
+)
 from oracles import (
     brute_force_mst,
     kruskal_mst,

@@ -1,16 +1,18 @@
+import csv
 import json
 import math
 import re
+from dataclasses import asdict
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from assettree.cli import main
-from assettree.errors import FormatError
-from assettree.exports import read_metric_series_csv, read_tree_edges
+from assettree.exports import read_tree_edges, write_price_csv
 from assettree.ingestion import log_returns, parse_price_table, align_and_filter
-from assettree.rolling import detect_transitions
+from assettree.metrics import PhaseRule, summarize
+from assettree.rolling import MetricSeries, detect_transitions
 from assettree.synth import FactorModelParams, one_factor_returns
 
 
@@ -32,6 +34,23 @@ def write_params(path, **overrides):
         encoding="utf-8",
     )
     return path
+
+
+def read_series(path) -> MetricSeries:
+    """The rows of an `evolve` series.csv, read with `csv`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["end_date", "ntl", "mol_static", "mol_dynamic", "k_max", "phase", "dynamic_center"]
+    day, ntl, mol_static, mol_dynamic, k_max, phase, center = zip(*rows)
+    return MetricSeries(
+        [date.fromisoformat(d) for d in day],
+        [float(x) for x in ntl],
+        [float(x) for x in mol_static],
+        [float(x) for x in mol_dynamic],
+        [int(k) for k in k_max],
+        list(phase),
+        list(center),
+    )
 
 
 @pytest.fixture
@@ -179,7 +198,7 @@ def test_evolve_outputs_and_reread_argmin_consistency(star_prices, tmp_path):
         ["evolve", str(star_prices), "--window", "60", "--step", "20", "--out", str(out)]
     )
     assert code == 0
-    series = read_metric_series_csv(out / "series.csv")
+    series = read_series(out / "series.csv")
     report = json.loads((out / "transitions.json").read_text())
     rebuilt = detect_transitions(series)
     assert rebuilt.ntl_argmin[0] == report["ntl_argmin"]["index"]
@@ -199,12 +218,49 @@ def test_evolve_full_width_matches_analyze(star_prices, tmp_path):
         ["evolve", str(star_prices), "--window", "159", "--step", "30", "--out", str(e_out)]
     ) == 0
     analysis = json.loads((a_out / "analysis.json").read_text())
-    series = read_metric_series_csv(e_out / "series.csv")
+    series = read_series(e_out / "series.csv")
     assert len(series) == 1
     assert series.ntl[0] == analysis["ntl"]
     assert series.phase[0] == analysis["phase"]
     assert series.dynamic_center[0] == analysis["dynamic_center"]
     assert series.mol_dynamic[0] == analysis["mol_dynamic"]
+
+
+def unsorted_prices(tmp_path):
+    """Price CSV of 12 one-factor companies whose first ticker is not the smallest."""
+    panel = one_factor_returns(FactorModelParams(12, 150, (0.5,) * 12, 1.0, 4))
+    tickers = ["T%02d" % k for k in np.random.default_rng(4).permutation(12)]
+    assert tickers[0] != min(tickers)  # so Prim's root is not vertex 0
+    prices = 100.0 * np.exp(np.cumsum(panel.returns, axis=1))
+    write_price_csv(tmp_path / "unsorted.csv", tickers, panel.dates, prices)
+    return tmp_path / "unsorted.csv"
+
+
+@pytest.mark.parametrize("prices", ["star", "unsorted"])
+def test_analysis_equals_the_summary_of_the_tree_it_writes(star_prices, tmp_path, prices):
+    # analyze summarizes Prim's join-order columns; summarize(tree) walks a
+    # Tree read back from tree.edges, on sorted tickers, from vertex 0.
+    path = star_prices if prices == "star" else unsorted_prices(tmp_path)
+    out = tmp_path / "run"
+    assert main(["analyze", str(path), "--tau", "0.7", "--gap", "1.5", "--tau-hub", "0.3", "--out", str(out)]) == 0
+    report = json.loads((out / "analysis.json").read_text())
+    summary = summarize(read_tree_edges(out / "tree.edges"), PhaseRule(0.7, 1.5, 0.3))
+    label = summary.phase
+    assert (report["ntl"], report["mol_dynamic"], report["dynamic_center"]) == (
+        summary.ntl, summary.mol_dynamic, summary.center
+    )
+    assert report["degree_counts"] == {str(k): c for k, c in enumerate(summary.distribution.tolist()) if c}
+    assert report["phase"] == label.phase
+    assert report["fit"] == (None if label.fit is None else json.loads(json.dumps(asdict(label.fit))))
+    assert report["superhub"] == {
+        "is_superhub": label.phase == "SuperhubDecorated",
+        "hub_ticker": summary.center,
+        "k_max": label.k_max,
+        "k_second": label.k_second,
+        "log_residual": label.log_residual if math.isfinite(label.log_residual) else None,
+        "degree_gap_ratio": label.degree_gap_ratio,
+    }
+    assert label.fit is not None or prices == "star"
 
 
 def test_default_thresholds_keep_the_config_hash(star_prices, tmp_path, monkeypatch):
@@ -298,6 +354,12 @@ CLI_FAILURES = [
     pytest.param(["evolve", "{tmp}/absent.csv", "--out", "{tmp}/out"], 3, "ingestion", id="evolve-ingestion"),
     # Thresholds and period bounds are checked before ingestion, so the absent input is never opened.
     pytest.param(["analyze", "{tmp}/absent.csv", "--gap", "nan", "--out", "{tmp}/out"], 2, "setup", id="analyze-nan-gap"),
+    pytest.param(
+        ["analyze", "{tmp}/absent.csv", "--start", "2005-01-05", "--end", "2005-01-04", "--out", "{tmp}/out"],
+        2,
+        "setup",
+        id="analyze-end-before-start-absent",
+    ),
     pytest.param(
         ["evolve", "{tmp}/absent.csv", "--start", "2005x", "--out", "{tmp}/out"], 2, "setup", id="evolve-bad-start"
     ),
@@ -462,7 +524,7 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
             "flat.csv",
             FLAT_PRICES,
             ["analyze", "--start", "2005-01-05", "--end", "2005-01-04"],
-            "ingestion: period end 2005-01-04 before start 2005-01-05",
+            "setup: period end 2005-01-04 before start 2005-01-05",
             id="analyze-end-before-start",
         ),
         pytest.param("pair.edges", "A,B\n", ["export-dot"], "read: bad edge line 'A,B'", id="export-dot-two-fields"),
@@ -555,62 +617,6 @@ def test_edge_list_reader_skips_a_bom_and_strips_fields_like_ingestion(tmp_path,
         assert main(["export-dot", str(tmp_path / (name + ".edges")), "--out", str(tmp_path / "conv")]) == 0
     assert read_tree_edges(tmp_path / "odd.edges").tickers == ["A", "B", "C"]
     assert (tmp_path / "conv" / "odd.dot").read_bytes() == (tmp_path / "conv" / "plain.dot").read_bytes()
-
-
-SERIES_HEADER = "end_date,ntl,mol_static,mol_dynamic,k_max,phase,dynamic_center\n"
-
-
-@pytest.mark.parametrize(
-    "row",
-    [
-        "20060103,1.0,2.0,3.0,4,PowerLaw,H",
-        "2006-01-03,x,2.0,3.0,4,PowerLaw,H",
-        "2006-01-03,1.0,2.0,3.0,4.5,PowerLaw,H",
-        "2006-01-03,1.0,2.0,3.0,4,PowerLaw",
-        "2006-01-03,1.0,2.0,3.0,4,Superhub,H",
-        "2006-01-03,1.0,2.0,3.0,4,,H",
-        "2006-01-03,nan,2.0,3.0,4,PowerLaw,H",
-        "2006-01-03,1.0,inf,3.0,4,PowerLaw,H",
-        "2006-01-03,1.0,2.0,-inf,4,PowerLaw,H",
-        "2006-01-03,0_5,2.0,3.0,4,PowerLaw,H",
-        "2006-01-03,1.0,2.0,3.0,1_0,PowerLaw,H",
-        # evolve writes a k_max of at least 1 and a center that is a ticker.
-        "2006-01-03,1.0,2.0,3.0,-3,PowerLaw,H",
-        "2006-01-03,1.0,2.0,3.0,0,PowerLaw,H",
-        "2006-01-03,1.0,2.0,3.0,4,PowerLaw,",
-        "2006-01-03,1.0,2.0,3.0,4,PowerLaw,#x",
-        "2006-01-03,1.0,2.0,3.0,4,PowerLaw,A\\B",
-        # evolve writes an NTL in [0, 2], MOLs of at least 1/2 and increasing end dates.
-        "2006-01-03,-1.0,2.0,3.0,4,PowerLaw,H",
-        "2006-01-03,2.5,2.0,3.0,4,PowerLaw,H",
-        "2006-01-03,1.0,0.25,3.0,4,PowerLaw,H",
-        "2006-01-03,1.0,2.0,0.25,4,PowerLaw,H",
-        "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H",
-        "2006-01-01,1.0,2.0,3.0,4,PowerLaw,H",
-        "2006-01-02,-1.0,-2.0,0.0,4,PowerLaw,H",
-        "2006-01-01,3.5,1e300,0.25,4,SuperhubDecorated,H",
-    ],
-)
-def test_series_reader_names_the_line_of_a_bad_row(tmp_path, row):
-    path = tmp_path / "series.csv"
-    path.write_text(SERIES_HEADER + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n" + row + "\n")
-    with pytest.raises(FormatError, match="bad series row at line 3"):
-        read_metric_series_csv(path)
-    path.write_text(SERIES_HEADER + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n")
-    assert read_metric_series_csv(path).window_end_dates == [date(2006, 1, 2)]
-
-
-def test_series_reader_skips_a_bom(tmp_path):
-    path = tmp_path / "series.csv"
-    path.write_bytes(b"\xef\xbb\xbf" + (SERIES_HEADER + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n").encode())
-    assert read_metric_series_csv(path).window_end_dates == [date(2006, 1, 2)]
-
-
-def test_series_reader_rejects_a_wrong_header(tmp_path):
-    path = tmp_path / "series.csv"
-    path.write_text(SERIES_HEADER.replace("ntl", "NTL") + "2006-01-02,1.0,2.0,3.0,4,PowerLaw,H\n")
-    with pytest.raises(FormatError, match="unexpected series header"):
-        read_metric_series_csv(path)
 
 
 def test_crlf_price_file_reads_like_lf(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def test_fit_exact_on_sparse_degree_set():
 
 def test_fit_needs_three_distinct_degrees():
     assert fit_power_law(degree_row({1: 141, 141: 1})) is None
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        pytest.param(np.zeros(5, dtype=np.int64), "hold no vertex", id="all-zero"),
+        pytest.param(np.array([0, 3, -1, 1]), "not all finite and non-negative", id="negative"),
+        pytest.param(np.array([0.0, 2.0, np.nan, 1.0]), "not all finite and non-negative", id="nan"),
+        pytest.param(np.ones((2, 3), dtype=np.int64), r"shape \(2, 3\) are not one row", id="two-dimensional"),
+    ],
+)
+def test_a_bad_degree_row_raises_a_typed_error_before_any_warning(counts, message):
+    for call in (fit_power_law, classify_phase):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError, match=message):
+                call(counts)
 
 
 def test_fit_matches_weighted_polyfit_when_nothing_is_dropped():

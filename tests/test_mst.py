@@ -3,9 +3,9 @@ import pytest
 
 from assettree.errors import InsufficientDataError, InvariantError
 from assettree.exports import read_tree_edges, write_tree_edges
-from assettree.mst import Tree, check_tree, prim_batch, prim_mst
+from assettree.mst import Tree, check_tree, prim_batch
 
-from conftest import dist_from_array, edge_list, path_max_weights, random_dist, tickers_for
+from conftest import dist_from_array, edge_list, path_max_weights, prim_mst, random_dist, tickers_for
 from oracles import UnionFind, brute_force_mst, kruskal_mst, preferential_attachment_tree
 
 ALGORITHMS = [prim_mst, kruskal_mst, brute_force_mst]

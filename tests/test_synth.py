@@ -6,10 +6,9 @@ import pytest
 from assettree.correlation import pearson_matrix
 from assettree.errors import ConfigurationError
 from assettree.mst import check_tree
-from assettree.rolling import window_trees
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
-from conftest import edge_list
+from conftest import edge_list, window_trees
 from oracles import normalized_tree_length, preferential_attachment_tree
 
 
