@@ -7,7 +7,9 @@ Subcommands:
   export-dot  convert a saved edge-list tree to DOT
 
 Exit codes: 0 success, 2 validation error, 3 I/O error. Every failure
-prints one `<stage>: <message>` line to stderr.
+after parsing prints one `<stage>: <message>` line to stderr. A command
+line that argparse rejects prints its usage and one
+`assettree <command>: error: ...` line, and exits 2 through SystemExit.
 """
 
 from __future__ import annotations
@@ -59,13 +61,12 @@ def _resolve_input(args) -> str:
     return given[0]
 
 
-def _load_run(args, stage: Stage, windowed: bool = False):
-    """Check the input path, `evolve`'s window, the thresholds and the period, then read the prices.
+def _load_run(args, stage: Stage):
+    """Check the input path, the thresholds and the period, then read the prices.
 
-    Returns (panel, dropped, rule, spec, config); `config` names the run for `config_hash`.
+    Returns (panel, dropped, rule, config); `config` names the run for `config_hash`.
     """
     path = _resolve_input(args)
-    spec = WindowSpec(args.window, args.step) if windowed else None
     rule = PhaseRule(args.tau, args.gap, args.tau_hub)
     bounds = [_parse_date(text) if text else None for text in (args.start, args.end)]
     if None not in bounds and bounds[1] < bounds[0]:
@@ -89,7 +90,7 @@ def _load_run(args, stage: Stage, windowed: bool = False):
         "end": end.isoformat(),
         **vars(rule),
     }
-    return log_returns(aligned.panel), aligned.dropped, rule, spec, config
+    return log_returns(aligned.panel), aligned.dropped, rule, config
 
 
 def _jf(x: float):
@@ -98,7 +99,7 @@ def _jf(x: float):
 
 
 def cmd_analyze(args, stage: Stage) -> None:
-    panel, dropped, rule, _, config = _load_run(args, stage)
+    panel, dropped, rule, config = _load_run(args, stage)
     stage.name = "correlation"
     rho = pearson_matrix(panel.tickers, panel.returns, panel.log_scale)
     stage.name = "mst"
@@ -152,28 +153,30 @@ def cmd_analyze(args, stage: Stage) -> None:
 
 
 def cmd_evolve(args, stage: Stage) -> None:
-    returns, dropped, rule, spec, config = _load_run(args, stage, windowed=True)
+    spec = WindowSpec(args.window, args.step)
+    returns, dropped, rule, config = _load_run(args, stage)
     stage.name = "rolling"
     center = period_center(returns, rule) if args.center is None else args.center
     series = evolve(returns, spec, center, rule)
     report = detect_transitions(series)
     stage.name = "export"
     config.update(window=spec.width, step=spec.step, center=center)
+    payload = {
+        "ntl_argmin": {"index": report.ntl_argmin[0], "date": report.ntl_argmin[1].isoformat()},
+        "mol_argmin": {"index": report.mol_argmin[0], "date": report.mol_argmin[1].isoformat()},
+        "phase_changes": [{"index": i, "from": a, "to": b} for i, a, b in report.phase_changes],
+        "superhub_intervals": [
+            {"start": s, "end": e, "hub": hub} for s, e, hub in report.superhub_intervals
+        ],
+        "static_center": center,
+        "config_hash": exports.config_hash(config),
+        "dropped_companies": dropped,
+        "window_drops": {str(i): list(t) for i, t in enumerate(series.dropped) if t},
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     exports.write_metric_series_csv(out / "series.csv", series)
-    exports.write_transition_report(
-        out / "transitions.json",
-        report,
-        extra={
-            "static_center": center,
-            "config_hash": exports.config_hash(config),
-            "dropped_companies": dropped,
-            "window_drops": {
-                str(i): list(t) for i, t in enumerate(series.dropped) if t
-            },
-        },
-    )
+    exports.write_json(out / "transitions.json", payload)
 
 
 _HUB_KEYS = ("hub_index", "gamma", "regime_start", "regime_end")
@@ -267,15 +270,11 @@ def cmd_export_dot(args, stage: Stage) -> None:
     exports.write_dot(out / (Path(path).stem + ".dot"), tree)
 
 
-def _add_common_io(sub, with_window: bool) -> None:
+def _add_common_io(sub) -> None:
     sub.add_argument("input_pos", nargs="?", metavar="input", help="price CSV path")
     sub.add_argument("--input", help="price CSV path (alternative to positional)")
     sub.add_argument("--start", help="period start, YYYY-MM-DD (default: first observed)")
     sub.add_argument("--end", help="period end, YYYY-MM-DD (default: last observed)")
-    if with_window:
-        sub.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window width in trading days")
-        sub.add_argument("--step", type=int, default=DEFAULT_STEP, help="window step in trading days")
-        sub.add_argument("--center", help="static center ticker (default: full-period max-degree vertex)")
     sub.add_argument("--tau", type=float, default=PhaseRule.tau, help="superhub residual threshold, decades")
     sub.add_argument("--gap", type=float, default=PhaseRule.gap, help="superhub degree gap ratio")
     sub.add_argument("--tau-hub", type=float, default=PhaseRule.tau_hub, help="hub residual threshold, decades")
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = subs.add_parser("analyze", help="one-shot analysis over a period")
-    _add_common_io(p_analyze, with_window=False)
+    _add_common_io(p_analyze)
     p_analyze.add_argument(
         "--format",
         dest="formats",
@@ -301,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_evolve = subs.add_parser("evolve", help="rolling-window metric series")
-    _add_common_io(p_evolve, with_window=True)
+    _add_common_io(p_evolve)
+    p_evolve.add_argument("--window", type=int, default=DEFAULT_WINDOW, help="window width in trading days")
+    p_evolve.add_argument("--step", type=int, default=DEFAULT_STEP, help="window step in trading days")
+    p_evolve.add_argument("--center", help="static center ticker (default: full-period max-degree vertex)")
     p_evolve.set_defaults(func=cmd_evolve)
 
     p_synth = subs.add_parser("synth", help="generate a synthetic price CSV")

@@ -3,9 +3,9 @@
 Everything is plain UTF-8 text with explicit "\n" newlines, round-trip
 exact floats and deterministic ordering, so repeated runs on identical
 inputs are byte-identical. The CSV, edge-list and DOT writers print
-floats at 17 significant digits (`%.17g`); the JSON reports are written
-by `json.dump`, which prints Python's shortest round-trip `repr` (0.1,
-not 0.10000000000000001).
+floats at 17 significant digits (`%.17g`); `write_json` writes a report
+that `cli` has built, by `json.dump`, which prints Python's shortest
+round-trip `repr` (0.1, not 0.10000000000000001).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FormatError, InvariantError
 from .ingestion import ASCII_WHITESPACE, BAD_TICKER, ascii_decimal
 from .mst import Tree, check_tree
-from .rolling import MetricSeries, TransitionReport
+from .rolling import MetricSeries
 
 SERIES_COLUMNS = [
     "end_date",
@@ -135,28 +135,6 @@ def write_metric_series_csv(path, series: MetricSeries) -> None:
                     series.dynamic_center[k],
                 ]
             )
-
-
-def write_transition_report(path, report: TransitionReport, extra: dict | None = None) -> None:
-    payload = {
-        "ntl_argmin": {
-            "index": report.ntl_argmin[0],
-            "date": report.ntl_argmin[1].isoformat(),
-        },
-        "mol_argmin": {
-            "index": report.mol_argmin[0],
-            "date": report.mol_argmin[1].isoformat(),
-        },
-        "phase_changes": [
-            {"index": i, "from": a, "to": b} for i, a, b in report.phase_changes
-        ],
-        "superhub_intervals": [
-            {"start": s, "end": e, "hub": hub}
-            for s, e, hub in report.superhub_intervals
-        ],
-    }
-    payload.update(extra or {})
-    write_json(path, payload)
 
 
 def write_json(path, payload: dict) -> None:

@@ -165,9 +165,9 @@ def classify_phase(counts: np.ndarray, rule: PhaseRule = PhaseRule()) -> PhaseLa
     distinct degrees, e.g. a pure star) the residual test is replaced by
     requiring k_max to be large in absolute terms: at least 4 and at
     least a quarter of N-1, and no degree counts as an outlier hub.
-    A bad row raises InvariantError (`_check_counts`).
+    A bad row raises InvariantError (`_check_counts`, run by the fit).
     """
-    _check_counts(counts)
+    fit = fit_power_law(counts, rule)
     ks = np.flatnonzero(counts).tolist()
     k_max = ks[-1]
     if counts[k_max] >= 2 or len(ks) == 1:
@@ -175,7 +175,6 @@ def classify_phase(counts: np.ndarray, rule: PhaseRule = PhaseRule()) -> PhaseLa
     else:
         k_second = ks[-2]
     ratio = k_max / k_second
-    fit = fit_power_law(counts, rule)
     if fit is not None:
         log_residual = fit.residuals[k_max]
         superhub = log_residual >= rule.tau and ratio >= rule.gap

@@ -2,12 +2,14 @@
 
 `_chunks` turns [start, end) column spans of the return panel into the
 edge columns of their trees (correlation, distance, Prim), one chunk of
-spans at a time. `evolve` summarizes each window's tree into a series
-row (metrics, phase label), with two occupation layers: from a fixed
-static center and from the window's own maximal-degree vertex;
-`period_center` gives the hub of the span (0, T). The transition report
-finds the minima of tree length and dynamic occupation layer, every
-phase change, and the maximal runs of the superhub phase.
+spans at a time; it leaves a span's flat companies out of that span's
+tree itself and names them with the span. `evolve` summarizes each
+window's tree into a series row (metrics, phase label), with two
+occupation layers: from a fixed static center and from the window's own
+maximal-degree vertex; `period_center` gives the hub of the span
+(0, T). The transition report finds the minima of tree length and
+dynamic occupation layer, every phase change, and the maximal runs of
+the superhub phase.
 """
 
 from __future__ import annotations
@@ -80,29 +82,6 @@ def windows(panel: ReturnPanel, spec: WindowSpec) -> list[tuple[int, int]]:
     return [(s, s + spec.width) for s in range(0, t - spec.width + 1, spec.step)]
 
 
-def _window_correlations(
-    panel: ReturnPanel, start: int, end: int, out: np.ndarray
-) -> tuple[np.ndarray, list[str], tuple[str, ...]]:
-    """Correlations of columns [start, end), the tickers kept, and those left out.
-
-    They go into `out` when every company is kept. A company whose
-    returns are flat in the window is left out and named in `dropped`;
-    fewer than 2 companies left is an error.
-    """
-    returns = panel.returns[:, start:end]
-    tickers = panel.tickers
-    try:
-        return pearson_matrix(tickers, returns, panel.log_scale, out=out), tickers, ()
-    except DegenerateSeriesError as err:
-        keep = [k for k, t in enumerate(tickers) if t not in err.tickers]
-        if len(keep) < 2:
-            raise InsufficientDataError(
-                "window [%d, %d) has fewer than 2 usable companies" % (start, end)
-            ) from err
-        tickers = [tickers[k] for k in keep]
-        return pearson_matrix(tickers, returns[keep], panel.log_scale[keep]), tickers, err.tickers
-
-
 def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
     """Yield (tickers, rows, (src, dst, w)) per chunk of [start, end) column spans.
 
@@ -111,8 +90,9 @@ def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
     the tree leaves out. A chunk is up to B = max(1, 2T // N) consecutive
     spans that keep all N companies, whose correlations and then distances
     are written in place into one (B, N, N) stack for one `prim_batch`
-    call. A span that leaves a company out is a chunk of its own. A span
-    that fails raises only after every span before it is yielded.
+    call. A span with a flat company closes the running chunk and is a
+    chunk of its own, on the companies that remain; with fewer than 2 left
+    it raises InsufficientDataError, after every span before it is yielded.
     """
     n, t = panel.returns.shape
     size = max(1, 2 * t // n)
@@ -126,19 +106,25 @@ def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
         rows = []
 
     for start, end in spans:
+        returns = panel.returns[:, start:end]
         try:
-            rho, tickers, dropped = _window_correlations(panel, start, end, stack[len(rows)])
-        except InsufficientDataError:
+            rho = pearson_matrix(panel.tickers, returns, panel.log_scale, out=stack[len(rows)])
+        except DegenerateSeriesError as err:
             yield from flush()
-            raise
-        d = to_distance(rho, out=rho)
-        if dropped:
+            keep = [k for k, ticker in enumerate(panel.tickers) if ticker not in err.tickers]
+            if len(keep) < 2:
+                raise InsufficientDataError(
+                    "window [%d, %d) has fewer than 2 usable companies" % (start, end)
+                ) from err
+            tickers = [panel.tickers[k] for k in keep]
+            d = pearson_matrix(tickers, returns[keep], panel.log_scale[keep])
+            to_distance(d, out=d)
+            yield tickers, [(start, end, err.tickers)], prim_batch(tickers, d[None])
+            continue
+        to_distance(rho, out=rho)
+        rows.append((start, end, ()))
+        if len(rows) == size:
             yield from flush()
-            yield tickers, [(start, end, dropped)], prim_batch(tickers, d[None])
-        else:
-            rows.append((start, end, dropped))
-            if len(rows) == size:
-                yield from flush()
     yield from flush()
 
 

@@ -210,6 +210,41 @@ def test_evolve_outputs_and_reread_argmin_consistency(star_prices, tmp_path):
     assert report["static_center"] == "V0003"
 
 
+def test_transitions_json_holds_the_report_of_its_series(tmp_path):
+    # Hub coupling on days 150-250 of 400 only, so the windows change phase.
+    params = write_params(tmp_path / "p.txt", n_companies=20, n_days=400, regime_start=150, regime_end=250)
+    assert main(["synth", str(params), "--out", str(tmp_path)]) == 0
+    out = tmp_path / "evo"
+    assert main(["evolve", str(tmp_path / "prices.csv"), "--window", "60", "--step", "20", "--out", str(out)]) == 0
+    report = json.loads((out / "transitions.json").read_text())
+    rebuilt = detect_transitions(read_series(out / "series.csv"))
+    assert sorted(report) == [
+        "config_hash",
+        "dropped_companies",
+        "mol_argmin",
+        "ntl_argmin",
+        "phase_changes",
+        "static_center",
+        "superhub_intervals",
+        "window_drops",
+    ]
+    assert report["phase_changes"] == [{"index": i, "from": a, "to": b} for i, a, b in rebuilt.phase_changes]
+    assert report["phase_changes"]
+    for key in ("ntl_argmin", "mol_argmin"):
+        index, day = getattr(rebuilt, key)
+        assert report[key] == {"index": index, "date": day.isoformat()}
+    assert re.fullmatch("[0-9a-f]{12}", report["config_hash"])
+    assert (report["dropped_companies"], report["window_drops"]) == ([], {})
+
+
+def test_an_argument_error_exits_2_through_argparse(tmp_path, capsys):
+    # argparse rejects a flag value before any stage runs: usage, then one error line.
+    with pytest.raises(SystemExit) as stop:
+        main(["evolve", str(tmp_path / "p.csv"), "--window", "abc"])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("assettree evolve: error:")
+
+
 def test_evolve_full_width_matches_analyze(star_prices, tmp_path):
     a_out = tmp_path / "a"
     e_out = tmp_path / "e"

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from assettree import metrics
 from assettree.errors import (
     ConfigurationError,
     InvariantError,
@@ -118,6 +119,15 @@ def test_a_bad_degree_row_raises_a_typed_error_before_any_warning(counts, messag
             warnings.simplefilter("error")
             with pytest.raises(InvariantError, match=message):
                 call(counts)
+
+
+@pytest.mark.parametrize("counts", [LONE_HUB, {1: 141, 141: 1}], ids=["fit", "no-fit"])
+def test_classify_phase_checks_its_degree_row_once(monkeypatch, counts):
+    calls = []
+    check = metrics._check_counts
+    monkeypatch.setattr(metrics, "_check_counts", lambda row: calls.append(1) or check(row))
+    classify_phase(degree_row(counts))
+    assert len(calls) == 1
 
 
 def test_fit_matches_weighted_polyfit_when_nothing_is_dropped():
