@@ -93,20 +93,13 @@ def _load_run(args, stage: Stage):
     return log_returns(aligned.panel), aligned.dropped, rule, config
 
 
-def _jf(x: float):
-    """JSON-safe float: None when not finite."""
-    return x if math.isfinite(x) else None
-
-
 def cmd_analyze(args, stage: Stage) -> None:
     panel, dropped, rule, config = _load_run(args, stage)
     stage.name = "correlation"
     rho = pearson_matrix(panel.tickers, panel.returns, panel.log_scale)
-    stage.name = "mst"
     src, dst, w = prim_batch(panel.tickers, to_distance(rho)[None])
-    stage.name = "metrics"
     summary = summarize_batch(panel.tickers, src, dst, w, 0, rule)[0][0]
-    fit, label = summary.phase.fit, summary.phase
+    label = summary.phase
     payload = {
         "n_companies": len(panel.tickers),
         "period": {"start": config["start"], "end": config["end"]},
@@ -117,21 +110,14 @@ def cmd_analyze(args, stage: Stage) -> None:
         "dynamic_center": summary.center,
         "degree_counts": {str(k): c for k, c in enumerate(summary.distribution.tolist()) if c},
         "fit": None
-        if fit is None
-        else {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "slope_stderr": fit.slope_stderr,
-            "k_range": list(fit.k_range),
-            "residuals": {str(k): r for k, r in fit.residuals.items()},
-            "excluded_degrees": list(fit.excluded_degrees),
-        },
+        if label.fit is None
+        else {**vars(label.fit), "residuals": {str(k): r for k, r in label.fit.residuals.items()}},
         "superhub": {
             "is_superhub": label.phase == PHASE_SUPERHUB,
             "hub_ticker": summary.center,
             "k_max": label.k_max,
             "k_second": label.k_second,
-            "log_residual": _jf(label.log_residual),
+            "log_residual": label.log_residual if math.isfinite(label.log_residual) else None,
             "degree_gap_ratio": label.degree_gap_ratio,
         },
         "phase": label.phase,

@@ -48,12 +48,12 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def write_tree_edges(path, tree: Tree, meta: dict | None = None) -> None:
-    """Line-oriented edge list with a commented header block."""
+def write_tree_edges(path, tree: Tree, meta: dict) -> None:
+    """Line-oriented edge list with a commented header block: n_vertices, then `meta` by key."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# n_vertices: %d\n" % tree.n)
-        for key in sorted(meta or {}):
-            fh.write("# %s: %s\n" % (key, (meta or {})[key]))
+        for key in sorted(meta):
+            fh.write("# %s: %s\n" % (key, meta[key]))
         for i, j, w in zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()):
             fh.write("%s,%s,%s\n" % (tree.tickers[i], tree.tickers[j], fmt_float(w)))
 

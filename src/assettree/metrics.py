@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError
-from .mst import Tree, _ticker_ranks, check_tree
+from .mst import Tree, _check_join_order, _ticker_ranks, check_tree
 
 PHASE_POWER_LAW = "PowerLaw"
 PHASE_SUPERHUB = "SuperhubDecorated"
@@ -200,11 +200,13 @@ def summarize_batch(
 
     Tree b has edges src[b, e] - dst[b, e] of weight w[b, e], each of
     shape (B, N-1), and src[b, e] is the parent of dst[b, e], as in
-    `prim_batch`'s join order. Degrees, the (B, N) degree histogram whose
+    `prim_batch`'s join order; other columns raise InvariantError
+    (`mst._check_join_order`). Degrees, the (B, N) degree histogram whose
     row b is tree b's `distribution`, hubs and occupation layers take
     numpy passes over all B trees; the fit, phase and NTL go tree by tree.
     """
     nb, n = src.shape[0], len(tickers)
+    _check_join_order(n, src, dst)
     offset = np.arange(0, nb * n, n)[:, None]
     deg = np.bincount((np.concatenate((src, dst), axis=1) + offset).ravel(), minlength=nb * n)
     deg = deg.reshape(nb, n)
@@ -245,7 +247,9 @@ def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
     The B = 1 call of `summarize_batch`, each edge pointed away from
     vertex 0 by the walk of `check_tree`, which raises InvariantError if
     the tree is not a spanning tree with finite, non-negative weights.
+    The edges go in level by level, a join order from vertex 0.
     """
     level = np.array(check_tree(tree))
     src, dst = np.where(level[tree.i] < level[tree.j], (tree.i, tree.j), (tree.j, tree.i))
-    return summarize_batch(tree.tickers, src[None], dst[None], tree.w[None], 0, rule)[0][0]
+    order = np.argsort(level[dst], kind="stable")[None]
+    return summarize_batch(tree.tickers, src[order], dst[order], tree.w[order], 0, rule)[0][0]

@@ -48,12 +48,6 @@ class Tree:
     def n(self) -> int:
         return len(self.tickers)
 
-    @property
-    def total_weight(self) -> float:
-        # fsum is exactly rounded, so the total does not depend on edge
-        # order and coincides across algorithms returning the same multiset.
-        return math.fsum(self.w.tolist())
-
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate((self.i, self.j)), minlength=self.n)
 
@@ -138,6 +132,26 @@ def prim_batch(
     # A vertex's best_from is frozen once it joins: its NaN best_w never compares true.
     src = best_from[rows[:, None], dst]
     return src, dst, d[rows[:, None], src, dst]
+
+
+def _check_join_order(n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """Raise InvariantError unless each row of (src, dst) is a spanning tree in join order.
+
+    As in `prim_batch`: (B, N-1) columns of vertices in 0..N-1, no vertex
+    brought in (a dst) twice, and each src[b, e] the root or brought in earlier.
+    """
+    nb = len(src)
+    if src.shape != (nb, n - 1) or dst.shape != src.shape:
+        raise InvariantError("edge columns of shapes %r and %r for %d vertices" % (src.shape, dst.shape, n))
+    if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
+        raise InvariantError("edge columns name a vertex outside 0..%d" % (n - 1))
+    pos = np.zeros((nb, n), dtype=np.int64)  # 1 + the edge that brings a vertex in, 0 for the root
+    rows, joins = np.arange(nb)[:, None], np.arange(1, n)
+    pos[rows, dst] = joins
+    if np.count_nonzero(pos) != nb * (n - 1):
+        raise InvariantError("edge columns bring a vertex in twice")
+    if (pos[rows, src] >= joins).any():
+        raise InvariantError("edge columns are not in join order: an edge leaves a vertex not yet in")
 
 
 def check_tree(tree: Tree) -> list[int]:

@@ -11,15 +11,17 @@ identical edge sets even when weights tie.
 `preferential_attachment_tree` grows a random tree whose degree
 distribution has a known power-law exponent, and `corrcoef_reference`
 is the correlation matrix as numpy's `np.corrcoef` gives it, made
-exactly symmetric. `degree_histogram`, `normalized_tree_length` and
-`mean_occupation_layer` read the degree histogram, NTL and MOL
-off a `Tree` directly, its degrees, edge weights and breadth-first
-levels, as references for `metrics.summarize_batch`.
+exactly symmetric. `total_weight`, `degree_histogram`,
+`normalized_tree_length` and `mean_occupation_layer` read the total
+weight, degree histogram, NTL and MOL off a `Tree` directly, its
+degrees, edge weights and breadth-first levels, as references for
+`mst.prim_batch` and `metrics.summarize_batch`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -79,9 +81,18 @@ def degree_histogram(tree: Tree) -> np.ndarray:
     return np.bincount(tree.degrees(), minlength=tree.n)
 
 
+def total_weight(tree: Tree) -> float:
+    """Sum of the edge weights.
+
+    fsum is exactly rounded, so the total does not depend on edge order
+    and coincides across builders returning the same multiset.
+    """
+    return math.fsum(tree.w.tolist())
+
+
 def normalized_tree_length(tree: Tree) -> float:
     """Mean edge weight: total tree length over N-1 edges."""
-    return tree.total_weight / (tree.n - 1)
+    return total_weight(tree) / (tree.n - 1)
 
 
 def mean_occupation_layer(tree: Tree, central: str) -> float:

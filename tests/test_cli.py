@@ -298,6 +298,24 @@ def test_analysis_equals_the_summary_of_the_tree_it_writes(star_prices, tmp_path
     assert label.fit is not None or prices == "star"
 
 
+def test_analysis_json_keeps_its_layout(tmp_path):
+    # The names are spelled out, not read off the dataclasses, so a renamed
+    # or added field of PowerLawFit or of the report fails here.
+    assert main(["analyze", str(unsorted_prices(tmp_path)), "--out", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "analysis.json").read_text())
+    assert set(report) == {
+        "n_companies", "period", "dropped_companies", "config_hash", "ntl", "mol_dynamic",
+        "dynamic_center", "degree_counts", "fit", "superhub", "phase", "n_outlier_hubs",
+    }
+    assert set(report["period"]) == {"start", "end"}
+    assert set(report["superhub"]) == {
+        "is_superhub", "hub_ticker", "k_max", "k_second", "log_residual", "degree_gap_ratio",
+    }
+    assert set(report["fit"]) == {"slope", "intercept", "slope_stderr", "k_range", "residuals", "excluded_degrees"}
+    assert len(report["fit"]["k_range"]) == 2
+    assert isinstance(report["fit"]["excluded_degrees"], list)
+
+
 def test_default_thresholds_keep_the_config_hash(star_prices, tmp_path, monkeypatch):
     # config_hash digests the threshold names and values; a renamed PhaseRule field changes it.
     monkeypatch.chdir(tmp_path)

@@ -57,22 +57,35 @@ def _named(tree: ast.AST) -> set[str]:
     return names
 
 
+# `perfbench/tracing.py` wraps `Tree.degrees` on the class to count its
+# calls, so a traced run fails without it, though the package never calls it.
+USED_OUTSIDE_THE_PACKAGE = {"mst.Tree.degrees"}
+
+
 def test_every_public_definition_is_used_by_the_package_or_the_readme():
     # Code only the tests call belongs in the tests (see tests/oracles.py).
     # `__init__.py` re-exports names, so its imports do not count as a use.
+    # Public methods and properties of package classes count too; dunders
+    # and other `_` names are skipped.
     used = _named(ast.parse(library_block()))
     defined = []
     for path in SOURCES:
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.append((path.stem, node.name))
-                used |= {name for name in _named(node) if name != node.name}
-            else:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 used |= _named(node)
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            methods = [m.name for m in members if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            defined.append(("%s.%s" % (path.stem, node.name), node.name))
+            defined += [("%s.%s.%s" % (path.stem, node.name, name), name) for name in methods]
+            # A name read only inside its own definition is not a use.
+            used |= _named(node) - {node.name, *methods}
+            for member in members:
+                used |= _named(member) - {getattr(member, "name", None)}
     assert defined
-    assert ["%s.%s" % (module, name) for module, name in defined if name not in used] == []
+    assert [label for label, name in defined if name not in used and label not in USED_OUTSIDE_THE_PACKAGE] == []
 
 
 def test_tree_structure_is_judged_by_check_tree_alone():

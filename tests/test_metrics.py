@@ -1,5 +1,6 @@
 import math
 import re
+import signal
 import warnings
 
 import numpy as np
@@ -19,9 +20,10 @@ from assettree.metrics import (
     classify_phase,
     fit_power_law,
     summarize,
+    summarize_batch,
 )
-from assettree.mst import Tree
-from conftest import chain_tree, degree_row, nonzero_counts, star_tree, tickers_for
+from assettree.mst import Tree, prim_batch
+from conftest import chain_tree, degree_row, nonzero_counts, random_dist, star_tree, tickers_for
 from oracles import (
     degree_histogram,
     mean_occupation_layer,
@@ -323,3 +325,50 @@ def test_summarize_rejects_a_weight_check_tree_rejects(weight):
     tree = Tree.from_edges(tickers_for(3), [0, 1], [1, 2], [0.5, weight])
     with pytest.raises(InvariantError, match=r"^edge weight %s outside \[0, inf\)$" % re.escape(repr(weight))):
         summarize(tree)
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test body with TimeoutError after 10 s, so a loop that never ends fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError("no return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "src, dst, message",
+    [
+        # 0 <- 1 <- 2 <- 0 closes a cycle, and walking it up never reaches a root.
+        pytest.param([[1, 2, 0]], [[0, 1, 2]], "not in join order", id="cycle"),
+        # A star on T03 as a Tree's own sorted i, j: T03 is brought in three times.
+        pytest.param([[0, 1, 2]], [[3, 3, 3]], "bring a vertex in twice", id="repeated-dst"),
+        pytest.param([[3, 3, 4]], [[0, 1, 2]], r"outside 0\.\.3", id="past-n"),
+        pytest.param([[3, 3, -1]], [[0, 1, 2]], r"outside 0\.\.3", id="negative"),
+        pytest.param([[3, 3]], [[0, 1]], "for 4 vertices", id="too-few-edges"),
+    ],
+)
+def test_summarize_batch_rejects_columns_not_in_join_order(src, dst, message, time_limit):
+    with pytest.raises(InvariantError, match=message):
+        summarize_batch(tickers_for(4), np.array(src), np.array(dst), np.ones((1, 3)), 0)
+
+
+def test_summarize_batch_accepts_prim_and_summarize_columns(rng, time_limit):
+    tickers, d = random_dist(rng, 9)
+    src, dst, w = prim_batch(tickers, np.stack((d, random_dist(rng, 9)[1])))
+    for b, (summary, _) in enumerate(summarize_batch(tickers, src, dst, w, 0)):
+        single = summarize(Tree.from_edges(tickers, src[b], dst[b], w[b]))
+        assert np.array_equal(summary.distribution, single.distribution)
+        assert repr(summary.phase) == repr(single.phase)
+        assert (summary.center, summary.ntl, summary.mol_dynamic) == (single.center, single.ntl, single.mol_dynamic)
+    # The path T00 - T03 - T02 - T01: its edges sorted by (i, j) bring T02
+    # in after the edge that leaves it, so `summarize` orders them by level.
+    path = Tree.from_edges(tickers_for(4), [0, 1, 2], [3, 2, 3], [0.1, 0.2, 0.3])
+    summary = summarize(path)
+    assert summary.center == "T02"
+    assert summary.mol_dynamic == mean_occupation_layer(path, "T02")

@@ -6,7 +6,7 @@ from assettree.exports import read_tree_edges, write_tree_edges
 from assettree.mst import Tree, check_tree, prim_batch
 
 from conftest import dist_from_array, edge_list, path_max_weights, prim_mst, random_dist, tickers_for
-from oracles import UnionFind, brute_force_mst, kruskal_mst, preferential_attachment_tree
+from oracles import UnionFind, brute_force_mst, kruskal_mst, preferential_attachment_tree, total_weight
 
 ALGORITHMS = [prim_mst, kruskal_mst, brute_force_mst]
 
@@ -20,7 +20,7 @@ def triangle():
 def test_three_node_example(algorithm):
     tree = algorithm(*triangle())
     assert [(i, j) for i, j, _ in edge_list(tree)] == [(0, 1), (1, 2)]
-    assert tree.total_weight == pytest.approx(1.2, abs=1e-12)
+    assert total_weight(tree) == pytest.approx(1.2, abs=1e-12)
     check_tree(tree)
 
 
@@ -28,7 +28,7 @@ def test_three_node_example(algorithm):
 def test_two_node_tree_is_the_single_edge(algorithm):
     tree = algorithm(*dist_from_array(np.array([[0.0, 0.3], [0.3, 0.0]]), ["X", "Y"]))
     assert edge_list(tree) == [(0, 1, 0.3)]
-    assert tree.total_weight == 0.3
+    assert total_weight(tree) == 0.3
 
 
 def test_equal_weights_give_valid_tree_with_expected_total():
@@ -38,7 +38,7 @@ def test_equal_weights_give_valid_tree_with_expected_total():
     for algorithm in ALGORITHMS:
         tree = algorithm(*dist_from_array(d))
         check_tree(tree)
-        assert tree.total_weight == pytest.approx((n - 1) * w, abs=1e-12)
+        assert total_weight(tree) == pytest.approx((n - 1) * w, abs=1e-12)
 
 
 def test_equal_weights_resolve_to_star_on_lexicographically_first_ticker():
@@ -116,7 +116,7 @@ def test_distinct_weights_give_identical_edge_sets(rng):
         kruskal = kruskal_mst(*dist)
         brute = brute_force_mst(*dist)
         assert edge_list(prim) == edge_list(kruskal) == edge_list(brute)
-        assert prim.total_weight == kruskal.total_weight == brute.total_weight
+        assert total_weight(prim) == total_weight(kruskal) == total_weight(brute)
 
 
 def test_edge_weights_are_matrix_entries(rng):
@@ -210,7 +210,7 @@ def test_every_builder_returns_canonical_edge_columns(rng, tmp_path):
     # Unsorted tickers, so vertex order and ticker order disagree.
     shuffled = dist_from_array(random_dist(rng, 7)[1], ["G", "C", "A", "F", "B", "E", "D"])
     dist = random_dist(rng, 7)
-    write_tree_edges(tmp_path / "tree.edges", prim_mst(*dist))
+    write_tree_edges(tmp_path / "tree.edges", prim_mst(*dist), {})
     trees = [
         prim_mst(*shuffled),
         kruskal_mst(*shuffled),
