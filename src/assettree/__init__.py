@@ -18,12 +18,9 @@ from .errors import (
     MissingVertexError,
 )
 from .ingestion import (
-    AlignResult,
     ParseResult,
-    PricePanel,
     ReturnPanel,
     align_and_filter,
-    log_returns,
     parse_price_table,
 )
 from .metrics import (

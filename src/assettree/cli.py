@@ -26,7 +26,7 @@ import numpy as np
 from . import exports
 from .correlation import pearson_matrix, to_distance
 from .errors import AssetTreeError, ConfigurationError
-from .ingestion import ASCII_WHITESPACE, align_and_filter, ascii_decimal, log_returns, parse_iso_date, parse_price_table
+from .ingestion import ASCII_WHITESPACE, align_and_filter, ascii_decimal, parse_iso_date, parse_price_table
 from .metrics import PHASE_SUPERHUB, PhaseRule, summarize_batch
 from .mst import Tree, prim_batch
 from .rolling import WindowSpec, detect_transitions, evolve, period_center
@@ -64,7 +64,7 @@ def _resolve_input(args) -> str:
 def _load_run(args, stage: Stage):
     """Check the input path, the thresholds and the period, then read the prices.
 
-    Returns (panel, dropped, rule, config); `config` names the run for `config_hash`.
+    Returns (returns, rule, config); `config` names the run for `config_hash`.
     """
     path = _resolve_input(args)
     rule = PhaseRule(args.tau, args.gap, args.tau_hub)
@@ -83,18 +83,17 @@ def _load_run(args, stage: Stage):
         raise ConfigurationError("no parseable records in %s" % path)
     start = bounds[0] or parsed.dates[0]
     end = bounds[1] or parsed.dates[-1]
-    aligned = align_and_filter(parsed, (start, end))
     config = {
         "input": path,
         "start": start.isoformat(),
         "end": end.isoformat(),
         **vars(rule),
     }
-    return log_returns(aligned.panel), aligned.dropped, rule, config
+    return align_and_filter(parsed, (start, end)), rule, config
 
 
 def cmd_analyze(args, stage: Stage) -> None:
-    panel, dropped, rule, config = _load_run(args, stage)
+    panel, rule, config = _load_run(args, stage)
     stage.name = "correlation"
     rho = pearson_matrix(panel.tickers, panel.returns, panel.log_scale)
     src, dst, w = prim_batch(panel.tickers, to_distance(rho)[None])
@@ -103,7 +102,7 @@ def cmd_analyze(args, stage: Stage) -> None:
     payload = {
         "n_companies": len(panel.tickers),
         "period": {"start": config["start"], "end": config["end"]},
-        "dropped_companies": dropped,
+        "dropped_companies": panel.dropped,
         "config_hash": exports.config_hash(config),
         "ntl": summary.ntl,
         "mol_dynamic": summary.mol_dynamic,
@@ -140,7 +139,7 @@ def cmd_analyze(args, stage: Stage) -> None:
 
 def cmd_evolve(args, stage: Stage) -> None:
     spec = WindowSpec(args.window, args.step)
-    returns, dropped, rule, config = _load_run(args, stage)
+    returns, rule, config = _load_run(args, stage)
     stage.name = "rolling"
     center = period_center(returns, rule) if args.center is None else args.center
     series = evolve(returns, spec, center, rule)
@@ -156,7 +155,7 @@ def cmd_evolve(args, stage: Stage) -> None:
         ],
         "static_center": center,
         "config_hash": exports.config_hash(config),
-        "dropped_companies": dropped,
+        "dropped_companies": returns.dropped,
         "window_drops": {str(i): list(t) for i, t in enumerate(series.dropped) if t},
     }
     out = Path(args.out)

@@ -93,42 +93,19 @@ _HIGH_NIBBLES = 0xF0F0F0F0F0F0F0F0
 
 
 @dataclass
-class PricePanel:
-    """Aligned close prices: N tickers by T trading days, no missing cells."""
-
-    tickers: list[str]
-    dates: list[Date]
-    prices: np.ndarray
-
-    def __post_init__(self):
-        n, t = len(self.tickers), len(self.dates)
-        if n < 2:
-            raise InsufficientDataError("panel needs at least 2 companies")
-        if t < 3:
-            raise InsufficientDataError("panel needs at least 3 trading days")
-        if len(set(self.tickers)) != n:
-            raise FormatError("duplicate tickers in panel")
-        if self.prices.shape != (n, t):
-            raise FormatError(
-                "price matrix shape %s does not match %d tickers x %d dates"
-                % (self.prices.shape, n, t)
-            )
-        if not np.all(self.prices > 0):
-            raise FormatError("panel contains non-positive prices")
-
-
-@dataclass
 class ReturnPanel:
     """Daily log returns: N tickers by T-1 days (one less than prices).
 
     log_scale[k] is the largest |ln p| of row k's prices, which the rounding
-    of its returns scales with; zeros when no prices are known.
+    of its returns scales with; zeros when no prices are known. `dropped`
+    names the companies that alignment left out.
     """
 
     tickers: list[str]
     dates: list[Date]
     returns: np.ndarray
     log_scale: np.ndarray | None = None
+    dropped: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.log_scale is None:
@@ -155,12 +132,6 @@ class ParseResult:
     dates: list[Date]
     prices: np.ndarray
     rejected: list[RejectedRow] = field(default_factory=list)
-
-
-@dataclass
-class AlignResult:
-    panel: PricePanel
-    dropped: list[str] = field(default_factory=list)
 
 
 def parse_iso_date(text: str) -> Date:
@@ -610,12 +581,16 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
     return ParseResult(tickers, dates, prices, rejected)
 
 
-def align_and_filter(parsed: ParseResult, period: tuple[Date, Date]) -> AlignResult:
-    """Build an aligned panel of companies complete over the period.
+def align_and_filter(parsed: ParseResult, period: tuple[Date, Date]) -> ReturnPanel:
+    """Daily log returns of the companies complete over the period.
 
     The trading-day axis is the parsed dates inside the inclusive period.
-    Companies missing any axis date are dropped and reported in the result.
+    Companies missing any axis date are left out and named in `dropped`.
+    r[i][t] = ln p[i][t+1] - ln p[i][t], dated by day t+1.
     """
+    shape = (len(parsed.tickers), len(parsed.dates))
+    if parsed.prices.shape != shape:
+        raise FormatError("price matrix shape %s does not match %d tickers x %d dates" % (parsed.prices.shape, *shape))
     start, end = period
     if end < start:
         raise InsufficientDataError("period end %s before start %s" % (end, start))
@@ -630,12 +605,14 @@ def align_and_filter(parsed: ParseResult, period: tuple[Date, Date]) -> AlignRes
             "only %d of %d companies complete over %s..%s"
             % (len(kept), len(parsed.tickers), start, end)
         )
+    if hi - lo < 3:
+        raise InsufficientDataError("panel needs at least 3 trading days")
+    if len(set(kept)) != len(kept):
+        raise FormatError("duplicate tickers in panel")
+    logs = block[complete]  # a copy, which becomes the logs in place
+    if not np.all(logs > 0):
+        raise FormatError("panel contains non-positive prices")
+    np.log(logs, out=logs)
+    log_scale = np.abs(logs).max(axis=1)
     dropped = [t for t, ok in zip(parsed.tickers, complete) if not ok]
-    return AlignResult(PricePanel(kept, parsed.dates[lo:hi], block[complete]), dropped)
-
-
-def log_returns(panel: PricePanel) -> ReturnPanel:
-    """Daily log returns: r[i][t] = ln p[i][t+1] - ln p[i][t]."""
-    logs = np.log(panel.prices)
-    returns = np.diff(logs, axis=1)
-    return ReturnPanel(list(panel.tickers), list(panel.dates[1:]), returns, np.abs(logs).max(axis=1))
+    return ReturnPanel(kept, parsed.dates[lo + 1 : hi], np.diff(logs, axis=1), log_scale, dropped)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantError
+from .errors import ConfigurationError, InvariantError, MissingVertexError
 from .mst import Tree, _check_join_order, _ticker_ranks, check_tree
 
 PHASE_POWER_LAW = "PowerLaw"
@@ -200,13 +200,16 @@ def summarize_batch(
 
     Tree b has edges src[b, e] - dst[b, e] of weight w[b, e], each of
     shape (B, N-1), and src[b, e] is the parent of dst[b, e], as in
-    `prim_batch`'s join order; other columns raise InvariantError
-    (`mst._check_join_order`). Degrees, the (B, N) degree histogram whose
-    row b is tree b's `distribution`, hubs and occupation layers take
+    `prim_batch`'s join order, with weights in [0, inf); other columns
+    raise InvariantError (`mst._check_join_order`), and a `static` outside
+    0..N-1 raises MissingVertexError. Degrees, the (B, N) degree histogram
+    whose row b is tree b's `distribution`, hubs and occupation layers take
     numpy passes over all B trees; the fit, phase and NTL go tree by tree.
     """
     nb, n = src.shape[0], len(tickers)
-    _check_join_order(n, src, dst)
+    _check_join_order(n, src, dst, w)
+    if not 0 <= static < n:
+        raise MissingVertexError("static vertex %d outside 0..%d" % (static, n - 1))
     offset = np.arange(0, nb * n, n)[:, None]
     deg = np.bincount((np.concatenate((src, dst), axis=1) + offset).ravel(), minlength=nb * n)
     deg = deg.reshape(nb, n)

@@ -134,17 +134,21 @@ def prim_batch(
     return src, dst, d[rows[:, None], src, dst]
 
 
-def _check_join_order(n: int, src: np.ndarray, dst: np.ndarray) -> None:
-    """Raise InvariantError unless each row of (src, dst) is a spanning tree in join order.
+def _check_join_order(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> None:
+    """Raise InvariantError unless each row of (src, dst, w) is a spanning tree in join order.
 
     As in `prim_batch`: (B, N-1) columns of vertices in 0..N-1, no vertex
-    brought in (a dst) twice, and each src[b, e] the root or brought in earlier.
+    brought in (a dst) twice, each src[b, e] the root or brought in earlier,
+    and every weight in [0, inf), as `check_tree` holds a `Tree` to.
     """
     nb = len(src)
-    if src.shape != (nb, n - 1) or dst.shape != src.shape:
-        raise InvariantError("edge columns of shapes %r and %r for %d vertices" % (src.shape, dst.shape, n))
+    if src.shape != (nb, n - 1) or dst.shape != src.shape or w.shape != src.shape:
+        raise InvariantError("edge columns of shapes %r, %r, %r for %d vertices" % (src.shape, dst.shape, w.shape, n))
     if ((src < 0) | (src >= n) | (dst < 0) | (dst >= n)).any():
         raise InvariantError("edge columns name a vertex outside 0..%d" % (n - 1))
+    bad = ~((w >= 0) & (w < math.inf))  # NaN included
+    if bad.any():
+        raise InvariantError("edge weight %r outside [0, inf)" % float(w[bad][0]))
     pos = np.zeros((nb, n), dtype=np.int64)  # 1 + the edge that brings a vertex in, 0 for the root
     rows, joins = np.arange(nb)[:, None], np.arange(1, n)
     pos[rows, dst] = joins

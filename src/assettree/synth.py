@@ -10,7 +10,7 @@ spanning tree onto the hub once gamma is large enough.
 
 Dates are synthetic consecutive calendar days; return t is stamped
 EPOCH + t + 1 days so that a price panel starting at EPOCH reproduces
-the same dates through log_returns.
+the same dates through align_and_filter.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import pytest
 
 from assettree.cli import main
 from assettree.exports import read_tree_edges, write_price_csv
-from assettree.ingestion import log_returns, parse_price_table, align_and_filter
+from assettree.ingestion import parse_price_table, align_and_filter
 from assettree.metrics import PhaseRule, summarize
 from assettree.rolling import MetricSeries, detect_transitions
 from assettree.synth import FactorModelParams, one_factor_returns
@@ -101,8 +101,7 @@ def test_synth_round_trips_through_ingestion(tmp_path):
     assert main(["synth", str(params), "--out", str(tmp_path)]) == 0
     with open(tmp_path / "prices.csv", "rb") as source:
         parsed = parse_price_table(source)
-    aligned = align_and_filter(parsed, (parsed.dates[0], parsed.dates[-1]))
-    recovered = log_returns(aligned.panel)
+    recovered = align_and_filter(parsed, (parsed.dates[0], parsed.dates[-1]))
 
     base = FactorModelParams(5, 39, (0.0,) * 5, 1.0, 7)
     from assettree.synth import HubRegimeParams, hub_regime_returns

@@ -6,7 +6,7 @@ import pytest
 
 from assettree.correlation import pearson_matrix, to_distance
 from assettree.errors import DegenerateSeriesError, InsufficientDataError
-from assettree.ingestion import PricePanel, log_returns
+from assettree.ingestion import ParseResult, align_and_filter
 
 from oracles import corrcoef_reference
 
@@ -82,7 +82,7 @@ def test_constant_log_return_row_is_flat(rng, width):
     days = [date(2005, 1, 3) + timedelta(days=t) for t in range(width + 1)]
     walks = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((3, width + 1)), axis=1))
     prices = np.vstack([100.0 * 2.0 ** np.arange(width + 1), walks])
-    panel = log_returns(PricePanel(["DBL", "A", "B", "C"], days, prices))
+    panel = align_and_filter(ParseResult(["DBL", "A", "B", "C"], days, prices), (days[0], days[-1]))
     assert panel.returns[0].std() > 0
     with pytest.raises(DegenerateSeriesError) as err:
         pearson_matrix(panel.tickers, panel.returns, panel.log_scale)

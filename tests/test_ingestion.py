@@ -13,9 +13,8 @@ import pytest
 from assettree import ingestion
 from assettree.errors import DuplicateRecordError, FormatError, InsufficientDataError
 from assettree.ingestion import (
-    PricePanel,
+    ParseResult,
     align_and_filter,
-    log_returns,
     parse_price_table,
 )
 
@@ -663,21 +662,21 @@ def test_parse_grid_matches_a_per_record_reference():
 
 def test_align_drops_company_missing_a_mid_period_day():
     result = align_and_filter(_parsed({"A": DAYS, "B": DAYS, "C": GAPPY}), (DAYS[0], DAYS[-1]))
-    assert result.panel.tickers == ["A", "B"]
+    assert result.tickers == ["A", "B"]
     assert result.dropped == ["C"]
-    assert result.panel.dates == DAYS
+    assert result.dates == DAYS[1:]
 
 
 def test_align_keeps_all_complete_companies():
     result = align_and_filter(_parsed({t: DAYS for t in ("A", "B", "C")}), (DAYS[0], DAYS[-1]))
-    assert result.panel.tickers == ["A", "B", "C"]
+    assert result.tickers == ["A", "B", "C"]
     assert result.dropped == []
 
 
 @pytest.mark.parametrize(
     "tickers, prices, error, message",
     [
-        (["A"], [[1.0, 2.0, 3.0]], InsufficientDataError, "panel needs at least 2 companies"),
+        (["A"], [[1.0, 2.0, 3.0]], InsufficientDataError, "only 1 of 1 companies complete over 2005-01-03..2005-01-05"),
         (["A", "A"], [[1.0, 2.0, 3.0]] * 2, FormatError, "duplicate tickers in panel"),
         (["A", "B"], [[1.0, 2.0, 3.0, 4.0]] * 2, FormatError, "price matrix shape (2, 4) does not match 2 tickers x 3 dates"),
         (["A", "B"], [[1.0, 2.0, 3.0], [1.0, 0.0, 3.0]], FormatError, "panel contains non-positive prices"),
@@ -685,7 +684,7 @@ def test_align_keeps_all_complete_companies():
 )
 def test_price_panel_rejects_a_malformed_panel(tickers, prices, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
-        PricePanel(tickers, DAYS[:3], np.array(prices))
+        align_and_filter(ParseResult(tickers, DAYS[:3], np.array(prices)), (DAYS[0], DAYS[2]))
 
 
 def test_align_empty_period_raises():
@@ -701,47 +700,66 @@ def test_align_fewer_than_two_survivors_raises():
 
 def test_align_is_idempotent():
     period = (DAYS[0], DAYS[-1])
-    first = align_and_filter(_parsed({"A": DAYS, "B": DAYS, "C": GAPPY}), period)
+    parsed = _parsed({"A": DAYS, "B": DAYS, "C": GAPPY})
+    first = align_and_filter(parsed, period)
     back = HEADER + "".join(
         "%s,%s,%r\n" % (day.isoformat(), ticker, float(price))
-        for ticker, row in zip(first.panel.tickers, first.panel.prices)
-        for day, price in zip(first.panel.dates, row)
+        for ticker, row in zip(parsed.tickers, parsed.prices)
+        if ticker in first.tickers
+        for day, price in zip(parsed.dates, row)
     )
     second = align_and_filter(parse_price_table(back), period)
-    assert second.panel.tickers == first.panel.tickers
-    assert second.panel.dates == first.panel.dates
-    assert np.array_equal(second.panel.prices, first.panel.prices)
+    assert second.tickers == first.tickers
+    assert second.dates == first.dates
+    assert np.array_equal(second.returns, first.returns)
+    assert np.array_equal(second.log_scale, first.log_scale)
     assert second.dropped == []
 
 
 def test_align_output_has_full_observation_count():
     result = align_and_filter(_parsed({"A": DAYS, "B": DAYS, "C": GAPPY}), (DAYS[0], DAYS[-1]))
-    assert result.panel.prices.shape == (2, len(DAYS))
+    assert result.returns.shape == (2, len(DAYS) - 1)
 
 
-def _panel(rows):
+def test_align_returns_are_the_log_differences_of_the_complete_rows(rng):
+    days = [date(2005, 1, 3) + timedelta(days=t) for t in range(30)]
+    scale = np.array([[1.0], [1e-3], [7.0], [1e4], [2.0]])
+    prices = scale * np.exp(0.02 * rng.standard_normal((5, 30)).cumsum(axis=1))
+    prices[2, 17] = np.nan
+    parsed = ParseResult(["E", "A", "H", "C", "B"], days, prices)
+    for (lo, hi), dropped in (((0, 30), ["H"]), ((3, 17), [])):
+        result = align_and_filter(parsed, (days[lo], days[hi - 1]))
+        kept = [k for k, t in enumerate(parsed.tickers) if t not in dropped]
+        logs = np.log(prices[kept, lo:hi])
+        assert result.tickers == [parsed.tickers[k] for k in kept]
+        assert result.dropped == dropped
+        assert result.dates == days[lo + 1 : hi]
+        assert np.array_equal(result.returns, np.diff(logs, axis=1))
+        assert np.array_equal(result.log_scale, np.abs(logs).max(axis=1))
+
+
+def _returns(rows):
     rows = np.asarray(rows, dtype=float)
     days = [date(2005, 1, 3 + t) for t in range(rows.shape[1])]
-    return PricePanel(["P%d" % i for i in range(rows.shape[0])], days, rows)
+    parsed = ParseResult(["P%d" % i for i in range(rows.shape[0])], days, rows)
+    return align_and_filter(parsed, (days[0], days[-1]))
 
 
 def test_log_returns_of_e_powers():
-    panel = _panel([[1.0, math.e, math.e**2], [1.0, 1.0, 1.0]])
-    returns = log_returns(panel)
+    returns = _returns([[1.0, math.e, math.e**2], [1.0, 1.0, 1.0]])
     assert returns.returns[0] == pytest.approx([1.0, 1.0], abs=1e-12)
     assert returns.returns[1] == pytest.approx([0.0, 0.0], abs=0.0)
-    assert returns.dates == panel.dates[1:]
+    assert returns.dates == [date(2005, 1, 4), date(2005, 1, 5)]
 
 
 def test_log_returns_value_matches_log_ratio():
-    panel = _panel([[100.0, 110.0, 121.0], [50.0, 50.0, 50.0]])
-    returns = log_returns(panel)
+    returns = _returns([[100.0, 110.0, 121.0], [50.0, 50.0, 50.0]])
     assert returns.returns[0][0] == pytest.approx(math.log(1.1), abs=1e-12)
     assert returns.returns[0][0] == pytest.approx(0.0953102, abs=1e-7)
 
 
 def test_log_returns_scale_invariance():
     base = np.array([[10.0, 11.0, 12.5, 11.8], [3.0, 2.9, 3.3, 3.1]])
-    r1 = log_returns(_panel(base)).returns
-    r2 = log_returns(_panel(base * 7.3)).returns
+    r1 = _returns(base).returns
+    r2 = _returns(base * 7.3).returns
     assert np.allclose(r1, r2, atol=1e-12)

@@ -358,6 +358,34 @@ def test_summarize_batch_rejects_columns_not_in_join_order(src, dst, message, ti
         summarize_batch(tickers_for(4), np.array(src), np.array(dst), np.ones((1, 3)), 0)
 
 
+# Two stars on 4 vertices, centered on T00 and on T03.
+STARS = np.array([[0, 0, 0], [3, 3, 3]]), np.array([[1, 2, 3], [0, 1, 2]])
+
+
+@pytest.mark.parametrize("static", [4, -1])
+def test_summarize_batch_rejects_a_static_vertex_outside_the_trees(static):
+    with pytest.raises(MissingVertexError, match=r"static vertex %d outside 0\.\.3" % static):
+        summarize_batch(tickers_for(4), *STARS, np.ones((2, 3)), static)
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        pytest.param(np.ones((1, 4)), r"shapes \(1, 3\), \(1, 3\), \(1, 4\)", id="long"),
+        pytest.param(np.ones((1, 2)), r"shapes \(1, 3\), \(1, 3\), \(1, 2\)", id="short"),
+        pytest.param(np.array([[1.0, math.nan, 1.0]]), r"edge weight nan outside \[0, inf\)", id="nan"),
+        pytest.param(np.array([[1.0, -1.0, 1.0]]), r"edge weight -1\.0 outside \[0, inf\)", id="negative"),
+    ],
+)
+def test_summarize_batch_rejects_weights_that_check_tree_rejects(w, message):
+    src, dst = STARS[0][:1], STARS[1][:1]
+    with pytest.raises(InvariantError, match=message):
+        summarize_batch(tickers_for(4), src, dst, w, 0)
+    if w.shape == src.shape:
+        with pytest.raises(InvariantError, match=message):
+            summarize(Tree.from_edges(tickers_for(4), src[0], dst[0], w[0]))
+
+
 def test_summarize_batch_accepts_prim_and_summarize_columns(rng, time_limit):
     tickers, d = random_dist(rng, 9)
     src, dst, w = prim_batch(tickers, np.stack((d, random_dist(rng, 9)[1])))
