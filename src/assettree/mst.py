@@ -96,7 +96,9 @@ def prim_batch(
     (weight, ticker pair). Returns (src, dst, w), each of shape (B, N-1),
     in join order: edge e of tree b brings in dst[b, e] from src[b, e],
     which joined before it (or is the first ticker), with weight
-    w[b, e] = d[b, src[b, e], dst[b, e]].
+    w[b, e] = d[b, src[b, e], dst[b, e]]. Distances may be +inf, whose
+    ties go by ticker pair like any other, but not NaN: `summarize_batch`
+    rejects a NaN weight.
     """
     nb, n, _ = d.shape
     if n < 2:
@@ -104,32 +106,38 @@ def prim_batch(
     rows = np.arange(nb)
     rank = _ticker_ranks(tickers)
     start = int(np.argmin(rank))
-    # Cheapest known edge into the tree per vertex, NaN once the vertex is
-    # in it: NaN never compares true, and fmin skips it.
+    # Cheapest known edge into the tree per vertex, +inf once the vertex is
+    # in it; `free` marks the vertices not yet in, so a joined vertex is
+    # never picked from a tie nor updated.
     best_w = d[:, start].astype(np.float64)
-    best_w[:, start] = np.nan
+    best_w[:, start] = np.inf
+    free = np.ones((nb, n), dtype=bool)
+    free[:, start] = False
     best_from = np.full((nb, n), start, dtype=np.int64)
     dst = np.empty((nb, n - 1), dtype=np.int64)
     for step in range(n - 1):
-        cand = best_w == np.fmin.reduce(best_w, axis=1, keepdims=True)
+        v = best_w.argmin(axis=1)
+        cand = best_w == best_w[rows, v][:, None]
         if np.count_nonzero(cand) > nb:
             # Equal-weight frontier edges: take the smallest ticker pair.
+            cand &= free
             key = _pair_key(rank, best_from, np.arange(n))
             v = np.where(cand, key, np.iinfo(np.int64).max).argmin(axis=1)
-        else:
-            v = cand.argmax(axis=1)
         dst[:, step] = v
-        best_w[rows, v] = np.nan
+        best_w[rows, v] = np.inf
+        free[rows, v] = False
 
         dv = d[rows, v]
         better = dv < best_w
+        better &= free
         ties = dv == best_w
         if ties.any():
+            ties &= free
             tb, tu = np.nonzero(ties)
             better[tb, tu] = _pair_key(rank, v[tb], tu) < _pair_key(rank, best_from[tb, tu], tu)
         np.copyto(best_w, dv, where=better)
         np.copyto(best_from, v[:, None], where=better)
-    # A vertex's best_from is frozen once it joins: its NaN best_w never compares true.
+    # A vertex's best_from is frozen once it joins: `better` is gated by `free`.
     src = best_from[rows[:, None], dst]
     return src, dst, d[rows[:, None], src, dst]
 

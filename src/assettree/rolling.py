@@ -21,13 +21,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .correlation import pearson_matrix, to_distance
-from .errors import (
-    ConfigurationError,
-    DegenerateSeriesError,
-    InsufficientDataError,
-    MissingVertexError,
-)
+from .correlation import _correlate, _window, flat_rows, to_distance
+from .errors import ConfigurationError, InsufficientDataError, MissingVertexError
 from .ingestion import ReturnPanel
 from .metrics import PHASE_SUPERHUB, PhaseRule, summarize_batch
 from .mst import prim_batch
@@ -90,9 +85,11 @@ def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
     the tree leaves out. A chunk is up to B = max(1, 2T // N) consecutive
     spans that keep all N companies, whose correlations and then distances
     are written in place into one (B, N, N) stack for one `prim_batch`
-    call. A span with a flat company closes the running chunk and is a
-    chunk of its own, on the companies that remain; with fewer than 2 left
-    it raises InsufficientDataError, after every span before it is yielded.
+    call. Which companies are flat in which span comes from one
+    `flat_rows` pass over all spans. A span with a flat company closes the
+    running chunk and is a chunk of its own, on the companies that remain;
+    with fewer than 2 left it raises InsufficientDataError, after every
+    span before it is yielded.
     """
     n, t = panel.returns.shape
     size = max(1, 2 * t // n)
@@ -105,22 +102,20 @@ def _chunks(panel: ReturnPanel, spans: list[tuple[int, int]]):
             yield panel.tickers, rows, prim_batch(panel.tickers, stack[: len(rows)])
         rows = []
 
-    for start, end in spans:
+    for (start, end), flat in zip(spans, flat_rows(panel.returns, panel.log_scale, spans)):
         returns = panel.returns[:, start:end]
-        try:
-            rho = pearson_matrix(panel.tickers, returns, panel.log_scale, out=stack[len(rows)])
-        except DegenerateSeriesError as err:
+        if flat.any():
             yield from flush()
-            keep = [k for k, ticker in enumerate(panel.tickers) if ticker not in err.tickers]
+            keep = np.flatnonzero(~flat)
             if len(keep) < 2:
-                raise InsufficientDataError(
-                    "window [%d, %d) has fewer than 2 usable companies" % (start, end)
-                ) from err
+                raise InsufficientDataError("window [%d, %d) has fewer than 2 usable companies" % (start, end))
             tickers = [panel.tickers[k] for k in keep]
-            d = pearson_matrix(tickers, returns[keep], panel.log_scale[keep])
+            d = _correlate(_window(returns[keep]))
             to_distance(d, out=d)
-            yield tickers, [(start, end, err.tickers)], prim_batch(tickers, d[None])
+            dropped = tuple(panel.tickers[k] for k in np.flatnonzero(flat))
+            yield tickers, [(start, end, dropped)], prim_batch(tickers, d[None])
             continue
+        rho = _correlate(_window(returns), out=stack[len(rows)])
         to_distance(rho, out=rho)
         rows.append((start, end, ()))
         if len(rows) == size:

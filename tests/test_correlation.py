@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from assettree.correlation import pearson_matrix, to_distance
+from assettree.correlation import _FLAT_BLOCK_BYTES, FLAT_EPS, flat_rows, pearson_matrix, to_distance
 from assettree.errors import DegenerateSeriesError, InsufficientDataError
 from assettree.ingestion import ParseResult, align_and_filter
 
@@ -96,6 +97,77 @@ def test_constant_return_row_is_flat_without_prices():
     with pytest.raises(DegenerateSeriesError) as err:
         pearson_matrix(*panel_of([[0.1, 0.2, -0.1], [0.1, 0.1, 0.1]]))
     assert err.value.tickers == ("R1",)
+
+
+def flat_stretch_panel(width, step, scaled):
+    """(tickers, returns, log_scale): eight rows over 250 columns, flat stretches on window edges.
+
+    With s a window start near the middle: R1 is flat over exactly the
+    window [s, s + width), R2 from s to the last column of the window two
+    steps on, R3 from column 0 and R4 up to the last column. R5 is 0.25
+    nudged by 2e-15, flat only at a log_scale of ~10, R6 is zero on
+    [s, s + width), flat at any scale, and R7 is the constant log return of
+    a doubling price, flat only at its own log_scale. R0 is never flat.
+    """
+    t = 250
+    rng = np.random.default_rng(1000 * width + step)
+    returns = 0.01 * rng.standard_normal((8, t))
+    s = step * ((t - width) // (2 * step))
+    returns[1, s : s + width] = 0.25
+    returns[2, s : s + width + 2 * step] = -0.5
+    returns[3, : width + 1] = 0.125
+    returns[4, t - width - 1 :] = 0.125
+    returns[5, s : s + width] = 0.25 + 2e-15 * rng.integers(-1, 2, width)
+    returns[6, s : s + width] = 0.0
+    logs = np.log(100.0 * 2.0 ** np.arange(t + 1))
+    returns[7] = np.diff(logs)
+    log_scale = np.zeros(8)
+    if scaled:
+        log_scale = rng.uniform(5.0, 15.0, 8)
+        log_scale[7] = np.abs(logs).max()
+    return ["R%d" % k for k in range(8)], returns, log_scale
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["zero-log-scale", "log-scale"])
+@pytest.mark.parametrize("step", [1, 3, None], ids=["step1", "step3", "step-width"])
+@pytest.mark.parametrize("width", [25, 47, 250])
+def test_flat_rows_of_every_span_are_the_per_span_rule(width, step, scaled):
+    # 25 divides the 250 columns and 47 does not; 250 is the one full-panel span.
+    tickers, returns, log_scale = flat_stretch_panel(width, step or width, scaled)
+    spans = [(s, s + width) for s in range(0, 250 - width + 1, step or width)]
+    flat = flat_rows(returns, log_scale, spans)
+    expected = []
+    for start, end in spans:
+        high, low = returns[:, start:end].max(axis=1), returns[:, start:end].min(axis=1)
+        expected.append(high - low <= FLAT_EPS * (log_scale + np.maximum(high, -low)))
+    assert flat.shape == (len(spans), 8)
+    assert np.array_equal(flat, expected)
+    assert flat[:, 1].sum() == 1 and not flat[:, 0].any()
+    assert flat[:, 6].any() and flat[:, 5].any() == flat[:, 7].any() == scaled
+    for (start, end), row in zip(spans, flat):
+        named = tuple(tickers[k] for k in np.flatnonzero(row))
+        if named:
+            with pytest.raises(DegenerateSeriesError) as err:
+                pearson_matrix(tickers, returns[:, start:end], log_scale)
+            assert err.value.tickers == named
+        else:
+            pearson_matrix(tickers, returns[:, start:end], log_scale)
+
+
+def test_flat_rows_hold_one_row_block_at_a_time(rng):
+    n, t = 400, 2500
+    returns = rng.standard_normal((n, t))
+    spans = [(s, s + 250) for s in range(0, t - 250 + 1, 5)]
+    tracemalloc.start()
+    try:
+        flat = flat_rows(returns, np.zeros(n), spans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not flat.any()
+    # One row block is one 2,500-column row here; a whole-panel padded copy would be 8 MB.
+    block = max(_FLAT_BLOCK_BYTES, 8 * t)
+    assert peak < flat.nbytes + 8 * block
 
 
 def test_distance_into_out_matches_the_formula(rng):

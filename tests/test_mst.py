@@ -3,7 +3,7 @@ import pytest
 
 from assettree.errors import InsufficientDataError, InvariantError
 from assettree.exports import read_tree_edges, write_tree_edges
-from assettree.mst import Tree, check_tree, prim_batch
+from assettree.mst import Tree, _ticker_ranks, check_tree, prim_batch
 
 from conftest import dist_from_array, edge_list, path_max_weights, prim_mst, random_dist, tickers_for
 from oracles import UnionFind, brute_force_mst, kruskal_mst, preferential_attachment_tree, total_weight
@@ -85,23 +85,57 @@ def test_star_structured_distances_recover_the_star():
     assert edge_list(prim_mst(*dist)) == edge_list(brute_force_mst(*dist))
 
 
+def _symmetric(stack):
+    upper = np.triu(stack, 1)
+    return upper + upper.transpose(0, 2, 1)
+
+
+def _assert_batched_prim_matches_the_references(tickers, stack):
+    src, dst, w = prim_batch(tickers, stack)
+    others = sorted(set(range(len(tickers))) - {int(np.argmin(_ticker_ranks(tickers)))})
+    for b, d in enumerate(stack):
+        assert sorted(dst[b].tolist()) == others  # every vertex but the first joins once
+        tree = Tree.from_edges(tickers, src[b], dst[b], w[b])
+        references = [kruskal_mst(tickers, d)]
+        if len(tickers) <= 8:
+            references.append(brute_force_mst(tickers, d))
+        for expected in references:
+            assert edge_list(tree) == edge_list(expected)
+            assert tree.w.tobytes() == expected.w.tobytes()
+
+
 def test_batched_prim_resolves_ties_like_the_references(rng):
     # Four weight levels tie many frontier edges and many updates at once;
     # the all-equal matrix ties every one. Neither path runs without ties.
     for n in range(3, 41):
-        stack = np.concatenate((rng.integers(1, 5, size=(4, n, n)) * 0.25, np.ones((1, n, n))))
-        upper = np.triu(stack, 1)
-        stack = upper + upper.transpose(0, 2, 1)
+        stack = _symmetric(np.concatenate((rng.integers(1, 5, size=(4, n, n)) * 0.25, np.ones((1, n, n)))))
         tickers = ["T%02d" % k for k in rng.permutation(n)]
-        src, dst, w = prim_batch(tickers, stack)
-        for b, d in enumerate(stack):
-            tree = Tree.from_edges(tickers, src[b], dst[b], w[b])
-            references = [kruskal_mst(tickers, d)]
-            if n <= 8:
-                references.append(brute_force_mst(tickers, d))
-            for expected in references:
-                assert edge_list(tree) == edge_list(expected)
-                assert tree.w.tobytes() == expected.w.tobytes()
+        _assert_batched_prim_matches_the_references(tickers, stack)
+
+
+@pytest.mark.parametrize("n", [5, 8, 23])
+def test_batched_prim_crosses_infinite_distances_like_the_references(rng, n):
+    # Joined vertices sit at +inf in Prim's frontier too. Tree 0 has two
+    # blocks that only +inf edges join; in tree 1 the three largest
+    # tickers reach everything by +inf only, so the last steps' whole
+    # frontier is at +inf and only the ticker pair picks.
+    tickers = ["T%02d" % k for k in rng.permutation(n)]
+    stack = np.stack((rng.uniform(0.05, 2.0, (n, n)), rng.integers(1, 5, (n, n)) * 0.25))
+    part = rng.permutation(n)[: n // 2]
+    other = np.setdiff1d(np.arange(n), part)
+    stack[0][np.ix_(part, other)] = stack[0][np.ix_(other, part)] = np.inf
+    last = np.argsort(tickers)[-3:]
+    stack[1][last, :] = stack[1][:, last] = np.inf
+    _assert_batched_prim_matches_the_references(tickers, _symmetric(stack))
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_batched_prim_resolves_a_tie_in_one_tree_of_three(rng, n):
+    # Only tree 1 ties, so the stack takes the tie branch at steps where
+    # trees 0 and 2 have one cheapest edge each.
+    tickers = ["T%02d" % k for k in rng.permutation(n)]
+    stack = np.stack((rng.uniform(0.05, 2.0, (n, n)), rng.integers(1, 5, (n, n)) * 0.25, rng.uniform(0.05, 2.0, (n, n))))
+    _assert_batched_prim_matches_the_references(tickers, _symmetric(stack))
 
 
 def test_batched_prim_needs_two_vertices():
