@@ -74,11 +74,8 @@ def _load_run(args, stage: Stage):
     stage.name = "ingestion"
     with open(path, "rb") as source:
         parsed = parse_price_table(source)
-    for reject in parsed.rejected:
-        print(
-            "ingestion: line %d rejected (%s)" % (reject.line_number, reject.reason),
-            file=sys.stderr,
-        )
+    rejections = ("ingestion: line %d rejected (%s)\n" % (r.line_number, r.reason) for r in parsed.rejected)
+    sys.stderr.write("".join(rejections))  # one write for all the rows
     if not parsed.dates:
         raise ConfigurationError("no parseable records in %s" % path)
     start = bounds[0] or parsed.dates[0]

@@ -45,22 +45,23 @@ BAD_TICKER = re.compile(r'^#|[,"\\\x00-\x1f\x7f]')
 # price grammar: a non-ASCII space stays in the field and fails it.
 ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
 
-# Bytes read at a time. A chunk's arrays are alive at once: peak RSS of a
-# rolling run read 43-44 MB with 64-256 KiB chunks and 53 MB with 1 MiB.
+# Bytes read at a time. A chunk's arrays are alive at once: the CLI's own
+# peak RSS on an 800 x 1500 analyze run read 63.0 MB with 256 KiB chunks
+# and 65.9 MB with 1 MiB.
 CHUNK_BYTES = 1 << 18
 
 _PLAIN_HEADER = b"date,ticker,close"
 _BOM = b"\xef\xbb\xbf"
 
-# The longest ticker and price a chunk parses column-wise, in bytes;
-# longer ones go through the per-row rules. A chunk is padded with _PAD
-# on both sides, so that the 24 bytes before every line end and the 32
-# bytes after every line start can be read as words.
-_TICKER_BYTES, _PRICE_BYTES = 16, 24
-_PAD = bytes(32)
+# The longest price a chunk parses column-wise, in bytes, and the longest
+# ticker is 16; longer ones go through the per-row rules. A chunk's buffer
+# holds _PAD bytes to spare on both sides, so that the 24 bytes before every
+# line end and the 32 bytes after every line start can be read as words.
+_PRICE_BYTES = 24
+_PAD = 32
 
-# _KEEP[L] keeps the first L bytes of 16, as 2 little-endian words.
-_KEEP = np.where(np.arange(16) < np.arange(17)[:, None], 255, 0).astype(np.uint8).view("<u8")
+# _KEEP[L] keeps the first L bytes of a little-endian word.
+_KEEP = np.array([(1 << 8 * length) - 1 for length in range(9)], np.uint64)
 # _KEEP_TAIL[:, L] keeps the last L bytes of 24, as 3 little-endian words.
 _KEEP_TAIL = np.where(np.arange(24) >= 24 - np.arange(25)[:, None], 255, 0).astype(np.uint8).view("<u8").T.copy()
 
@@ -90,6 +91,11 @@ _LEAP = (_YEARS % 4 == 0) & ((_YEARS % 100 != 0) | (_YEARS % 400 == 0))
 _DATE_WORD = int.from_bytes(b"0000-00-", "little")
 _DASH_BYTES = 0xFF0000FF00000000
 _HIGH_NIBBLES = 0xF0F0F0F0F0F0F0F0
+_ONES, _HIGH_BITS = 0x0101010101010101, 0x8080808080808080  # a 1 and a high bit in each byte
+# The day less one of "DD" from the 16-bit little-endian word "DD" - "00",
+# clipped to the last entry: 255 where DD is no day of a month.
+_DAY_LESS_ONE = np.full(0x0A0A, 255, np.uint8)
+_DAY_LESS_ONE[np.arange(1, 32) // 10 + np.arange(1, 32) % 10 * 256] = np.arange(31)
 
 
 @dataclass
@@ -141,42 +147,96 @@ def parse_iso_date(text: str) -> Date:
     return Date(int(text[:4]), int(text[5:7]), int(text[8:]))
 
 
-def _chunks(stream: BinaryIO) -> Iterator[bytes]:
-    """The stream's bytes in chunks of whole lines, each line ending in "\\n".
+def _chunks(stream: BinaryIO) -> Iterator[tuple[bytearray, int, int]]:
+    """The stream's bytes in chunks of whole lines, each line ending in "\\n": buffer[start:stop].
 
-    Reads CHUNK_BYTES at a time and carries a cut line to the next chunk.
-    "\\r\\n" and a lone "\\r" become "\\n". A last line with no final newline
-    comes last, as it is.
+    Reads CHUNK_BYTES at a time into one reused buffer, with _PAD bytes
+    to spare before start and _PAD + 1 after stop, and carries a
+    cut line to the front of the next chunk. A chunk is valid until the next
+    one is read. "\\r\\n" and a lone "\\r" become "\\n". A last line with no
+    final newline comes last, as it is.
     """
-    carried: list[bytes] = []
-    while data := stream.read(CHUNK_BYTES):
-        while data.endswith(b"\r") and (more := stream.read(1)):  # "\r" | "\n" is one newline
-            data += more
-        if b"\r" in data:
+    start = _PAD
+    buf, stop = bytearray(start + CHUNK_BYTES + start + 1), start  # buf[start:stop] is carried
+    while True:
+        if len(buf) < stop + CHUNK_BYTES + start + 1:  # a line longer than a chunk
+            buf = buf[:stop] + bytes(max(len(buf), CHUNK_BYTES + start + 1))
+        with memoryview(buf) as view:
+            got = stream.readinto(view[stop : stop + CHUNK_BYTES])
+        if not got:
+            break
+        end = stop + got
+        if buf.find(b"\r", stop, end) >= 0:
+            data = bytes(buf[stop:end])
+            while data.endswith(b"\r") and (more := stream.read(1)):  # "\r" | "\n" is one newline
+                data += more
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        cut = data.rfind(b"\n") + 1
+            buf, end = buf[:stop] + data + bytes(start + 1), stop + len(data)
+        cut = buf.rfind(b"\n", stop, end) + 1
+        stop = end
         if cut:
-            yield b"".join([*carried, data[:cut]])
-            carried = [data[cut:]]
-        else:
-            carried.append(data)
-    if rest := b"".join(carried):
-        yield rest
+            yield buf, start, cut
+            buf[start : start + stop - cut] = buf[cut:stop]
+            stop = start + stop - cut
+    if stop > start:
+        yield buf, start, stop
 
 
-def _ordinals(ymd: np.ndarray, dd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordinals of YYYY-MM-DD dates, and which are dates, from the words at their bytes 0 and 8."""
-    x = ymd ^ _DATE_WORD  # "YYYY-MM-"
-    d = dd & 0xFFFF ^ 0x3030  # "DD"
+def _bytes_below(x: np.ndarray, byte: int) -> np.ndarray:
+    """The high bit of each byte of x below `byte` <= 128, and maybe of bytes above such a byte."""
+    return (x - byte * _ONES) & ~x & _HIGH_BITS
+
+
+def _bytes_above(x: np.ndarray, byte: int) -> np.ndarray:
+    """The high bit of each byte of x above `byte` < 128, and maybe of bytes above such a byte."""
+    return ((x + (127 - byte) * _ONES) | x) & _HIGH_BITS
+
+
+def _bytes_equal(x: np.ndarray, byte: int) -> np.ndarray:
+    """The high bit of each byte of x equal to `byte`, and maybe of bytes above such a byte."""
+    return _bytes_below(x ^ byte * _ONES, 1)
+
+
+def _first_byte(x: np.ndarray, byte: int) -> np.ndarray:
+    """The place 0-7 of the first byte equal to `byte` in each little-endian word of x; 8 where none is."""
+    flags = _bytes_equal(x, byte)
+    flags &= -flags  # the first one's high bit
+    flags -= 1
+    return np.bitwise_count(flags) >> 3
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Where each run of equal items of x, or of equal rows of a 2-d x, starts."""
+    differs = x[1:] != x[:-1]
+    if x.ndim > 1:
+        differs = differs.any(axis=1)
+    return np.flatnonzero(np.concatenate(([len(x) > 0], differs)))
+
+
+def _expand(values: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """The value (or row) of each run, whose starts are given, on each of the n items."""
+    return values if len(starts) == n else np.repeat(values, np.diff(starts, append=n), axis=0)
+
+
+def _ordinals(date: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordinals of YYYY-MM-DD dates, and which are dates, from the 2 little-endian words at their byte 0.
+
+    The year and month are read once per run of equal "YYYY-MM-" words, the day on every row.
+    """
+    ymd = date[:, 0]
+    starts = _run_starts(ymd)
+    x = ymd[starts] ^ _DATE_WORD
     # A byte holds a digit's value when it and it + 6 are both below 16.
-    ok = ((x | x + 0x0606060606060606) & _HIGH_NIBBLES | x & _DASH_BYTES | (d | d + 0x0606) & 0xF0F0) == 0
+    ok = ((x | x + 0x0606060606060606) & _HIGH_NIBBLES | x & _DASH_BYTES) == 0
     pairs = x * 10 + (x >> 8)  # two-digit values in bytes 0 and 2 (the year) and 5 (the month)
-    year = np.minimum((pairs & 0xFF) * 100 + (pairs >> 16 & 0xFF), 9999)
-    month = np.minimum(pairs >> 40 & 0xFF, 13)
-    day = ((d & 0xFF) * 10 + (d >> 8)).view(np.int64)
-    leap = _LEAP[year]
-    ok &= (year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
-    return _DAYS_BEFORE_YEAR[year] + _DAYS_BEFORE[month] + (leap & (month > 2)) + day, ok
+    year = np.minimum((pairs & 0xFF) * 100 + (pairs >> 16 & 0xFF), 9999).view(np.int64)
+    month = np.minimum(pairs >> 40 & 0xFF, 13).view(np.int64)
+    leap = _LEAP.take(year)
+    before = _DAYS_BEFORE_YEAR.take(year) + _DAYS_BEFORE.take(month) + (leap & (month > 2)) + 1
+    days = (_MONTH_DAYS.take(month) + (leap & (month == 2))) * (ok & (year >= 1))  # 0: no day is valid
+    day = _DAY_LESS_ONE.take(date.view("<u2")[:, 4] - 0x3030, mode="clip")  # "DD", bytes 8-9
+    n = len(ymd)
+    return _expand(before, starts, n) + day, day < _expand(days.astype(np.uint8), starts, n)
 
 
 @cache
@@ -380,8 +440,10 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
     """
     code_of_ticker: dict[str, int] = {}  # accepted tickers, a grid row each, in the order first met
     first_lines: list[int] = []  # each landed row's first accepted line
+    known_keys = np.empty(0, "S16")  # take_chunk's ticker keys so far, sorted, and their codes
+    known_codes = np.empty(0, np.int64)
     days = np.empty(0, np.int64)  # the accepted dates' ordinals, a grid column each, in the order first met
-    by_day = days  # the columns in date order
+    by_day = sorted_days = days  # the columns in date order, and their dates
     ordinal_of_text: dict[str, int] = {}  # each distinct date text parsed once; 0 if unparseable
     grid = np.empty((0, 0))  # prices by row and column, NaN where no record; grown by doubling
     staged: list[tuple[int, int, int, float]] = []  # take_row's records: row, ordinal, line and price
@@ -443,115 +505,219 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         except csv.Error as err:  # such as a field over csv.field_size_limit()
             raise FormatError("line %d: %s" % (line, err)) from None
 
-    def land(codes=(), ordinals=(), lines=(), prices=()) -> None:
-        """Write the staged rows and the given column-wise ones into the grid, unless one repeats a record."""
-        nonlocal days, by_day, grid, duplicate
-        dtypes = (np.int64, np.int64, np.int64, np.float64)
-        slow = list(zip(*staged)) or [()] * 4
-        codes, ordinals, lines, prices = (
-            np.concatenate([np.asarray(given, dtype), np.array(column, dtype)])
-            for given, column, dtype in zip((codes, ordinals, lines, prices), slow, dtypes)
-        )
-        staged.clear()
-        if duplicate:
-            return
-        by_line = np.argsort(lines, kind="stable")  # the column-wise rows and take_row's, merged
-        codes, ordinals, lines, prices = codes[by_line], ordinals[by_line], lines[by_line], prices[by_line]
-        rows, first = np.unique(codes, return_index=True)  # each ticker's first line here
-        first_lines.extend(lines[first[rows >= len(first_lines)]].tolist())  # new tickers all have one
-        distinct, at = np.unique(ordinals, return_inverse=True)
-        new = distinct[np.isin(distinct, days, invert=True)]
+    def add_days(new: np.ndarray) -> None:
+        """New grid columns for the given dates, which are sorted and new."""
+        nonlocal days, by_day, sorted_days
         days = np.concatenate([days, new])
         by_day = np.argsort(days)
-        columns = by_day[np.searchsorted(days, distinct, sorter=by_day)][at]
+        sorted_days = days[by_day]
+
+    def columns_of(ordinals: np.ndarray) -> np.ndarray:
+        """The grid column of each date, adding columns for dates not met before."""
+        first = int(ordinals.min())
+        span = int(ordinals.max()) - first + 1
+        if span <= 4 * len(ordinals):  # a table of columns over the dates' span, 4 entries a record at most
+            column = np.full(span, -1)
+            i, j = np.searchsorted(sorted_days, [first, first + span])
+            column[sorted_days[i:j] - first] = by_day[i:j]
+            offsets = ordinals - first
+            columns = column.take(offsets)
+            if columns.min() < 0:
+                unseen = np.zeros(span, bool)
+                unseen[offsets[columns < 0]] = True
+                new = np.flatnonzero(unseen)
+                column[new] = np.arange(len(days), len(days) + len(new))
+                add_days(new + first)
+                columns = column.take(offsets)
+            return columns
+        starts = _run_starts(ordinals)  # a lookup per run of equal dates
+        distinct = ordinals[starts]
+        at = np.searchsorted(sorted_days, distinct)
+        seen = sorted_days.take(at, mode="clip") == distinct if len(days) else np.zeros(len(at), bool)
+        if not seen.all():
+            add_days(np.unique(distinct[~seen]))
+            at = np.searchsorted(sorted_days, distinct)
+        return _expand(by_day[at], starts, len(ordinals))
+
+    def land(codes=None, ordinals=None, lines=None, prices=None) -> None:
+        """Write the staged rows and the given column-wise ones into the grid, unless one repeats a record.
+
+        The given rows are in line order, and so are the staged ones; only
+        when both are there are they merged by line.
+        """
+        nonlocal grid, duplicate
+        if staged:
+            dtypes = (np.int64, np.int64, np.int64, np.float64)
+            slow = [np.array(column, dtype) for column, dtype in zip(zip(*staged), dtypes)]
+            staged.clear()
+            if codes is None:
+                codes, ordinals, lines, prices = slow
+            else:  # the column-wise rows and take_row's, merged
+                merged = [np.concatenate(pair) for pair in zip((codes, ordinals, lines, prices), slow)]
+                by_line = np.argsort(merged[2], kind="stable")
+                codes, ordinals, lines, prices = (column[by_line] for column in merged)
+        if codes is None or not len(codes) or duplicate:
+            return
+        known = len(first_lines)
+        if len(code_of_ticker) > known:  # new tickers, each with a record here: their first lines
+            new = codes >= known
+            first = np.full(len(code_of_ticker) - known, lines[-1])
+            np.minimum.at(first, codes[new] - known, lines[new])
+            first_lines.extend(first.tolist())
+        columns = columns_of(ordinals)
         need = (len(code_of_ticker), len(days))
         grow = [0 if n <= size else max(n - size, size) for n, size in zip(need, grid.shape)]  # doubling
         if any(grow):
             grid = np.pad(grid, [(0, extra) for extra in grow], constant_values=np.nan)
         cells = codes * grid.shape[1] + columns
         repeats = ~np.isnan(grid.take(cells))  # filled by earlier landings, which hold earlier lines
+        if not repeats.any():
+            # Each record puts its position into its cell and reads the cell back:
+            # one that reads another position shares its cell with that record.
+            positions = np.arange(len(cells), dtype=np.float64)
+            grid.put(cells, positions)
+            if np.array_equal(grid.take(cells), positions):
+                grid.put(cells, prices)
+                return
         order = np.argsort(cells, kind="stable")  # each cell's lines in line order
         repeats[order[1:][cells[order[1:]] == cells[order[:-1]]]] = True  # or by an earlier line here
-        if repeats.any():
-            k = int(np.argmax(repeats))
-            ticker, day = list(code_of_ticker)[codes[k]], Date.fromordinal(int(ordinals[k]))
-            duplicate = "duplicate record for (%s, %s) at line %d" % (ticker, day, lines[k])
-        else:
-            np.put(grid, cells, prices)
+        k = int(np.argmax(repeats))
+        ticker, day = list(code_of_ticker)[codes[k]], Date.fromordinal(int(ordinals[k]))
+        duplicate = "duplicate record for (%s, %s) at line %d" % (ticker, day, lines[k])
 
-    def text_lines(chunks: Iterable[bytes]) -> Iterator[str]:
+    def text_lines(chunks: Iterable[tuple[bytearray, int, int]]) -> Iterator[str]:
         """The chunks' lines as strict UTF-8 text, each with its "\\n"; lands the staged rows before each chunk."""
-        for chunk in chunks:
+        for buf, lo, hi in chunks:
             land()
-            for line in chunk.splitlines(keepends=True):  # "\n" is the only line end left
+            for line in buf[lo:hi].splitlines(keepends=True):  # "\n" is the only line end left
                 yield line.decode("utf-8")
 
-    def take_chunk(line_number: int, chunk: bytes) -> int:
-        """Parse a chunk's plain lines column-wise and the rest with take_row, and land them; the next line number."""
+    def codes_of(keys: np.ndarray) -> np.ndarray:
+        """The codes of take_chunk's sorted ticker keys; the keys no earlier chunk met are decoded and coded."""
+        nonlocal known_keys, known_codes
+        at = np.searchsorted(known_keys, keys)
+        if len(known_keys):
+            near = np.minimum(at, len(known_keys) - 1)
+            codes, new = known_codes[near], known_keys[near] != keys
+        else:
+            codes, new = np.zeros(len(keys), np.int64), np.ones(len(keys), bool)
+        if new.any():
+            halves = keys[new].view(">u8").reshape(-1, 2).tolist()
+            names = [(low.to_bytes(8, "little") + high.to_bytes(8, "little")).rstrip(b"\0") for high, low in halves]
+            codes[new] = [code_of_ticker.setdefault(name.decode(), len(code_of_ticker)) for name in names]
+            known_keys = np.insert(known_keys, at[new], keys[new])
+            known_codes = np.insert(known_codes, at[new], codes[new])
+        return codes
+
+    def take_chunk(line_number: int, buf: bytearray, lo: int, hi: int) -> int:
+        """Parse buf[lo:hi]: plain lines column-wise, the rest with take_row; land them. The next line number."""
         nonlocal work
-        if not chunk.endswith(b"\n"):
-            chunk += b"\n"  # the last line of a file with no final newline
-        padded = b"".join([_PAD, chunk, _PAD])
-        a = np.frombuffer(padded, np.uint8, offset=len(_PAD))
-        body = a[: len(chunk)]
-        words = np.ndarray((len(a) - 7,), "<u8", padded, len(_PAD), (1,))  # the 8 bytes from each byte on
-        tails = np.ndarray((3, len(chunk)), "<u8", padded, len(_PAD) - 24, (8, 1))  # the 24 bytes before each byte
-        seps = np.flatnonzero(body <= 44)  # newlines and commas, and bytes such as space or "+"
-        marks = body[seps]
-        odd = seps[(marks <= 32) & (marks != 10)]  # whitespace or a control byte
-        if body.max() > 126 or b"\\" in chunk:
-            odd = np.concatenate([odd, np.flatnonzero((body > 126) | (body == 92))])
-        sep = (marks == 10) | (marks == 44)
-        seps, marks = seps[sep], marks[sep]
-        at = np.flatnonzero(marks == 10)  # each line's newline, among seps
-        n = len(at)
-        ends = seps[at]
-        plain = np.diff(at, prepend=-1) == 3  # two commas on the line
-        # A plain line's commas are the two separators before its newline (clipped for a first line).
-        at -= 1
-        second = seps.take(at, mode="clip")
-        at -= 1
-        first = seps.take(at, mode="clip")
-        if len(odd):
-            plain[np.searchsorted(ends, odd)] = False
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        ticker_len, price_len = second - first - 1, ends - second - 1
-        plain &= (first - starts == 10) & (ticker_len >= 1) & (ticker_len <= _TICKER_BYTES)
-        plain &= a[first + 1] != ord("#")  # take_row rejects such a ticker
-        plain &= (price_len >= 1) & (price_len <= _PRICE_BYTES) & (ends - starts <= csv.field_size_limit())
-        k = np.flatnonzero(plain)
+        if buf[hi - 1] != 10:
+            buf[hi] = 10  # the last line of a file with no final newline
+            hi += 1
+        size = hi - lo
+        a = np.frombuffer(buf, np.uint8, size + _PAD, lo)
+        body = a[:size]
+        words = np.ndarray((size + 24,), "<u8", buf, lo, (1,))  # the 8 bytes from each byte on
+        pairs = np.ndarray((size + 16,), "V16", buf, lo, (1,))  # the 16 bytes from each byte on
+        tails = np.ndarray((size,), "V24", buf, lo - 24, (1,))  # the 24 bytes before each byte
+        ends = np.flatnonzero(body == 10)  # each line's newline
+        n = len(ends)
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        np.add(ends[:-1], 1, out=starts[1:])
+        # A plain line is YYYY-MM-DD,ticker,price. Its date's bytes are checked
+        # with their value and its price's by the conversion. Its ticker holds
+        # 1-16 bytes, none of them a comma, below "!", above "~" or "\\", and
+        # does not begin with "#". Line bytes 8-10 end the date with a comma, and
+        # a ticker's bytes 0-7 and 8-15 start at line bytes 11 and 19; the
+        # second word is read only on lines with no comma in the first.
+        date = pairs[starts].view("<u8").reshape(-1, 2)
+        odd_bytes = body.max() > 126 or buf.find(b"\\", lo, hi) >= 0
 
-        ordinals, ok = _ordinals(words[starts[k]], words[starts[k] + 8])
-        if len(k) > work.shape[1]:
-            work = np.empty((_WORK_ROWS, len(k)), np.uint64)
-        closes, exact = _decimal_values(tails[:, ends[k]], price_len[k], work)
+        def ticker_word(word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """The bytes before the word's first comma, kept in place, and how many; nonzero where one is bad."""
+            length = _first_byte(word, 44)
+            bad = _bytes_below(word, 33)
+            if odd_bytes:
+                bad |= _bytes_above(word, 126) | _bytes_equal(word, 92)
+            keep = _KEEP.take(length)
+            bad &= keep
+            word &= keep
+            return length, bad
+
+        low = words[starts + 11]
+        ticker_len, bad = ticker_word(low)
+        high = np.zeros(n, np.uint64)
+        longer = np.flatnonzero(ticker_len == 8)
+        if len(longer):
+            at = starts[longer] + 19
+            second = words[at]
+            second_len, second_bad = ticker_word(second)
+            second_bad |= (second_len == 8) & (a[at + 8] != 44)  # 16 bytes and no comma after them
+            ticker_len[longer] += second_len
+            bad[longer] |= second_bad
+            high[longer] = second
+        price_len = ends - starts
+        price_len -= 12
+        price_len -= ticker_len
+        plain = (bad == 0) & (ticker_len != 0) & (date[:, 1] & 0xFF0000 == 0x2C0000) & (low & 0xFF != ord("#"))
+        plain &= (price_len >= 1) & (price_len <= _PRICE_BYTES)
+        if csv.field_size_limit() < size:
+            plain &= ends - starts <= csv.field_size_limit()
+
+        # Every line is converted, and the lines the checks pass are kept.
+        ordinals, ok = _ordinals(date)
+        if n > work.shape[1]:
+            work = np.empty((_WORK_ROWS, n), np.uint64)
+        closes, exact = _decimal_values(tails[ends].view("<u8").reshape(-1, 3).T, price_len, work)
+        ok &= plain
         ok &= exact  # the per-row rules judge the rest, such as "n/a", "0" or "1e999"
-        k, ordinals, closes = k[ok], ordinals[ok], closes[ok]
-        for s in np.delete(np.arange(n), k).tolist():  # each a line of its own: the chunk holds no quote
-            take_rows(csv.reader([chunk[starts[s] : ends[s] + 1].decode("utf-8")]), line_number + s)
+        if ok.all():
+            k = np.arange(n)
+        else:  # one csv.reader over the other lines, each a record: the chunk holds no quote
+            k = np.flatnonzero(ok)
+            low, high, ordinals, closes = (column.take(k) for column in (low, high, ordinals, closes))
+            rest = np.flatnonzero(~ok)
+            spans = zip((rest + line_number).tolist(), (starts[rest] + lo).tolist(), (ends[rest] + lo + 1).tolist())
+            line = line_number
 
-        # A ticker's bytes 0-7 and 8-15 start at line bytes 11 and 19.
-        ticker_len = ticker_len[k]
-        keys = words[starts[k] + 11] & _KEEP[ticker_len, 0]
-        if len(k) and ticker_len.max() > 8:
-            high = words[starts[k] + 19] & _KEEP[ticker_len, 1]
-            keys = np.stack([keys, high], axis=1).view("S16").ravel()
-        keys, tickers = np.unique(keys, return_inverse=True)
-        names = [name.decode() for name in keys.view("S%d" % keys.itemsize).tolist()]
-        codes = [code_of_ticker.setdefault(name, len(code_of_ticker)) for name in names]
-        land(np.array(codes, np.int64)[tickers], ordinals, k + line_number, closes)
+            def texts() -> Iterator[str]:
+                nonlocal line
+                for line, start, stop in spans:
+                    yield buf[start:stop].decode("utf-8")
+
+            try:
+                for row in csv.reader(texts()):
+                    take_row(line, row)
+            except csv.Error as err:  # such as a field over csv.field_size_limit()
+                raise FormatError("line %d: %s" % (line, err)) from None
+
+        # Keys hold a ticker's bytes 8-15 and 0-7 as big-endian words, in that
+        # order, so that they sort as bytes 0-7 alone when no ticker is longer.
+        if high.any():
+            keys = np.stack([high, low], axis=1)
+            runs = _run_starts(keys)  # a lookup per run of equal tickers
+            keys, tickers = np.unique(keys[runs].astype(">u8").view("S16").ravel(), return_inverse=True)
+        else:
+            runs = _run_starts(low)
+            keys, tickers = np.unique(low[runs], return_inverse=True)
+            keys = np.stack([np.zeros_like(keys), keys], axis=1).astype(">u8").view("S16").ravel()
+        land(_expand(codes_of(keys)[tickers], runs, len(k)), ordinals, k + line_number, closes)
         return line_number + n
 
     chunks = _chunks(io.BytesIO(source.encode("utf-8")) if isinstance(source, str) else source)
-    head = next(chunks, b"").removeprefix(_BOM)
-    if not head:
+    buf, lo, hi = next(chunks, (b"", 0, 0))
+    if buf.startswith(_BOM, lo, hi):
+        lo += len(_BOM)
+    if lo == hi:
         raise FormatError("missing header row")
-    cut = head.find(b"\n") + 1 or len(head)
-    if head[:cut] in (_PLAIN_HEADER, _PLAIN_HEADER + b"\n"):
+    cut = buf.find(b"\n", lo, hi) + 1 or hi
+    if buf[lo:cut] in (_PLAIN_HEADER, _PLAIN_HEADER + b"\n"):
         width, pick = len(COLUMNS), itemgetter(0, 1, 2)
-        chunks = chain([head[cut:]], chunks)
+        chunks = chain([(buf, cut, hi)], chunks)
     else:
-        reader = csv.reader(text_lines(chain([head], chunks)))
+        reader = csv.reader(text_lines(chain([(buf, lo, hi)], chunks)))
         try:
             header = next(reader)
         except csv.Error as err:
@@ -563,21 +729,24 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         take_rows(reader, 1)  # which reads every chunk
 
     line_number = 2
-    for chunk in chunks:
-        if b'"' in chunk:  # a quoted field can span lines: csv.reader reads the rest
-            take_rows(csv.reader(text_lines(chain([chunk], chunks))), line_number)
+    for buf, lo, hi in chunks:
+        if buf.find(b'"', lo, hi) >= 0:  # a quoted field can span lines: csv.reader reads the rest
+            take_rows(csv.reader(text_lines(chain([(buf, lo, hi)], chunks))), line_number)
             break
-        if chunk:
-            line_number = take_chunk(line_number, chunk)
+        if lo < hi:
+            line_number = take_chunk(line_number, buf, lo, hi)
     land()
     del work  # before the result, which with the grid sets the parse's peak memory
 
     if duplicate:
         raise DuplicateRecordError(duplicate)
     rows = np.argsort(first_lines)  # tickers by first accepted line
-    prices = grid[np.ix_(rows, by_day)]
+    if np.array_equal(rows, np.arange(len(rows))) and np.array_equal(by_day, np.arange(len(by_day))):
+        prices = grid[: len(rows), : len(by_day)].copy()  # already in order, as a file in line order leaves it
+    else:
+        prices = grid[np.ix_(rows, by_day)]
     tickers = sorted(code_of_ticker, key=lambda ticker: first_lines[code_of_ticker[ticker]])
-    dates = [Date.fromordinal(day) for day in days[by_day].tolist()]
+    dates = [Date.fromordinal(day) for day in sorted_days.tolist()]
     return ParseResult(tickers, dates, prices, rejected)
 
 

@@ -333,6 +333,65 @@ def test_parse_orders_tickers_by_first_accepted_line_and_dates_by_day(monkeypatc
     assert [(r.line_number, r.reason) for r in result.rejected] == [(2, "unparseable price 'n/a'")]
 
 
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+def test_parse_repeat_at_an_equal_price_is_a_duplicate(monkeypatch, chunk_bytes):
+    # Every repeat holds the price of the record it repeats, so only the cell tells them apart.
+    monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
+    filler = "".join("2005-01-03,F%05d,1\n" % i for i in range(chunk_bytes // 19 + 1))  # over a chunk
+    cases = [
+        ("2005-01-03,A,1.5\n2005-01-04,A,2.5\n2005-01-03,A,1.5\n", 4),  # two lines in one chunk
+        ("2005-01-03,A,1.5\n" + filler + "2005-01-03,A,1.5\n", 3 + filler.count("\n")),  # across a boundary
+        ("2005-01-03,A,1.5\n2005-01-03,A,1.5\n2005-01-03,A,1.5\n", 3),  # three lines on one cell
+    ]
+    for body, line in cases:
+        with pytest.raises(DuplicateRecordError, match=r"^duplicate record for \(A, 2005-01-03\) at line %d$" % line):
+            parse_price_table(HEADER + body)
+
+
+def _run_bodies(seed):
+    """One seeded grid rendered ticker-major and date-major, with runs of dates and tickers to cut.
+
+    Its days cross a month end; company C misses one day and ONE has one
+    line; the tickers hold 1-16 bytes. Inside each run of valid dates (and
+    of tickers, date-major) sit a 2005-13-01, a 2005-02-30 and an "n/a" line.
+    """
+    rng = np.random.default_rng(seed)
+    tickers = ["A", "LONGNAME9", "C", "SIXTEEN_BYTES_XY", "ONE", "BB"]
+    days = [date(2005, 1, 20) + timedelta(days=d) for d in range(20)]
+    cells = {
+        (ticker, day): ["%.17g", "%r", "%.6e"][rng.integers(3)] % 10 ** rng.uniform(-5, 5)
+        for ticker in tickers
+        for day in (days[5:6] if ticker == "ONE" else days)
+        if (ticker, day) != ("C", days[12])
+    }
+    odd = ["2005-13-01,%s,1\n", "2005-02-30,%s,1\n", "%s,%%s,n/a\n" % days[7]]
+    ticker_major, date_major = [], []
+    for ticker in tickers:
+        ticker_major += ["%s,%s,%s\n" % (day, ticker, cells[ticker, day]) for day in days if (ticker, day) in cells]
+        ticker_major.insert(len(ticker_major) - 4, odd[len(ticker_major) % 3] % ticker)
+    for day in days:
+        date_major += ["%s,%s,%s\n" % (day, ticker, cells[ticker, day]) for ticker in tickers if (ticker, day) in cells]
+        if day.day % 4 == 0:
+            date_major.insert(len(date_major) - 2, odd[day.day % 3] % tickers[day.day % len(tickers)])
+    return "".join(ticker_major), "".join(date_major)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_parse_runs_of_dates_and_tickers_match_the_csv_reader(monkeypatch, seed):
+    bodies = _run_bodies(seed)
+    references = [parse_price_table(REFERENCE_HEADER + body) for body in bodies]
+    assert [len(reference.rejected) for reference in references] == [6, 5]
+    for chunk_bytes in CHUNK_SIZES:
+        monkeypatch.setattr(ingestion, "CHUNK_BYTES", chunk_bytes)
+        grids = []
+        for body, reference in zip(bodies, references):
+            result = parse_price_table(HEADER + body)
+            _assert_same_parse(result, reference)
+            grids.append(result.prices[np.argsort(result.tickers)])  # dates come sorted
+        assert grids[0].tobytes() == grids[1].tobytes()
+        assert np.isnan(grids[0]).sum() == 19 + 1  # ONE's other days and C's hole
+
+
 def test_parse_memory_follows_the_records_not_the_calendar():
     # Four records 9,999 years apart: the parse holds the grid, grown by
     # doubling to under 4 times the result's cells, the result, and one
