@@ -18,13 +18,14 @@ import csv
 import io
 import math
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date
 from functools import cache
 from itertools import chain
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -495,15 +496,15 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
             code = code_of_ticker[ticker] = len(code_of_ticker)
         staged.append((code, ordinal, line_number, price))
 
-    def take_rows(reader, first: int) -> None:
-        """take_row on each record of a csv.reader whose first line is line `first`."""
-        line = first + reader.line_num  # the line the next record starts on
+    def take_rows(reader, lines: Sequence[int]) -> None:
+        """take_row on each record of a csv.reader whose k-th line read, from 0, is line lines[k] of the file."""
+        read = reader.line_num  # the lines read so far: the next record starts on lines[read]
         try:
             for row in reader:
-                take_row(line, row)
-                line = first + reader.line_num
+                take_row(lines[read], row)
+                read = reader.line_num
         except csv.Error as err:  # such as a field over csv.field_size_limit()
-            raise FormatError("line %d: %s" % (line, err)) from None
+            raise FormatError("line %d: %s" % (lines[read], err)) from None
 
     def add_days(new: np.ndarray) -> None:
         """New grid columns for the given dates, which are sorted and new."""
@@ -514,28 +515,13 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
 
     def columns_of(ordinals: np.ndarray) -> np.ndarray:
         """The grid column of each date, adding columns for dates not met before."""
-        first = int(ordinals.min())
-        span = int(ordinals.max()) - first + 1
-        if span <= 4 * len(ordinals):  # a table of columns over the dates' span, 4 entries a record at most
-            column = np.full(span, -1)
-            i, j = np.searchsorted(sorted_days, [first, first + span])
-            column[sorted_days[i:j] - first] = by_day[i:j]
-            offsets = ordinals - first
-            columns = column.take(offsets)
-            if columns.min() < 0:
-                unseen = np.zeros(span, bool)
-                unseen[offsets[columns < 0]] = True
-                new = np.flatnonzero(unseen)
-                column[new] = np.arange(len(days), len(days) + len(new))
-                add_days(new + first)
-                columns = column.take(offsets)
-            return columns
         starts = _run_starts(ordinals)  # a lookup per run of equal dates
         distinct = ordinals[starts]
         at = np.searchsorted(sorted_days, distinct)
         seen = sorted_days.take(at, mode="clip") == distinct if len(days) else np.zeros(len(at), bool)
         if not seen.all():
-            add_days(np.unique(distinct[~seen]))
+            new = np.sort(distinct[~seen])  # not np.unique, which imports numpy.ma (~1.5 MB of resident memory)
+            add_days(new[_run_starts(new)])
             at = np.searchsorted(sorted_days, distinct)
         return _expand(by_day[at], starts, len(ordinals))
 
@@ -679,19 +665,9 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
             k = np.flatnonzero(ok)
             low, high, ordinals, closes = (column.take(k) for column in (low, high, ordinals, closes))
             rest = np.flatnonzero(~ok)
-            spans = zip((rest + line_number).tolist(), (starts[rest] + lo).tolist(), (ends[rest] + lo + 1).tolist())
-            line = line_number
-
-            def texts() -> Iterator[str]:
-                nonlocal line
-                for line, start, stop in spans:
-                    yield buf[start:stop].decode("utf-8")
-
-            try:
-                for row in csv.reader(texts()):
-                    take_row(line, row)
-            except csv.Error as err:  # such as a field over csv.field_size_limit()
-                raise FormatError("line %d: %s" % (line, err)) from None
+            spans = zip((starts[rest] + lo).tolist(), (ends[rest] + lo + 1).tolist())
+            texts = (buf[start:stop].decode("utf-8") for start, stop in spans)  # decoded as the reader reads
+            take_rows(csv.reader(texts), (rest + line_number).tolist())
 
         # Keys hold a ticker's bytes 8-15 and 0-7 as big-endian words, in that
         # order, so that they sort as bytes 0-7 alone when no ticker is longer.
@@ -726,12 +702,12 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
         if any(names.count(c) != 1 for c in COLUMNS):
             raise FormatError("malformed header: expected date, ticker, close once each, got %r" % (header,))
         width, pick = len(header), itemgetter(*(names.index(c) for c in COLUMNS))
-        take_rows(reader, 1)  # which reads every chunk
+        take_rows(reader, range(1, sys.maxsize))  # which reads every chunk
 
     line_number = 2
     for buf, lo, hi in chunks:
         if buf.find(b'"', lo, hi) >= 0:  # a quoted field can span lines: csv.reader reads the rest
-            take_rows(csv.reader(text_lines(chain([(buf, lo, hi)], chunks))), line_number)
+            take_rows(csv.reader(text_lines(chain([(buf, lo, hi)], chunks))), range(line_number, sys.maxsize))
             break
         if lo < hi:
             line_number = take_chunk(line_number, buf, lo, hi)
@@ -741,10 +717,7 @@ def parse_price_table(source: str | BinaryIO) -> ParseResult:
     if duplicate:
         raise DuplicateRecordError(duplicate)
     rows = np.argsort(first_lines)  # tickers by first accepted line
-    if np.array_equal(rows, np.arange(len(rows))) and np.array_equal(by_day, np.arange(len(by_day))):
-        prices = grid[: len(rows), : len(by_day)].copy()  # already in order, as a file in line order leaves it
-    else:
-        prices = grid[np.ix_(rows, by_day)]
+    prices = grid[np.ix_(rows, by_day)]
     tickers = sorted(code_of_ticker, key=lambda ticker: first_lines[code_of_ticker[ticker]])
     dates = [Date.fromordinal(day) for day in sorted_days.tolist()]
     return ParseResult(tickers, dates, prices, rejected)
