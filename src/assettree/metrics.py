@@ -247,12 +247,7 @@ def summarize_batch(
 def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
     """Degrees, phase (with its fit, None if underdetermined), center, NTL, MOL.
 
-    The B = 1 call of `summarize_batch`, each edge pointed away from
-    vertex 0 by the walk of `check_tree`, which raises InvariantError if
-    the tree is not a spanning tree with finite, non-negative weights.
-    The edges go in level by level, a join order from vertex 0.
+    The B = 1 call of `summarize_batch` on the join-order columns of
+    `check_tree`, which raises InvariantError unless `tree` is a spanning tree.
     """
-    level = np.array(check_tree(tree))
-    src, dst = np.where(level[tree.i] < level[tree.j], (tree.i, tree.j), (tree.j, tree.i))
-    order = np.argsort(level[dst], kind="stable")[None]
-    return summarize_batch(tree.tickers, src[order], dst[order], tree.w[order], 0, rule)[0][0]
+    return summarize_batch(tree.tickers, *check_tree(tree), 0, rule)[0][0]

@@ -14,8 +14,9 @@ is the correlation matrix as numpy's `np.corrcoef` gives it, made
 exactly symmetric. `total_weight`, `degree_histogram`,
 `normalized_tree_length` and `mean_occupation_layer` read the total
 weight, degree histogram, NTL and MOL off a `Tree` directly, its
-degrees, edge weights and breadth-first levels, as references for
-`mst.prim_batch` and `metrics.summarize_batch`.
+degrees, edge weights and breadth-first `levels`, as references for
+`mst.prim_batch` and `metrics.summarize_batch`. `levels` is a walk of
+its own: it shares no code with `mst.check_tree`, the package's walk.
 """
 
 from __future__ import annotations
@@ -95,13 +96,33 @@ def normalized_tree_length(tree: Tree) -> float:
     return total_weight(tree) / (tree.n - 1)
 
 
+def levels(tree: Tree, root: int) -> list[int]:
+    """Hop count from `root` to each vertex, -1 for a vertex it does not reach."""
+    adj: list[list[int]] = [[] for _ in range(tree.n)]
+    for i, j in zip(tree.i.tolist(), tree.j.tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
+    level = [-1] * tree.n
+    level[root] = 0
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level
+
+
 def mean_occupation_layer(tree: Tree, central: str) -> float:
     """Mean hop count from every vertex to `central` (itself at level 0)."""
     try:
         root = tree.tickers.index(central)
     except ValueError:
         raise MissingVertexError("no vertex %r in tree" % central) from None
-    return sum(tree.levels(root)) / tree.n
+    return sum(levels(tree, root)) / tree.n
 
 
 def kruskal_mst(tickers: list[str], d: np.ndarray) -> Tree:

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -684,3 +688,28 @@ def test_crlf_price_file_reads_like_lf(tmp_path, capsys):
         results.append((capsys.readouterr().err, analysis))
     assert results[0] == results[1] == results[2]
     assert results[0][0] == "ingestion: line 10 rejected (non-positive price -1.0)\n"
+
+
+def test_analyze_and_evolve_never_import_numpy_ma(tmp_path):
+    # Importing `numpy.ma` adds 1.2-1.7 MB to the CLI's peak; a plain
+    # `np.unique` would import it, so the parse sorts with `np.sort`.
+    panel = one_factor_returns(FactorModelParams(12, 140, (0.6,) * 12, 1.0, 5))
+    write_price_csv(tmp_path / "full.csv", panel.tickers, panel.dates, 100.0 * np.exp(np.cumsum(panel.returns, axis=1)))
+    header, *lines = (tmp_path / "full.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    hole = "%s,%s," % (panel.dates[70].isoformat(), panel.tickers[4])
+    lines = [line for line in lines if not line.startswith(hole)]  # a holed company
+    lines.insert(30, "%s,%s,-1.0\n" % (panel.dates[2].isoformat(), panel.tickers[7]))  # a rejected row
+    (tmp_path / "prices.csv").write_text(header + "".join(lines), encoding="utf-8")
+    runs = [
+        ["analyze", "prices.csv", "--format", "csv", "--out", "analyze"],
+        ["evolve", "prices.csv", "--window", "60", "--step", "10", "--out", "evolve"],
+    ]
+    script = "import json, sys\nfrom assettree.cli import main\nprint(json.dumps([[main(a) for a in %r], 'numpy.ma' in sys.modules]))" % runs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, 0], False]
+    assert "rejected (non-positive price -1.0)" in done.stderr
+    report = json.loads((tmp_path / "analyze" / "analysis.json").read_text(encoding="utf-8"))
+    assert report["dropped_companies"] == [panel.tickers[4]]

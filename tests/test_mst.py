@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from assettree.errors import InsufficientDataError, InvariantError
 from assettree.exports import read_tree_edges, write_tree_edges
-from assettree.mst import Tree, _ticker_ranks, check_tree, prim_batch
+from assettree.metrics import summarize, summarize_batch
+from assettree.mst import Tree, _check_join_order, _ticker_ranks, check_tree, prim_batch
 
 from conftest import dist_from_array, edge_list, path_max_weights, prim_mst, random_dist, tickers_for
-from oracles import UnionFind, brute_force_mst, kruskal_mst, preferential_attachment_tree, total_weight
+from oracles import UnionFind, brute_force_mst, kruskal_mst, levels, preferential_attachment_tree, total_weight
 
 ALGORITHMS = [prim_mst, kruskal_mst, brute_force_mst]
 
@@ -226,11 +229,85 @@ def test_check_tree_names_the_vertex_a_duplicated_edge_leaves_unreached():
 
 def test_levels_are_hop_counts_with_minus_one_for_unreached_vertices():
     path = Tree.from_edges(tickers_for(4), [0, 1, 2], [1, 2, 3], [0.5, 0.5, 0.5])
-    assert path.levels(0) == [0, 1, 2, 3]
-    assert path.levels(2) == [2, 1, 0, 1]
+    assert levels(path, 0) == [0, 1, 2, 3]
+    assert levels(path, 2) == [2, 1, 0, 1]
     split = Tree.from_edges(tickers_for(4), [0, 2], [1, 3], [0.5, 0.5])
-    assert split.levels(1) == [1, 0, -1, -1]
-    assert split.levels(3) == [-1, -1, 1, 0]
+    assert levels(split, 1) == [1, 0, -1, -1]
+    assert levels(split, 3) == [-1, -1, 1, 0]
+
+
+def _summary_text(summary, mol_static):
+    """Every number and label of a summary, as text that is equal only when the bytes are."""
+    return repr((summary.ntl, summary.mol_dynamic, mol_static, summary.center, summary.distribution.tolist(), summary.phase))
+
+
+def _hub_distances(rng, n, hub):
+    """Distances whose minimum tree is the star on `hub`: its edges are the only ones below 1."""
+    d = np.ones((n, n))
+    d[hub] = d[:, hub] = rng.uniform(0.1, 0.9, n)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("n, star", [(2, False), (3, False), (40, False), (200, True)])
+def test_check_tree_returns_a_join_order_that_summarizes_like_prims(rng, n, star):
+    # Unsorted tickers, so Prim starts at the first ticker and check_tree at vertex 0.
+    tickers = ["T%03d" % k for k in rng.permutation(n)]
+    d = _hub_distances(rng, n, n // 2) if star else random_dist(rng, n)[1]
+    prim = prim_batch(tickers, d[None])
+    (expected, expected_static), = summarize_batch(tickers, *prim, 0)
+    tree = Tree.from_edges(tickers, *(column[0] for column in prim))
+    order, flip = rng.permutation(n - 1), rng.random(n - 1) < 0.5
+    a, b = np.where(flip, tree.j, tree.i)[order], np.where(flip, tree.i, tree.j)[order]
+    stored = Tree(tickers, tree.i[order], tree.j[order], tree.w[order])  # any storage order
+    for scrambled in (Tree.from_edges(tickers, a, b, tree.w[order]), stored):
+        src, dst, w = check_tree(scrambled)
+        _check_join_order(n, src, dst, w)
+        assert sorted(dst[0].tolist()) == list(range(1, n))  # every vertex but 0 brought in once
+        assert edge_list(Tree.from_edges(tickers, src[0], dst[0], w[0])) == edge_list(tree)
+        (summary, static), = summarize_batch(tickers, src, dst, w, 0)
+        assert _summary_text(summary, static) == _summary_text(expected, expected_static)
+        assert _summary_text(summarize(scrambled), static) == _summary_text(expected, expected_static)
+
+
+def test_check_tree_walks_a_long_path_and_a_wide_star():
+    # A walk that steps one level at a time over every edge would take
+    # N^2 / 2 steps on the path.
+    n = 50_000
+    tickers = ["T%05d" % k for k in range(n)]
+    path = Tree.from_edges(tickers, np.arange(1, n), np.arange(n - 1), np.full(n - 1, 0.5))
+    src, dst, w = check_tree(path)
+    assert src.tolist() == [list(range(n - 1))]
+    assert dst.tolist() == [list(range(1, n))]
+    assert w.shape == (1, n - 1)
+    hub = n // 2
+    leaves = np.delete(np.arange(n), hub)
+    star = Tree.from_edges(tickers, leaves, np.full(n - 1, hub), np.linspace(0.1, 0.9, n - 1))
+    src, dst, w = check_tree(star)
+    assert src.tolist() == [[0] + [hub] * (n - 2)]
+    assert dst.tolist() == [[hub] + leaves[1:].tolist()]
+    assert w.tobytes() == star.w.tobytes()  # the leaves come in by the edges' storage order
+
+
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        pytest.param([0, 1], [1, 3], "(1, 3)", id="past-n"),
+        pytest.param([-1, 1], [1, 2], "(-1, 1)", id="negative"),
+        pytest.param([0, 2], [1, 1], "(2, 1)", id="reversed"),
+        pytest.param([0, 1], [1, 1], "(1, 1)", id="self-loop"),
+    ],
+)
+def test_check_tree_rejects_bad_edge_endpoints(i, j, message):
+    tree = Tree(tickers_for(3), np.array(i), np.array(j), np.array([0.5, 0.5]))
+    with pytest.raises(InvariantError, match="^bad edge endpoints %s$" % re.escape(message)):
+        check_tree(tree)
+
+
+def test_check_tree_reports_a_bad_weight_before_a_cycle():
+    tree = Tree.from_edges(tickers_for(4), [0, 1, 0], [1, 2, 2], [0.5, float("nan"), 0.5])
+    with pytest.raises(InvariantError, match=r"^edge weight nan outside \[0, inf\)$"):
+        check_tree(tree)
 
 
 @pytest.mark.parametrize("weight", [-0.5, float("nan"), float("inf")])

@@ -53,5 +53,5 @@ def test_readme_call_spans_name_the_leading_parameters_in_order():
         if given != leading:
             wrong.append("%s(%s), signature starts %s" % (name, quoted, leading))
         checked.add(name)
-    assert {"prim_batch", "summarize_batch", "Tree.from_edges", "PhaseRule", "tree.levels"} <= checked
+    assert {"prim_batch", "summarize_batch", "Tree.from_edges", "PhaseRule"} <= checked
     assert wrong == []
