@@ -33,12 +33,10 @@ from .metrics import (
     PHASE_SUPERHUB,
     classify_phase,
     fit_power_law,
-    summarize,
     summarize_batch,
 )
 from .mst import (
     Tree,
-    check_tree,
     prim_batch,
 )
 from .rolling import (

@@ -4,7 +4,6 @@ Subcommands:
   analyze     one-shot pipeline over a whole period, tree + report out
   evolve      rolling-window pipeline, metric series + transition report
   synth       generate an ingestion-compatible synthetic price CSV
-  export-dot  convert a saved edge-list tree to DOT
 
 Exit codes: 0 success, 2 validation error, 3 I/O error. Every failure
 after parsing prints one `<stage>: <message>` line to stderr. A command
@@ -242,16 +241,6 @@ def cmd_synth(args, stage: Stage) -> None:
     exports.write_price_csv(out / "prices.csv", panel.tickers, price_dates, prices)
 
 
-def cmd_export_dot(args, stage: Stage) -> None:
-    path = _resolve_input(args)
-    stage.name = "read"
-    tree = exports.read_tree_edges(path)
-    stage.name = "export"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    exports.write_dot(out / (Path(path).stem + ".dot"), tree)
-
-
 def _add_common_io(sub) -> None:
     sub.add_argument("input_pos", nargs="?", metavar="input", help="price CSV path")
     sub.add_argument("--input", help="price CSV path (alternative to positional)")
@@ -292,12 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("params", help="key=value parameter file")
     p_synth.add_argument("--out", default=".", help="output directory")
     p_synth.set_defaults(func=cmd_synth)
-
-    p_dot = subs.add_parser("export-dot", help="convert an edge-list tree to DOT")
-    p_dot.add_argument("input_pos", nargs="?", metavar="input", help="edge-list file")
-    p_dot.add_argument("--input", help="edge-list file (alternative to positional)")
-    p_dot.add_argument("--out", default=".", help="output directory")
-    p_dot.set_defaults(func=cmd_export_dot)
 
     return parser
 

@@ -19,9 +19,9 @@ from datetime import date as Date
 
 import numpy as np
 
-from .errors import FormatError, InvariantError
-from .ingestion import ASCII_WHITESPACE, BAD_TICKER, _halves, ascii_decimal
-from .mst import Tree, check_tree
+from .errors import InvariantError
+from .ingestion import _halves
+from .mst import Tree
 from .rolling import MetricSeries
 
 SERIES_COLUMNS = [
@@ -55,53 +55,6 @@ def write_tree_edges(path, tree: Tree, meta: dict) -> None:
             fh.write("# %s: %s\n" % (key, meta[key]))
         for i, j, w in zip(tree.i.tolist(), tree.j.tolist(), tree.w.tolist()):
             fh.write("%s,%s,%s\n" % (tree.tickers[i], tree.tickers[j], fmt_float(w)))
-
-
-def read_tree_edges(path) -> Tree:
-    """Rebuild a Tree from an edge-list file written by write_tree_edges.
-
-    Raises FormatError on a malformed line, weight or ticker (empty, or
-    one `parse_price_table` rejects), on a self-loop, or when a
-    `# n_vertices:` header disagrees with the tickers the edges name, and
-    InvariantError if the edges do not form a spanning tree on them. A
-    file without the header is accepted. A leading BOM is skipped, and
-    each field is stripped of ASCII whitespace, as `parse_price_table` does.
-    """
-    names: list[str] = []
-    weights: list[float] = []
-    declared = None
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line in fh:
-            line = line.strip(ASCII_WHITESPACE)
-            if line.startswith("# n_vertices:"):
-                declared = line.split(":", 1)[1].strip(ASCII_WHITESPACE)
-            if not line or line.startswith("#"):
-                continue
-            parts = [field.strip(ASCII_WHITESPACE) for field in line.split(",")]
-            if len(parts) != 3:
-                raise FormatError("bad edge line %r" % line)
-            try:
-                weights.append(float(ascii_decimal(parts[2])))
-            except ValueError:
-                raise FormatError("bad edge weight in %r" % line) from None
-            for ticker in parts[:2]:
-                if not ticker or BAD_TICKER.search(ticker):
-                    raise FormatError("bad ticker %r in %r" % (ticker, line))
-            if parts[0] == parts[1]:
-                raise FormatError("self-loop in %r" % line)
-            names += parts[:2]
-    if not weights:
-        raise FormatError("no edge lines")
-    tickers = sorted(set(names))
-    if declared is not None and declared != str(len(tickers)):
-        raise FormatError(
-            "n_vertices header %r, but the edges name %d tickers" % (declared, len(tickers))
-        )
-    index = {t: k for k, t in enumerate(tickers)}
-    codes = [index[t] for t in names]
-    tree = Tree.from_edges(tickers, codes[0::2], codes[1::2], weights)
-    check_tree(tree)
-    return tree
 
 
 def write_dot(path, tree: Tree) -> None:

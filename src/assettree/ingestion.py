@@ -39,7 +39,6 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # Edge lists, DOT and corr.csv write tickers unquoted, so a ticker may not
 # hold a field separator, a quote, an escape or an ASCII control character,
 # nor begin with "#", which starts an edge list's comment lines.
-# `exports.read_tree_edges` holds the tickers it reads to the same rule.
 BAD_TICKER = re.compile(r'^#|[,"\\\x00-\x1f\x7f]')
 
 # Stripped from each field and header name. ASCII only, like the date and

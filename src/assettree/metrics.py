@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError, MissingVertexError
-from .mst import Tree, _check_join_order, _ticker_ranks, check_tree
+from .mst import _check_join_order, _ticker_ranks
 
 PHASE_POWER_LAW = "PowerLaw"
 PHASE_SUPERHUB = "SuperhubDecorated"
@@ -242,12 +242,3 @@ def summarize_batch(
         summary = TreeSummary(hist[b], classify_phase(hist[b], rule), tickers[hub[b]], ntl, sums[b][0] / n)
         rows.append((summary, sums[b][1] / n))
     return rows
-
-
-def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
-    """Degrees, phase (with its fit, None if underdetermined), center, NTL, MOL.
-
-    The B = 1 call of `summarize_batch` on the join-order columns of
-    `check_tree`, which raises InvariantError unless `tree` is a spanning tree.
-    """
-    return summarize_batch(tree.tickers, *check_tree(tree), 0, rule)[0][0]

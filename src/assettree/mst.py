@@ -126,9 +126,9 @@ def prim_batch(
 def _check_join_order(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> None:
     """Raise InvariantError unless each row of (src, dst, w) is a spanning tree in join order.
 
-    As `prim_batch` and `check_tree` return them: (B, N-1) columns of
-    vertices in 0..N-1, no vertex brought in (a dst) twice, each src[b, e]
-    the root or brought in earlier, and every weight in [0, inf).
+    As `prim_batch` returns them: (B, N-1) columns of vertices in 0..N-1,
+    no vertex brought in (a dst) twice, each src[b, e] the root or brought
+    in earlier, and every weight in [0, inf).
     """
     nb = len(src)
     if src.shape != (nb, n - 1) or dst.shape != src.shape or w.shape != src.shape:
@@ -145,36 +145,3 @@ def _check_join_order(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -
         raise InvariantError("edge columns bring a vertex in twice")
     if (pos[rows, src] >= joins).any():
         raise InvariantError("edge columns are not in join order: an edge leaves a vertex not yet in")
-
-
-def check_tree(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raise InvariantError unless the edges span its tickers as a tree with weights in [0, inf).
-
-    This is the package's one structural check of a `Tree`. It returns the
-    edges as `prim_batch`'s (src, dst, w) columns, each of shape (1, N-1),
-    in the join order of the breadth-first walk from vertex 0 that checks reach.
-    """
-    n, i, j, w = tree.n, tree.i, tree.j, tree.w
-    if len(i) != n - 1:
-        raise InvariantError("expected %d edges, got %d" % (n - 1, len(i)))
-    bad = (i < 0) | (i >= j) | (j >= n)
-    if bad.any():
-        raise InvariantError("bad edge endpoints (%d, %d)" % (i[bad][0], j[bad][0]))
-    bad = ~((w >= 0) & (w < math.inf))  # NaN included
-    if bad.any():
-        raise InvariantError("edge weight %r outside [0, inf)" % float(w[bad][0]))
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-        adj[a].append((b, e))
-        adj[b].append((a, e))
-    seen, order = [True] + [False] * (n - 1), [(0, -1)]
-    for u, _ in order:  # the queue: (vertex, the edge it joins by), appended as it joins
-        for v, e in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                order.append((v, e))
-    # N-1 edges that leave a vertex unreached must close a cycle elsewhere.
-    if len(order) < n:
-        raise InvariantError("cycle: the edges leave %r unreached" % tree.tickers[seen.index(False)])
-    dst, joins = np.array(order[1:], dtype=np.int64).reshape(-1, 2).T
-    return (i[joins] + j[joins] - dst)[None], dst[None], w[joins][None]

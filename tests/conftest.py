@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from assettree.mst import Tree, prim_batch
 from assettree.rolling import _chunks
+from oracles import check_tree
 
 
 def tickers_for(n: int) -> list[str]:
@@ -32,6 +35,20 @@ def prim_mst(tickers: list[str], d: np.ndarray) -> Tree:
     """The Prim tree of one distance matrix: `prim_batch`'s B = 1 call as a `Tree`."""
     src, dst, w = prim_batch(tickers, d[None])
     return Tree.from_edges(tickers, src[0], dst[0], w[0])
+
+
+def read_tree(path) -> Tree:
+    """The tree of an edge-list file such as `tree.edges`, on its sorted tickers, held to `check_tree`.
+
+    Reads `a,b,w` lines and skips `#` lines; the file's `\n` is the only line break.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+    tickers = sorted({t for a, b, _ in rows for t in (a, b)})
+    index = {t: k for k, t in enumerate(tickers)}
+    tree = Tree.from_edges(tickers, [index[a] for a, _, _ in rows], [index[b] for _, b, _ in rows], [float(w) for *_, w in rows])
+    check_tree(tree)
+    return tree
 
 
 def window_trees(panel, spans):

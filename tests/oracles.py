@@ -15,8 +15,14 @@ exactly symmetric. `total_weight`, `degree_histogram`,
 `normalized_tree_length` and `mean_occupation_layer` read the total
 weight, degree histogram, NTL and MOL off a `Tree` directly, its
 degrees, edge weights and breadth-first `levels`, as references for
-`mst.prim_batch` and `metrics.summarize_batch`. `levels` is a walk of
-its own: it shares no code with `mst.check_tree`, the package's walk.
+`mst.prim_batch` and `metrics.summarize_batch`.
+
+`check_tree` is the structural check of a `Tree`, and returns its edges
+as `prim_batch`'s join-order columns; `summarize` is `summarize_batch`'s
+B = 1 call on them. The package reads no tree back, so the tests are
+their only callers: they hold Kruskal, the exhaustive oracle, the
+preferential attachment trees and the tree `analyze` writes to them.
+`levels` is a walk of its own: it shares no code with `check_tree`'s.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import math
 
 import numpy as np
 
-from assettree.errors import ConfigurationError, InsufficientDataError, MissingVertexError
+from assettree.errors import ConfigurationError, InsufficientDataError, InvariantError, MissingVertexError
+from assettree.metrics import PhaseRule, TreeSummary, summarize_batch
 from assettree.mst import Tree, _pair_key, _ticker_ranks
 from assettree.synth import _tickers
 
@@ -75,6 +82,48 @@ def corrcoef_reference(returns: np.ndarray) -> np.ndarray:
     rho = upper + upper.T
     np.fill_diagonal(rho, 1.0)
     return rho
+
+
+def check_tree(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raise InvariantError unless the edges span its tickers as a tree with weights in [0, inf).
+
+    This is the tests' one structural check of a `Tree`. It returns the
+    edges as `prim_batch`'s (src, dst, w) columns, each of shape (1, N-1),
+    in the join order of the breadth-first walk from vertex 0 that checks reach.
+    """
+    n, i, j, w = tree.n, tree.i, tree.j, tree.w
+    if len(i) != n - 1:
+        raise InvariantError("expected %d edges, got %d" % (n - 1, len(i)))
+    bad = (i < 0) | (i >= j) | (j >= n)
+    if bad.any():
+        raise InvariantError("bad edge endpoints (%d, %d)" % (i[bad][0], j[bad][0]))
+    bad = ~((w >= 0) & (w < math.inf))  # NaN included
+    if bad.any():
+        raise InvariantError("edge weight %r outside [0, inf)" % float(w[bad][0]))
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    seen, order = [True] + [False] * (n - 1), [(0, -1)]
+    for u, _ in order:  # the queue: (vertex, the edge it joins by), appended as it joins
+        for v, e in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append((v, e))
+    # N-1 edges that leave a vertex unreached must close a cycle elsewhere.
+    if len(order) < n:
+        raise InvariantError("cycle: the edges leave %r unreached" % tree.tickers[seen.index(False)])
+    dst, joins = np.array(order[1:], dtype=np.int64).reshape(-1, 2).T
+    return (i[joins] + j[joins] - dst)[None], dst[None], w[joins][None]
+
+
+def summarize(tree: Tree, rule: PhaseRule = PhaseRule()) -> TreeSummary:
+    """Degrees, phase (with its fit, None if underdetermined), center, NTL, MOL.
+
+    The B = 1 call of `summarize_batch` on the join-order columns of
+    `check_tree`, which raises InvariantError unless `tree` is a spanning tree.
+    """
+    return summarize_batch(tree.tickers, *check_tree(tree), 0, rule)[0][0]
 
 
 def degree_histogram(tree: Tree) -> np.ndarray:

@@ -19,7 +19,6 @@ from assettree.metrics import (
     PHASE_SUPERHUB,
     classify_phase,
     fit_power_law,
-    summarize,
 )
 from assettree.rolling import WindowSpec, detect_transitions, evolve, windows
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns
@@ -33,6 +32,7 @@ from oracles import (
     mean_occupation_layer,
     normalized_tree_length,
     preferential_attachment_tree,
+    summarize,
 )
 
 

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 from assettree.cli import main
-from assettree.exports import read_tree_edges, write_price_csv
+from assettree.exports import write_price_csv
 from assettree.ingestion import parse_price_table, align_and_filter
-from assettree.metrics import PhaseRule, summarize
+from assettree.metrics import PhaseRule
 from assettree.rolling import MetricSeries, detect_transitions
 from assettree.synth import FactorModelParams, one_factor_returns
+
+from conftest import read_tree
+from oracles import summarize
 
 
 def write_params(path, **overrides):
@@ -148,7 +151,7 @@ def test_analyze_two_company_panel(tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", str(src), "--out", str(out)]) == 0
     report = json.loads((out / "analysis.json").read_text())
-    tree = read_tree_edges(out / "tree.edges")
+    tree = read_tree(out / "tree.edges")
     assert len(tree.i) == 1
     assert report["ntl"] == tree.w[0]
     assert report["fit"] is None
@@ -176,7 +179,7 @@ def test_dot_export_is_a_valid_graph(star_prices, tmp_path):
     out = tmp_path / "run"
     assert main(["analyze", str(star_prices), "--out", str(out)]) == 0
     dot = (out / "tree.dot").read_text()
-    tree = read_tree_edges(out / "tree.edges")
+    tree = read_tree(out / "tree.edges")
     assert dot.startswith("graph ") and dot.rstrip().endswith("}")
     nodes = re.findall(r'^  "([^"]+)";$', dot, flags=re.M)
     edges = re.findall(r'^  "([^"]+)" -- "([^"]+)" \[weight=([^\]]+)\];$', dot, flags=re.M)
@@ -184,15 +187,6 @@ def test_dot_export_is_a_valid_graph(star_prices, tmp_path):
     assert len(edges) == len(tree.i)
     weights = sorted(float(w) for _, _, w in edges)
     assert weights == sorted(tree.w.tolist())
-
-
-def test_export_dot_subcommand_round_trip(star_prices, tmp_path):
-    run = tmp_path / "run"
-    assert main(["analyze", str(star_prices), "--out", str(run)]) == 0
-    conv = tmp_path / "conv"
-    assert main(["export-dot", str(run / "tree.edges"), "--out", str(conv)]) == 0
-    dot = (conv / "tree.dot").read_text()
-    assert dot.count(" -- ") == len(read_tree_edges(run / "tree.edges").i)
 
 
 def test_evolve_outputs_and_reread_argmin_consistency(star_prices, tmp_path):
@@ -276,13 +270,13 @@ def unsorted_prices(tmp_path):
 
 @pytest.mark.parametrize("prices", ["star", "unsorted"])
 def test_analysis_equals_the_summary_of_the_tree_it_writes(star_prices, tmp_path, prices):
-    # analyze summarizes Prim's join-order columns; summarize(tree) walks a
-    # Tree read back from tree.edges, on sorted tickers, from vertex 0.
+    # analyze summarizes Prim's join-order columns; the oracle's summarize
+    # walks the tree read back from tree.edges, on sorted tickers, from vertex 0.
     path = star_prices if prices == "star" else unsorted_prices(tmp_path)
     out = tmp_path / "run"
     assert main(["analyze", str(path), "--tau", "0.7", "--gap", "1.5", "--tau-hub", "0.3", "--out", str(out)]) == 0
     report = json.loads((out / "analysis.json").read_text())
-    summary = summarize(read_tree_edges(out / "tree.edges"), PhaseRule(0.7, 1.5, 0.3))
+    summary = summarize(read_tree(out / "tree.edges"), PhaseRule(0.7, 1.5, 0.3))
     label = summary.phase
     assert (report["ntl"], report["mol_dynamic"], report["dynamic_center"]) == (
         summary.ntl, summary.mol_dynamic, summary.center
@@ -440,30 +434,9 @@ CLI_FAILURES = [
     pytest.param(["synth", "{tmp}/one-day.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-one-day"),
     # 39 returns of standard deviation 100 sum past ln(max float) ~ 709; no numpy warning may escape.
     pytest.param(["synth", "{tmp}/overflow.txt", "--out", "{tmp}/out"], 2, "generate", id="synth-generate-overflow"),
-    pytest.param(["export-dot", "{tmp}/absent.edges", "--out", "{tmp}/out"], 3, "read", id="export-dot-read"),
-    pytest.param(["export-dot", "{tmp}/weight.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-weight"),
-    pytest.param(["export-dot", "{tmp}/cycle.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-not-a-tree"),
-    pytest.param(["export-dot", "{tmp}/empty.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-no-edges"),
-    pytest.param(
-        ["export-dot", "{tmp}/count.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-vertex-count"
-    ),
-    pytest.param(
-        ["export-dot", "{tmp}/nan.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-nan-weight"
-    ),
     pytest.param(["analyze", "{tmp}/latin1.csv", "--out", "{tmp}/out"], 2, "ingestion", id="analyze-not-utf8"),
     pytest.param(["evolve", "{tmp}/latin1.csv", "--out", "{tmp}/out"], 2, "ingestion", id="evolve-not-utf8"),
-    pytest.param(["export-dot", "{tmp}/bytes.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-not-utf8"),
     pytest.param(["analyze", "{tmp}/long.csv", "--out", "{tmp}/out"], 2, "ingestion", id="analyze-field-limit"),
-    pytest.param(
-        ["export-dot", "{tmp}/quote.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-quote-ticker"
-    ),
-    pytest.param(
-        ["export-dot", "{tmp}/blank.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-empty-ticker"
-    ),
-    # float() alone reads an Arabic-Indic three as 3.
-    pytest.param(
-        ["export-dot", "{tmp}/digit.edges", "--out", "{tmp}/out"], 2, "read", id="export-dot-read-non-ascii-weight"
-    ),
 ]
 
 
@@ -487,17 +460,8 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
     (tmp_path / "repeat.txt").write_text("n_companies = 5\nn_days = 40\nn_companies = 6\n")
     (tmp_path / "one-day.txt").write_text("n_companies = 5\nn_days = 1\n")
     (tmp_path / "overflow.txt").write_text("n_companies = 3\nn_days = 40\nnoise_sigma = 100\n")
-    (tmp_path / "weight.edges").write_text("# n_vertices: 2\nA,B,abc\n")
-    (tmp_path / "cycle.edges").write_text("# n_vertices: 2\nA,B,0.5\nB,A,0.25\n")
-    (tmp_path / "empty.edges").write_text("# n_vertices: 0\n")
-    (tmp_path / "count.edges").write_text("# n_vertices: 5\nA,B,0.5\n")
-    (tmp_path / "nan.edges").write_text("# n_vertices: 3\nA,B,nan\nB,C,inf\n")
     (tmp_path / "latin1.csv").write_bytes(FLAT_PRICES.replace("BB", "B\xe9").encode("latin-1"))
-    (tmp_path / "bytes.edges").write_bytes(b"# n_vertices: 2\nA,B\xff,0.5\n")
     (tmp_path / "long.csv").write_text(FLAT_PRICES + "2005-01-07,%s,1.0\n" % ("X" * 140_000))
-    (tmp_path / "quote.edges").write_text('# n_vertices: 2\nA"x,B,0.5\n')
-    (tmp_path / "blank.edges").write_text("# n_vertices: 2\n,B,0.5\n")
-    (tmp_path / "digit.edges").write_text("A,B,\u0663\nB,C,0.25\n", encoding="utf-8")
     capsys.readouterr()
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     lines = capsys.readouterr().err.splitlines()
@@ -514,9 +478,6 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
             "ingestion: panel needs at least 3 trading days",
             id="analyze-two-trading-days",
         ),
-        pytest.param(
-            "loop.edges", "A,A,0.5\nB,C,0.5\n", ["export-dot"], "read: self-loop in 'A,A,0.5'", id="export-dot-self-loop"
-        ),
         # Seed 8 draws two returns below -1300, so both prices underflow to 0.
         pytest.param(
             "underflow.txt",
@@ -525,14 +486,7 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
             "generate: 2 prices overflow or underflow the float range",
             id="synth-underflow",
         ),
-        # float() and int() alone read "0_5" as 5 and "1_0" as 10.
-        pytest.param(
-            "under.edges",
-            "A,B,0_5\nB,C,0.25\n",
-            ["export-dot"],
-            "read: bad edge weight in 'A,B,0_5'",
-            id="export-dot-underscore-weight",
-        ),
+        # int() alone reads "1_0" as 10.
         pytest.param(
             "under.txt",
             "n_companies = 1_0\nn_days = 20\n",
@@ -583,7 +537,6 @@ def test_cli_failure_exit_code_and_stage_line(tmp_path, capsys, argv, code, stag
             "setup: period end 2005-01-04 before start 2005-01-05",
             id="analyze-end-before-start",
         ),
-        pytest.param("pair.edges", "A,B\n", ["export-dot"], "read: bad edge line 'A,B'", id="export-dot-two-fields"),
     ],
 )
 def test_cli_failure_names_its_cause_and_writes_nothing(tmp_path, capsys, name, text, argv, message):
@@ -640,39 +593,17 @@ def test_analyze_rejects_tickers_its_outputs_cannot_hold(tmp_path, capsys):
         for d in range(4)
     ]
     assert [len(line.split(",")) for line in (out / "corr.csv").read_text().splitlines()] == [2, 2, 2]
-    assert main(["export-dot", str(out / "tree.edges"), "--out", str(tmp_path / "conv")]) == 0
-    assert read_tree_edges(out / "tree.edges").tickers == ["AA", "BB"]
+    assert read_tree(out / "tree.edges").tickers == ["AA", "BB"]
 
 
 def test_tree_edges_keep_a_non_ascii_space_in_a_ticker(tmp_path):
     text = "".join(line + "\n" for line in FLAT_PRICES.splitlines() if ",FLAT," not in line)
     (tmp_path / "prices.csv").write_text(text.replace(",AA,", ",\u3000AA,"), encoding="utf-8")
-    out, conv = tmp_path / "out", tmp_path / "conv"
+    out = tmp_path / "out"
     assert main(["analyze", str(tmp_path / "prices.csv"), "--out", str(out)]) == 0
-    assert read_tree_edges(out / "tree.edges").tickers == ["BB", "\u3000AA"]
-    assert main(["export-dot", str(out / "tree.edges"), "--out", str(conv)]) == 0
-    vertices = [
-        sorted(re.findall(r'^  "([^"]+)";$', (run / "tree.dot").read_text(encoding="utf-8"), flags=re.M))
-        for run in (out, conv)
-    ]
-    assert vertices[0] == vertices[1] == ["BB", "\u3000AA"]
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        pytest.param("\ufeffA,B,0.5\nB,C,0.25\n", id="bom"),
-        pytest.param("\ufeff# n_vertices: 3\nA,B,0.5\nB,C,0.25\n", id="bom-header"),
-        pytest.param("A , B , 0.5\nB\t,C,\t0.25\n", id="padded-fields"),
-    ],
-)
-def test_edge_list_reader_skips_a_bom_and_strips_fields_like_ingestion(tmp_path, text):
-    (tmp_path / "plain.edges").write_text("A,B,0.5\nB,C,0.25\n", encoding="utf-8")
-    (tmp_path / "odd.edges").write_text(text, encoding="utf-8")
-    for name in ("plain", "odd"):
-        assert main(["export-dot", str(tmp_path / (name + ".edges")), "--out", str(tmp_path / "conv")]) == 0
-    assert read_tree_edges(tmp_path / "odd.edges").tickers == ["A", "B", "C"]
-    assert (tmp_path / "conv" / "odd.dot").read_bytes() == (tmp_path / "conv" / "plain.dot").read_bytes()
+    assert read_tree(out / "tree.edges").tickers == ["BB", "\u3000AA"]
+    vertices = re.findall(r'^  "([^"]+)";$', (out / "tree.dot").read_text(encoding="utf-8"), flags=re.M)
+    assert sorted(vertices) == ["BB", "\u3000AA"]
 
 
 def test_crlf_price_file_reads_like_lf(tmp_path, capsys):

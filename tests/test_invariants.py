@@ -88,12 +88,11 @@ def test_every_public_definition_is_used_by_the_package_or_the_readme():
     assert [label for label, name in defined if name not in used and label not in USED_OUTSIDE_THE_PACKAGE] == []
 
 
-def test_tree_structure_is_judged_by_check_tree_alone():
-    # `summarize` holds a Tree to `mst.check_tree`; metrics raises no
-    # structural error of its own. Its one InvariantError is the check of
-    # a degree-count row, which is not a tree.
+def test_metrics_raises_invariant_error_only_for_a_degree_count_row():
+    # `summarize_batch` leaves the structure of its columns to
+    # `mst._check_join_order`; metrics raises no structural error of its
+    # own. Its one InvariantError is the check of a degree-count row.
     source = (Path(assettree.__file__).parent / "metrics.py").read_text(encoding="utf-8")
     module = ast.parse(source)
     raising = [node.name for node in module.body if isinstance(node, ast.FunctionDef) and "InvariantError" in _named(node)]
     assert raising == ["_check_counts"]
-    assert "check_tree" in _named(module)

@@ -19,7 +19,6 @@ from assettree.metrics import (
     PhaseRule,
     classify_phase,
     fit_power_law,
-    summarize,
     summarize_batch,
 )
 from assettree.mst import Tree, prim_batch
@@ -29,6 +28,7 @@ from oracles import (
     mean_occupation_layer,
     normalized_tree_length,
     preferential_attachment_tree,
+    summarize,
 )
 
 

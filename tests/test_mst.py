@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from assettree.errors import InsufficientDataError, InvariantError
-from assettree.exports import read_tree_edges, write_tree_edges
-from assettree.metrics import summarize, summarize_batch
-from assettree.mst import Tree, _check_join_order, _ticker_ranks, check_tree, prim_batch
+from assettree.exports import write_tree_edges
+from assettree.metrics import summarize_batch
+from assettree.mst import Tree, _check_join_order, _ticker_ranks, prim_batch
 
-from conftest import dist_from_array, edge_list, path_max_weights, prim_mst, random_dist, tickers_for
-from oracles import UnionFind, brute_force_mst, kruskal_mst, levels, preferential_attachment_tree, total_weight
+from conftest import dist_from_array, edge_list, path_max_weights, prim_mst, random_dist, read_tree, tickers_for
+from oracles import (
+    UnionFind, brute_force_mst, check_tree, kruskal_mst, levels, preferential_attachment_tree, summarize, total_weight,
+)
 
 ALGORITHMS = [prim_mst, kruskal_mst, brute_force_mst]
 
@@ -327,7 +329,7 @@ def test_every_builder_returns_canonical_edge_columns(rng, tmp_path):
         kruskal_mst(*shuffled),
         brute_force_mst(*shuffled),
         preferential_attachment_tree(40, 3),
-        read_tree_edges(tmp_path / "tree.edges"),
+        read_tree(tmp_path / "tree.edges"),
     ]
     for tree in trees:
         assert tree.i.dtype == tree.j.dtype == np.int64

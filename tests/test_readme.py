@@ -1,5 +1,6 @@
-"""The README's Library example runs as written, and its prose names real parameters."""
+"""The README's Library example runs as written, its prose names real parameters, and its command block names the CLI's commands."""
 
+import argparse
 import inspect
 import re
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import assettree
+from assettree.cli import build_parser
 from assettree.exports import write_price_csv
 from assettree.synth import FactorModelParams, one_factor_returns
 
@@ -16,6 +18,15 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def library_block() -> str:
     section = README.read_text(encoding="utf-8").split("## Library", 1)[1]
     return re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+
+
+def test_readme_command_block_names_each_subcommand_of_the_parser():
+    # A retired command cannot stay in the README, nor a new one stay out of it.
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("assettree ")]
+    subs = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(named) == sorted(subs[0].choices)
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -18,7 +18,6 @@ from assettree.metrics import (
     PHASE_SUPERHUB,
     PhaseRule,
     classify_phase,
-    summarize,
 )
 from assettree.rolling import (
     MetricSeries,
@@ -31,7 +30,7 @@ from assettree.rolling import (
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
 from conftest import nonzero_counts, prim_mst, window_trees
-from oracles import degree_histogram, kruskal_mst, mean_occupation_layer, normalized_tree_length
+from oracles import degree_histogram, kruskal_mst, mean_occupation_layer, normalized_tree_length, summarize
 
 
 def flat_panel(n=5, days=120, seed=0, beta=0.6):

@@ -5,11 +5,10 @@ import pytest
 
 from assettree.correlation import pearson_matrix
 from assettree.errors import ConfigurationError
-from assettree.mst import check_tree
 from assettree.synth import FactorModelParams, HubRegimeParams, hub_regime_returns, one_factor_returns
 
 from conftest import edge_list, window_trees
-from oracles import normalized_tree_length, preferential_attachment_tree
+from oracles import check_tree, normalized_tree_length, preferential_attachment_tree
 
 
 def factor_params(n=10, days=200, beta=1.0, sigma=1.0, seed=0):
