@@ -53,34 +53,26 @@ def _parse_date(text: str) -> Date:
         raise ConfigurationError("bad date %r, expected YYYY-MM-DD" % text) from None
 
 
-def _resolve_input(args) -> str:
-    given = [p for p in (args.input_pos, args.input) if p]
-    if len(given) != 1:
-        raise ConfigurationError("exactly one input path required")
-    return given[0]
-
-
 def _load_run(args, stage: Stage):
-    """Check the input path, the thresholds and the period, then read the prices.
+    """Check the thresholds and the period, then read the prices.
 
     Returns (returns, rule, config); `config` names the run for `config_hash`.
     """
-    path = _resolve_input(args)
     rule = PhaseRule(args.tau, args.gap, args.tau_hub)
     bounds = [_parse_date(text) if text else None for text in (args.start, args.end)]
     if None not in bounds and bounds[1] < bounds[0]:
         raise ConfigurationError("period end %s before start %s" % (bounds[1], bounds[0]))
     stage.name = "ingestion"
-    with open(path, "rb") as source:
+    with open(args.input, "rb") as source:
         parsed = parse_price_table(source)
     rejections = ("ingestion: line %d rejected (%s)\n" % (r.line_number, r.reason) for r in parsed.rejected)
     sys.stderr.write("".join(rejections))  # one write for all the rows
     if not parsed.dates:
-        raise ConfigurationError("no parseable records in %s" % path)
+        raise ConfigurationError("no parseable records in %s" % args.input)
     start = bounds[0] or parsed.dates[0]
     end = bounds[1] or parsed.dates[-1]
     config = {
-        "input": path,
+        "input": args.input,
         "start": start.isoformat(),
         "end": end.isoformat(),
         **vars(rule),
@@ -242,8 +234,7 @@ def cmd_synth(args, stage: Stage) -> None:
 
 
 def _add_common_io(sub) -> None:
-    sub.add_argument("input_pos", nargs="?", metavar="input", help="price CSV path")
-    sub.add_argument("--input", help="price CSV path (alternative to positional)")
+    sub.add_argument("input", help="price CSV path")
     sub.add_argument("--start", help="period start, YYYY-MM-DD (default: first observed)")
     sub.add_argument("--end", help="period end, YYYY-MM-DD (default: last observed)")
     sub.add_argument("--tau", type=float, default=PhaseRule.tau, help="superhub residual threshold, decades")

@@ -20,7 +20,7 @@ from datetime import date as Date
 import numpy as np
 
 from .errors import InvariantError
-from .ingestion import _halves
+from .ingestion import _product_error
 from .mst import Tree
 from .rolling import MetricSeries
 
@@ -101,8 +101,6 @@ def write_json(path, payload: dict) -> None:
 # Each bound is its power of ten rounded up, so the bands split at the exact powers.
 _BANDS = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 _SCALE = np.array([1e17, 1e20, 1e19, 1e18, 1e17, 1e17])  # 10**(16 - e) by band, exact doubles
-_SCALE_HI, _SCALE_LO = np.empty(6), np.empty(6)
-_halves(_SCALE, _SCALE_HI, _SCALE_LO)
 # "[-]0." and -e - 1 zeros, ending at byte 6 of a little-endian word, by band + 6 * sign.
 _PREFIX = np.frombuffer(
     b"".join((b"-" * s + b"0." + b"0" * (4 - k)).rjust(7, b"\0") + b"\0" for s in (0, 1) for k in range(6)), "<u8"
@@ -136,17 +134,12 @@ def _cells(x: np.ndarray) -> np.ndarray:
     band = _bands(a)
     printf = band - 1 > 3
     np.copyto(a, 0.5, where=printf)
-    hi = a * _SCALE.take(band)
-    ah, al = np.empty_like(a), np.empty_like(a)
-    _halves(a, ah, al)
-    sh, sl = _SCALE_HI.take(band), _SCALE_LO.take(band)
-    err = np.multiply(ah, sh, out=a) - hi
-    err += ah * sl
-    err += al * sh
-    err += al * sl
+    scale = _SCALE.take(band)
+    hi = a * scale
+    err = _product_error(a, scale, hi, a, np.empty((4, len(a))))
     d = hi.astype(np.int64).view(np.uint64)
     d += np.rint(err, out=err).astype(np.int64).view(np.uint64)
-    del hi, ah, al, sh, sl, err
+    del a, scale, hi, err
     top = d // 10**16
     d -= top * 10**16
     words = np.stack([d // 10**8, d])  # digits 2-9 and 10-17, each in a word of one digit (0..9) per byte

@@ -263,6 +263,27 @@ def _halves(x: np.ndarray, high: np.ndarray, low: np.ndarray) -> None:
     np.subtract(x, high, out=low)
 
 
+def _product_error(a: np.ndarray, b: np.ndarray, hi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Dekker's product: a * b - hi exactly, into out, when hi = fl(a * b) and nothing leaves the normal range.
+
+    Sums the products of the Veltkamp halves of a and b, largest first
+    (numpy has no fused multiply-add), in scratch: four arrays shaped like
+    a, apart from a, b and hi. out may be a or b.
+    """
+    ah, al, bh, bl = scratch
+    _halves(a, ah, al)
+    _halves(b, bh, bl)
+    np.multiply(ah, bh, out=out)
+    out -= hi
+    ah *= bl
+    out += ah
+    bh *= al
+    out += bh
+    al *= bl
+    out += al
+    return out
+
+
 def _decimal_values(tails: np.ndarray, length: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Price fields as doubles, and where each is certainly the double float() gives.
 
@@ -366,14 +387,14 @@ def _decimal_values(tails: np.ndarray, length: np.ndarray, work: np.ndarray) -> 
 
     # D = dh + dl with dl the rounding error of dh, and 10**q = ph + pl to
     # within 2**-106 of it. lo sums dl * ph and dh * pl, each below 2**-53 hi,
-    # then the error of hi = dh * ph, which Dekker's product finds exactly
-    # (numpy has no fused multiply-add). Dropping dl * pl and the table's
-    # error, and rounding the two products, each err by under 2**-106 hi, and
-    # the two sums by 2 and 3 times that: 9 * 2**-106 < 2**-102 of r in all.
-    # Products below the normal range err by under 2**-1074, less than
-    # 2**-111 of 10**_Q_MIN. r = hi + lo rounded, and err its exact error.
-    ph, pl, dh, lo, hi, ah, al, bh, bl, t, r, err, h = (  # rows 4 (D) and 12 (q) are still in use
-        w[i].view(np.float64) for i in (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 13, 14, 15)
+    # then the error of hi = dh * ph, which Dekker's product finds exactly.
+    # Dropping dl * pl and the table's error, and rounding the two products,
+    # each err by under 2**-106 hi, and the two sums by 2 and 3 times that:
+    # 9 * 2**-106 < 2**-102 of r in all. Products below the normal range err
+    # by under 2**-1074, less than 2**-111 of 10**_Q_MIN. r = hi + lo
+    # rounded, and err its exact error.
+    ph, pl, dh, lo, hi, t, r, err, h = (  # rows 4 (D) and 12 (q) are still in use
+        w[i].view(np.float64) for i in (0, 1, 2, 3, 5, 10, 13, 14, 15)
     )
     table_hi, table_lo = _powers_of_ten()
     np.take(table_hi, q, mode="clip", out=ph)
@@ -386,14 +407,7 @@ def _decimal_values(tails: np.ndarray, length: np.ndarray, work: np.ndarray) -> 
     pl *= dh
     lo += pl
     np.multiply(dh, ph, out=hi)
-    _halves(dh, ah, al)
-    _halves(ph, bh, bl)
-    np.multiply(ah, bh, out=t)
-    t -= hi
-    for x, y in ((ah, bl), (al, bh), (al, bl)):
-        np.multiply(x, y, out=ph)
-        t += ph
-    lo += t
+    lo += _product_error(dh, ph, hi, t, w[6:10].view(np.float64))
     np.add(hi, lo, out=r)
     np.subtract(r, hi, out=err)
     np.subtract(lo, err, out=err)

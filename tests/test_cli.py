@@ -383,11 +383,18 @@ def test_evolve_is_byte_deterministic(star_prices, tmp_path):
     ).read_bytes()
 
 
-def test_input_can_be_flag_or_positional(star_prices, tmp_path):
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["analyze", "--input", str(star_prices), "--out", str(out1)]) == 0
-    assert main(["analyze", str(star_prices), "--out", str(out2)]) == 0
-    assert main(["analyze", "--out", str(tmp_path / "o3")]) == 2
+def test_input_is_one_required_positional(star_prices, tmp_path, capsys):
+    assert main(["analyze", str(star_prices), "--out", str(tmp_path / "o1")]) == 0
+    # A missing input is an argparse error, like any other bad command line.
+    with pytest.raises(SystemExit) as stop:
+        main(["analyze", "--out", str(tmp_path / "o2")])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("assettree analyze: error:")
+    assert not (tmp_path / "o2").exists()
+    for command in ("analyze", "evolve"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--input" not in capsys.readouterr().out
 
 
 FLAT_PRICES = "date,ticker,close\n" + "".join(
@@ -397,7 +404,6 @@ FLAT_PRICES = "date,ticker,close\n" + "".join(
 
 # (arguments, with {tmp} for the test's directory; exit code; stderr stage)
 CLI_FAILURES = [
-    pytest.param(["analyze", "--out", "{tmp}/out"], 2, "setup", id="analyze-setup"),
     pytest.param(["analyze", "{tmp}/empty.csv", "--out", "{tmp}/out"], 2, "ingestion", id="analyze-ingestion"),
     pytest.param(["analyze", "{tmp}/flat.csv", "--out", "{tmp}/out"], 2, "correlation", id="analyze-correlation"),
     pytest.param(["analyze", "{tmp}/two.csv", "--out", "{tmp}/empty.csv"], 3, "export", id="analyze-export"),
@@ -644,3 +650,21 @@ def test_analyze_and_evolve_never_import_numpy_ma(tmp_path):
     assert "rejected (non-positive price -1.0)" in done.stderr
     report = json.loads((tmp_path / "analyze" / "analysis.json").read_text(encoding="utf-8"))
     assert report["dropped_companies"] == [panel.tickers[4]]
+
+
+def test_optimized_interpreter_writes_the_same_bytes(tmp_path):
+    # `python -O` strips `assert` statements, so no check the outputs rest on may be one.
+    params = write_params(tmp_path / "params.txt", regime_start=40, regime_end=100)
+    assert main(["synth", str(params), "--out", str(tmp_path)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / ("optimized" if flags else "plain")
+        for args in (["analyze", "--format", "csv"], ["evolve", "--window", "40", "--step", "3"]):
+            argv = [sys.executable, *flags, "-m", "assettree.cli", *args, "prices.csv", "--out", str(out / args[0])]
+            done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert sorted(outputs[0]) == ["analyze/analysis.json", "analyze/corr.csv", "evolve/series.csv", "evolve/transitions.json"]
+    assert outputs[0] == outputs[1]

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from assettree import ingestion
+from assettree import exports, ingestion
 from assettree.errors import DuplicateRecordError, FormatError, InsufficientDataError
 from assettree.ingestion import (
     ParseResult,
@@ -628,6 +628,36 @@ def _price_corpus(rng):
     fields += ["+5", ".5", "5.", "1e0001", "5E+3", "0", "00", "0.0", "0e5", "1e", "e5", ".", "1.2.3", "1e5.5"]
     fields += ["1e+-5", "1-", "1e-", "-5", "1_0", "nan", "inf", "1ee5", "1e5e5", "+.5", "5.e3", ".5e-3"]
     return fields
+
+
+def test_product_error_is_exact_across_the_exponent_range():
+    # The price conversion multiplies digits D < 2**64 by the table's powers of ten and
+    # corr.csv's digit core |rho| by _SCALE; both take a * b = hi + err from one helper.
+    rng = np.random.default_rng(31)
+    n = 20_000
+    e_a = rng.integers(-990, 991, n)
+    e_b = rng.integers(np.maximum(-990, -900 - e_a), np.minimum(990, 900 - e_a) + 1)  # a normal product
+    table = ingestion._powers_of_ten()[0]
+    scale = np.tile(exports._SCALE, 500)
+    a = np.concatenate(
+        [
+            np.ldexp(rng.uniform(1, 2, n) * rng.choice([-1.0, 1.0], n), e_a),
+            np.floor(np.ldexp(rng.uniform(1, 2, len(table)), rng.integers(0, 64, len(table)))),
+            rng.uniform(1e-4, 1.0, len(scale)),
+        ]
+    )
+    b = np.concatenate([np.ldexp(rng.uniform(1, 2, n), e_b), table, scale])
+    hi = a * b
+    err = ingestion._product_error(a, b, hi, np.empty_like(a), np.empty((4, len(a))))
+    wrong = [
+        (x, y) for x, y, h, e in zip(a.tolist(), b.tolist(), hi.tolist(), err.tolist())
+        if Fraction(h) + Fraction(e) != Fraction(x) * Fraction(y)
+    ]
+    assert wrong == []
+    # corr.csv's writer takes the error into a itself.
+    into_a = a.copy()
+    ingestion._product_error(into_a, b, hi, into_a, np.empty((4, len(a))))
+    assert np.array_equal(into_a.view(np.uint64), err.view(np.uint64))
 
 
 def test_price_conversion_matches_float_wherever_it_certifies():

@@ -1,4 +1,4 @@
-"""The README's Library example runs as written, its prose names real parameters, and its command block names the CLI's commands."""
+"""The README's Library example runs as written, its prose names real parameters, and its command block and stage list name the CLI's commands and stages."""
 
 import argparse
 import inspect
@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import assettree
+from assettree import cli
 from assettree.cli import build_parser
 from assettree.exports import write_price_csv
 from assettree.synth import FactorModelParams, one_factor_returns
@@ -27,6 +28,14 @@ def test_readme_command_block_names_each_subcommand_of_the_parser():
     named = [line.split()[1] for line in block.splitlines() if line.startswith("assettree ")]
     subs = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(named) == sorted(subs[0].choices)
+
+
+def test_readme_stage_list_names_each_stage_the_cli_sets():
+    # A stage no command sets cannot stay in the README's list, nor a new one stay out of it.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.findall(r"`(\w+)`", re.search(r"where the stage is (.*?)\.", text).group(1))
+    assigned = re.findall(r'stage\.name = "(\w+)"', inspect.getsource(cli))
+    assert sorted(listed) == sorted({cli.Stage().name, *assigned})
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
